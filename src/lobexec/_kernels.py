@@ -5,7 +5,7 @@ optional ``numba`` extra, ``pip install 'lobexec[numba]'``) is available
 the same functions are compiled with ``@njit``; set the
 environment variable ``LOBEXEC_NO_NUMBA=1`` to force the numpy path
 (useful for debugging and as a correctness baseline). Both paths compute
-the same quantities; ``benchmarks/bench_kernels.py`` compares their speed.
+the same quantities.
 """
 
 from __future__ import annotations

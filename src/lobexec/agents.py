@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fundamental import NS_PER_SEC
 from .lob import Side
-
-NS_PER_SEC = 1_000_000_000
 
 
 @dataclass

@@ -23,9 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .fundamental import NS_PER_SEC
 from .lob import Side
-
-NS_PER_SEC = 1_000_000_000
 
 FRAME_FEATURES = 9
 HISTORY = 4

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kernels import ou_step
 
-NS_PER_SEC = 1_000_000_000
+NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
 
 
 @dataclass

@@ -28,10 +28,14 @@ from .agents import (
     ValueAgent,
     ValueAgentParams,
 )
-from .fundamental import FundamentalParams, FundamentalPath, Oracle, OracleParams
-from .lob import Fill, MarketOrderResult, Order, OrderBook, Side
-
-NS_PER_SEC = 1_000_000_000
+from .fundamental import (
+    NS_PER_SEC,
+    FundamentalParams,
+    FundamentalPath,
+    Oracle,
+    OracleParams,
+)
+from .lob import MarketOrderResult, Order, OrderBook, Side
 
 
 @dataclass
@@ -175,11 +179,16 @@ class MarketSession:
         return self._fill_qty_cum[-1] - self._fill_qty_cum[start]
 
     def _record_fills(self, fills) -> None:
+        if not fills:
+            return
+        self.log.fills.extend(fills)
+        fill_ts, qty_cum = self._fill_ts, self._fill_qty_cum
+        cum = qty_cum[-1]
         for f in fills:
-            self.log.fills.append(f)
-            self._fill_ts.append(f.ts)
-            self._fill_qty_cum.append(self._fill_qty_cum[-1] + f.qty)
-            self._last_trade = f.price
+            fill_ts.append(f.ts)
+            cum += f.qty
+            qty_cum.append(cum)
+        self._last_trade = fills[-1].price
 
     def submit_limit(self, agent_id: int, side: Side, price: int, qty: int,
                      ts: int) -> int:

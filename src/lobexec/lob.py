@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class Side(Enum):
@@ -38,8 +38,7 @@ class Order:
     seq: int = 0
 
 
-@dataclass(frozen=True)
-class Fill:
+class Fill(NamedTuple):
     taker_order_id: int
     maker_order_id: int
     taker_agent_id: int
@@ -50,8 +49,7 @@ class Fill:
     ts: int
 
 
-@dataclass(frozen=True)
-class MarketOrderResult:
+class MarketOrderResult(NamedTuple):
     fills: tuple[Fill, ...]
     avg_price: Optional[Fraction]  # None when nothing filled
     depth_consumed: int  # distinct price levels touched minus one, 0 if no fill
@@ -84,16 +82,20 @@ class BookSnapshot:
 
 
 class _Level:
-    __slots__ = ("price", "queue", "total_qty")
+    __slots__ = ("queue", "total_qty")
 
-    def __init__(self, price: int):
-        self.price = price
+    def __init__(self):
         self.queue: deque[Order] = deque()
         self.total_qty = 0
 
 
 class OrderBook:
     """Two price ladders with FIFO queues per level.
+
+    Each side keeps its prices in an ascending list (best bid last, best
+    ask first) and a dict from price to level. Opening or dropping a level
+    is O(levels); each fill at the best level is O(1) and a cancel scans
+    its queue.
 
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
@@ -128,24 +130,18 @@ class OrderBook:
             return None
         return ba - bb
 
-    def _levels_best_first(self, side: Side):
+    def _top(self, side: Side, k: int) -> tuple[dict[int, _Level], list[int]]:
+        """The ladder of one side and its top-k prices, best first."""
         if side is Side.BID:
-            for price in reversed(self._bid_prices):
-                yield self._bids[price]
-        else:
-            for price in self._ask_prices:
-                yield self._asks[price]
+            return self._bids, self._bid_prices[:-k - 1:-1]
+        return self._asks, self._ask_prices[:k]
 
     def total_depth(self, side: Side, k: int) -> int:
         """Cumulative resting volume over the top-k levels of one side."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        total = 0
-        for i, level in enumerate(self._levels_best_first(side)):
-            if i >= k:
-                break
-            total += level.total_qty
-        return total
+        ladder, prices = self._top(side, k)
+        return sum([ladder[p].total_qty for p in prices])
 
     def volume_imbalance(self, side: Side, k: int) -> Fraction:
         """Top-k depth share of one side; 1/2 when both sides are empty."""
@@ -158,17 +154,11 @@ class OrderBook:
     def snapshot(self, d: int = 10, ts: int = 0) -> BookSnapshot:
         if d < 1:
             raise ValueError(f"snapshot depth must be >= 1, got {d}")
-        bids = tuple(
-            (lv.price, lv.total_qty)
-            for i, lv in enumerate(self._levels_best_first(Side.BID))
-            if i < d
-        )
-        asks = tuple(
-            (lv.price, lv.total_qty)
-            for i, lv in enumerate(self._levels_best_first(Side.ASK))
-            if i < d
-        )
-        return BookSnapshot(ts=ts, bids=bids, asks=asks)
+        bids, bid_prices = self._top(Side.BID, d)
+        asks, ask_prices = self._top(Side.ASK, d)
+        return BookSnapshot(ts=ts,
+                            bids=tuple([(p, bids[p].total_qty) for p in bid_prices]),
+                            asks=tuple([(p, asks[p].total_qty) for p in ask_prices]))
 
     def order_ids(self, agent_id: Optional[int] = None) -> list[int]:
         if agent_id is None:
@@ -177,67 +167,52 @@ class OrderBook:
 
     # -- mutation --------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _get_level(self, side: Side, price: int) -> _Level:
-        ladder = self._bids if side is Side.BID else self._asks
-        if price not in ladder:
-            ladder[price] = _Level(price)
-            prices = self._bid_prices if side is Side.BID else self._ask_prices
-            bisect.insort(prices, price)
-        return ladder[price]
-
-    def _drop_level(self, side: Side, price: int) -> None:
-        ladder = self._bids if side is Side.BID else self._asks
-        del ladder[price]
-        prices = self._bid_prices if side is Side.BID else self._ask_prices
-        prices.remove(price)
-
     def _log(self, kind: str, side: Side, price, qty: int, oid: int, aid: int, ts: int):
-        if self.event_log is not None:
-            p = "" if price is None else price
-            self.event_log(f"{ts},{kind},{side.value},{p},{qty},{oid},{aid}")
+        p = "" if price is None else price
+        self.event_log(f"{ts},{kind},{side.value},{p},{qty},{oid},{aid}")
 
-    def _match(self, taker: Order, limit_price: Optional[int]) -> list[Fill]:
-        """Walk the opposite ladder best-first, FIFO within each level."""
+    def _match(self, side: Side, qty: int, oid: int, aid: int, ts: int,
+               limit_price: Optional[int]) -> tuple[list[Fill], int, int, int]:
+        """Walk the opposite ladder best-first, FIFO within each level.
+
+        Returns (fills, unfilled qty, notional, price levels touched).
+        """
+        is_bid = side is Side.BID
+        if is_bid:
+            prices, ladder, best = self._ask_prices, self._asks, 0
+        else:
+            prices, ladder, best = self._bid_prices, self._bids, -1
+        orders, log = self._orders, self.event_log
         fills: list[Fill] = []
-        opp = taker.side.opposite()
-        while taker.qty > 0:
-            levels = self._levels_best_first(opp)
-            level = next(levels, None)
-            if level is None:
+        notional = levels = 0
+        while qty and prices:
+            price = prices[best]
+            if limit_price is not None and (
+                    price > limit_price if is_bid else price < limit_price):
                 break
-            if limit_price is not None:
-                if taker.side is Side.BID and level.price > limit_price:
-                    break
-                if taker.side is Side.ASK and level.price < limit_price:
-                    break
-            while taker.qty > 0 and level.queue:
-                maker = level.queue[0]
-                traded = min(taker.qty, maker.qty)
-                fill = Fill(
-                    taker_order_id=taker.id,
-                    maker_order_id=maker.id,
-                    taker_agent_id=taker.agent_id,
-                    maker_agent_id=maker.agent_id,
-                    side=taker.side,
-                    price=level.price,
-                    qty=traded,
-                    ts=taker.ts,
-                )
-                fills.append(fill)
-                self._log("fill", taker.side, level.price, traded, taker.id, taker.agent_id, taker.ts)
-                taker.qty -= traded
+            levels += 1
+            level = ladder[price]
+            queue = level.queue
+            taken = 0
+            while qty and queue:
+                maker = queue[0]
+                traded = qty if qty < maker.qty else maker.qty
+                fills.append(Fill(oid, maker.id, aid, maker.agent_id, side, price, traded, ts))
+                if log is not None:
+                    self._log("fill", side, price, traded, oid, aid, ts)
+                qty -= traded
+                taken += traded
                 maker.qty -= traded
-                level.total_qty -= traded
-                if maker.qty == 0:
-                    level.queue.popleft()
-                    del self._orders[maker.id]
-            if not level.queue:
-                self._drop_level(opp, level.price)
-        return fills
+                if not maker.qty:
+                    queue.popleft()
+                    del orders[maker.id]
+            notional += price * taken
+            if queue:
+                level.total_qty -= taken
+            else:
+                del ladder[price]
+                del prices[best]
+        return fills, qty, notional, levels
 
     def submit_limit(self, order: Order) -> tuple[list[Fill], int]:
         """Match a limit order against the book; rest any residual.
@@ -246,16 +221,28 @@ class OrderBook:
         """
         if order.qty <= 0:
             raise ValueError("limit order qty must be positive")
-        if order.price is None or order.price <= 0:
+        price = order.price
+        if price is None or price <= 0:
             raise ValueError("limit order needs a positive price")
         if order.id in self._orders:
             raise DuplicateOrderError(f"order id {order.id} already resting")
-        order.seq = self._next_seq()
-        self._log("submit", order.side, order.price, order.qty, order.id, order.agent_id, order.ts)
-        fills = self._match(order, order.price)
+        self._seq += 1
+        order.seq = self._seq
+        side = order.side
+        if self.event_log is not None:
+            self._log("submit", side, price, order.qty, order.id, order.agent_id, order.ts)
+        fills, order.qty, _, _ = self._match(side, order.qty, order.id,
+                                             order.agent_id, order.ts, price)
+        if side is Side.BID:
+            ladder, prices = self._bids, self._bid_prices
+        else:
+            ladder, prices = self._asks, self._ask_prices
         resting = order.qty
         if resting > 0:
-            level = self._get_level(order.side, order.price)
+            level = ladder.get(price)
+            if level is None:
+                level = ladder[price] = _Level()
+                bisect.insort(prices, price)
             level.queue.append(order)
             level.total_qty += resting
             self._orders[order.id] = order
@@ -266,31 +253,35 @@ class OrderBook:
         """Execute immediately against the opposite ladder; never rests."""
         if qty <= 0:
             raise ValueError("market order qty must be positive")
-        seq = self._next_seq()
-        oid = order_id if order_id is not None else -seq
-        taker = Order(id=oid, agent_id=agent_id, side=side, qty=qty, ts=ts, seq=seq)
-        self._log("submit", side, None, qty, oid, agent_id, ts)
-        fills = self._match(taker, limit_price=None)
-        filled = sum(f.qty for f in fills)
-        if filled:
-            avg = Fraction(sum(f.price * f.qty for f in fills), filled)
-            depth = len({f.price for f in fills}) - 1
-        else:
-            avg, depth = None, 0
-        return MarketOrderResult(
-            fills=tuple(fills), avg_price=avg, depth_consumed=depth, unfilled=qty - filled
-        )
+        self._seq += 1
+        oid = order_id if order_id is not None else -self._seq
+        if self.event_log is not None:
+            self._log("submit", side, None, qty, oid, agent_id, ts)
+        if not (self._ask_prices if side is Side.BID else self._bid_prices):
+            return MarketOrderResult((), None, 0, qty)
+        fills, unfilled, notional, levels = self._match(side, qty, oid, agent_id, ts, None)
+        # the opposite side was not empty, so at least one share filled
+        return MarketOrderResult(tuple(fills), Fraction(notional, qty - unfilled),
+                                 levels - 1, unfilled)
 
     def cancel(self, order_id: int) -> bool:
         """Remove a resting order; False if unknown or already gone."""
         order = self._orders.pop(order_id, None)
         if order is None:
             return False
-        ladder = self._bids if order.side is Side.BID else self._asks
-        level = ladder[order.price]
-        level.queue.remove(order)
-        level.total_qty -= order.qty
-        if not level.queue:
-            self._drop_level(order.side, order.price)
-        self._log("cancel", order.side, order.price, order.qty, order.id, order.agent_id, order.ts)
+        if order.side is Side.BID:
+            ladder, prices = self._bids, self._bid_prices
+        else:
+            ladder, prices = self._asks, self._ask_prices
+        price = order.price
+        level = ladder[price]
+        queue = level.queue
+        queue.remove(order)
+        if queue:
+            level.total_qty -= order.qty
+        else:
+            del ladder[price]
+            prices.remove(price)
+        if self.event_log is not None:
+            self._log("cancel", order.side, price, order.qty, order.id, order.agent_id, order.ts)
         return True

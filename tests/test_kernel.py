@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -58,6 +59,27 @@ def test_same_seed_identical_logs():
 def test_different_seeds_differ():
     cfg = small_config()
     assert kernel_run(cfg, 1).fills_csv() != kernel_run(cfg, 2).fills_csv()
+
+
+# sha256 of each CSV for the criterion-9 market (lite population, maker
+# pov 0.02 and min_size 50) over 300 s, seed 0. Any change to matching,
+# agent behaviour or CSV formatting moves these; a change that is meant to
+# alter output updates them on purpose.
+GOLDEN_SHA256 = {
+    "snapshots_csv": "bb7291f32560c103b8fec620311707fc754b4372fe9e8a29189d69125023b961",
+    "fills_csv": "6a67b4a635484e6199a1ab6cb2e2d85a1da113c7eddc68679ae9ef9a690a2240",
+    "fundamental_csv": "8919f36cbd9909d54a2ef03e67237eb3d2ecde2b03af77a63c8193c27a1ce117",
+}
+
+
+def test_golden_output_digests():
+    cfg = MarketConfig(n_noise=20, n_value=5, n_momentum=1, session_seconds=300.0,
+                       market_maker=MarketMakerParams(pov=0.02, min_size=50))
+    log = kernel_run(cfg, seed=0)
+    assert len(log.fills) == 202 and len(log.snapshots) == 301
+    digests = {name: hashlib.sha256(getattr(log, name)().encode()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 
 def test_event_order_audit_hook():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobexec.lob import DuplicateOrderError, Order, OrderBook, Side
+from lobexec.lob import (
+    DuplicateOrderError,
+    Fill,
+    MarketOrderResult,
+    Order,
+    OrderBook,
+    Side,
+)
 
 from oracle import BruteForceBook
 
@@ -271,3 +278,139 @@ def test_event_log_lines():
     kinds = [line.split(",")[1] for line in lines]
     assert kinds == ["submit", "submit", "fill", "cancel"]
     assert lines[2] == "20,fill,bid,101,3,2,3"
+
+
+def reference_levels(ref, side, d):
+    """Top-d (price, qty) levels of one side of a BruteForceBook, best first."""
+    qty = {}
+    for o in ref.resting:
+        if o["side"] is side:
+            qty[o["price"]] = qty.get(o["price"], 0) + o["qty"]
+    prices = sorted(qty, reverse=side is Side.BID)[:d]
+    return tuple((p, qty[p]) for p in prices)
+
+
+class TestResultsAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_market_order_summary_matches_reference_fills(self, seed):
+        rng = random.Random(seed)
+        book, ref = OrderBook(), BruteForceBook()
+        n_market = 0
+        for op in random_ops(rng, 80):
+            if op[0] == "limit":
+                _, oid, side, price, qty = op
+                book.submit_limit(mk(oid, side, price, qty))
+                ref.submit_limit(oid, 0, side, price, qty)
+            elif op[0] == "market":
+                _, oid, side, qty = op
+                res = book.submit_market(side, qty, agent_id=0, order_id=oid)
+                ref_fills, ref_unfilled = ref.submit_market(oid, 0, side, qty)
+                filled = sum(q for _, _, _, q in ref_fills)
+                assert res.unfilled == ref_unfilled == qty - filled
+                assert res.filled == filled
+                if filled:
+                    notional = sum(p * q for _, _, p, q in ref_fills)
+                    assert res.avg_price == Fraction(notional, filled)
+                    assert res.depth_consumed == len({p for _, _, p, _ in ref_fills}) - 1
+                else:
+                    assert res.avg_price is None and res.depth_consumed == 0
+                n_market += 1
+            else:
+                assert book.cancel(op[1]) == ref.cancel(op[1])
+        assert n_market > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_non_head_cancels_keep_fifo(self, seed):
+        rng = random.Random(seed)
+        book, ref = OrderBook(), BruteForceBook()
+        queues = {}  # price -> live order ids in arrival order
+        for oid in range(1, 61):
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            price = rng.randint(95, 97) if side is Side.BID else rng.randint(103, 105)
+            qty = rng.randint(1, 30)
+            book.submit_limit(mk(oid, side, price, qty, agent=oid))
+            ref.submit_limit(oid, oid, side, price, qty)
+            queues.setdefault(price, []).append(oid)
+        n_cancels = 0
+        for price in sorted(queues):
+            ids = queues[price]
+            while len(ids) > 2:
+                victim = ids.pop(rng.randrange(1, len(ids)))  # never the head
+                assert book.cancel(victim) is True and ref.cancel(victim) is True
+                n_cancels += 1
+        assert n_cancels > 0
+        for side in Side:
+            assert book.snapshot(10).bids == reference_levels(ref, Side.BID, 10)
+            assert book.snapshot(10).asks == reference_levels(ref, Side.ASK, 10)
+            res = book.submit_market(side, 10 ** 6, agent_id=0, order_id=1000)
+            ref_fills, _ = ref.submit_market(1000, 0, side, 10 ** 6)
+            assert [(f.maker_order_id, f.price, f.qty) for f in res.fills] == \
+                [(m, p, q) for _, m, p, q in ref_fills]
+
+    def test_cancel_middle_of_queue(self):
+        book = OrderBook()
+        for oid in range(1, 5):
+            book.submit_limit(mk(oid, Side.ASK, 101, 5))
+        assert book.cancel(2) is True and book.cancel(3) is True
+        assert book.total_depth(Side.ASK, 1) == 10
+        res = book.submit_market(Side.BID, 10, agent_id=9)
+        assert [f.maker_order_id for f in res.fills] == [1, 4]
+        assert book.best_ask() is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_snapshot_depth_below_level_count(self, seed):
+        rng = random.Random(seed)
+        truncated = 0
+        ops = random_ops(rng, 80)
+        for n in range(1, len(ops) + 1):
+            book, ref, _, _ = apply_both(ops[:n])
+            n_levels = {side: len(reference_levels(ref, side, 100)) for side in Side}
+            for d in (1, 2, 3):
+                snap = book.snapshot(d, ts=n)
+                assert snap.bids == reference_levels(ref, Side.BID, d)
+                assert snap.asks == reference_levels(ref, Side.ASK, d)
+                assert snap.ts == n
+                truncated += max(n_levels.values()) > d
+        assert truncated > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_fill_line_per_fill(self, seed):
+        rng = random.Random(seed)
+        lines = []
+        book = OrderBook(event_log=lines.append)
+        fills = []
+        for op in random_ops(rng, 80):
+            if op[0] == "limit":
+                _, oid, side, price, qty = op
+                fills += book.submit_limit(mk(oid, side, price, qty, agent=oid, ts=oid))[0]
+            elif op[0] == "market":
+                _, oid, side, qty = op
+                fills += book.submit_market(side, qty, agent_id=oid, ts=oid,
+                                            order_id=oid).fills
+            else:
+                book.cancel(op[1])
+        assert fills
+        fill_lines = [line for line in lines if line.split(",")[1] == "fill"]
+        assert fill_lines == [
+            f"{f.ts},fill,{f.side.value},{f.price},{f.qty},"
+            f"{f.taker_order_id},{f.taker_agent_id}" for f in fills]
+
+
+def test_fill_and_result_records_are_immutable_with_named_fields():
+    book = OrderBook()
+    book.submit_limit(mk(1, Side.ASK, 101, 5, agent=2, ts=3))
+    res = book.submit_market(Side.BID, 8, agent_id=4, ts=7, order_id=9)
+    fill = res.fills[0]
+    assert fill == Fill(taker_order_id=9, maker_order_id=1, taker_agent_id=4,
+                        maker_agent_id=2, side=Side.BID, price=101, qty=5, ts=7)
+    assert Fill._fields == ("taker_order_id", "maker_order_id", "taker_agent_id",
+                            "maker_agent_id", "side", "price", "qty", "ts")
+    assert MarketOrderResult._fields == ("fills", "avg_price", "depth_consumed",
+                                         "unfilled")
+    assert res == MarketOrderResult(fills=(fill,), avg_price=Fraction(101),
+                                    depth_consumed=0, unfilled=3)
+    assert res.filled == 5
+    with pytest.raises(AttributeError):
+        fill.qty = 1
+    with pytest.raises(AttributeError):
+        res.unfilled = 0
