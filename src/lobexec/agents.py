@@ -25,8 +25,6 @@ class NoiseAgentParams:
 
 @dataclass
 class ValueAgentParams:
-    mu_va: float = 100_000.0      # cents
-    theta_va: float = 1.67e-15    # per ns
     lambda_va: float = 5.7e-12    # arrival rate per ns
     size: int = 100
     obs_noise_std: float = 10.0   # cents

@@ -65,6 +65,19 @@ class RunConfig:
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")
 
 
+def _check_type(key: str, value, default) -> None:
+    """Reject a value whose type does not fit the field's default.
+
+    bool fields take only bools, int fields ints but not bools, float fields
+    ints or floats (not bools), and str and list fields their own type.
+    """
+    allowed = (int, float) if isinstance(default, float) else type(default)
+    if (isinstance(value, bool) != isinstance(default, bool)
+            or not isinstance(value, allowed)):
+        raise ConfigError(f"config key {key!r} expects {type(default).__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+
+
 def _from_dict(cls, data: dict, path: str = ""):
     if not isinstance(data, dict):
         raise ConfigError(f"section {path or cls.__name__!r} must be a mapping")
@@ -79,6 +92,7 @@ def _from_dict(cls, data: dict, path: str = ""):
         if is_dataclass(default):
             kwargs[name] = _from_dict(type(default), value, f"{path}{name}.")
         else:
+            _check_type(f"{path}{name}", value, default)
             kwargs[name] = value
     return cls(**kwargs)
 

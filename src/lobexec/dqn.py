@@ -309,14 +309,6 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
                        grad_steps=grad_steps)
 
 
-def q_value_trace(net: QNetwork, observations: np.ndarray) -> np.ndarray:
-    """Per-step Q-values over a logged episode, shape (T, n_actions)."""
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.size == 0:
-        return np.zeros((0, net.n_actions))
-    return net.forward(obs)
-
-
 def learning_curve_csv(curve) -> str:
     lines = ["episode,total_reward,rolling_mean"]
     for ep, total, mean in curve:

@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from .dqn import QNetwork
 from .execenv import ExecConfig, ExecutionEnv
 from .kernel import MarketConfig, MarketSession
 from .strategies import make_policy
@@ -151,28 +152,24 @@ def pooled_t_test(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
 
 def run_episode(policy_name: str, exec_config: ExecConfig,
                 market_config: MarketConfig, seed: int,
-                checkpoint: str | None = None) -> EpisodeResult:
+                net: QNetwork | None = None) -> EpisodeResult:
     """Play one full execution window with the given policy."""
-    policy = make_policy(policy_name, exec_config, checkpoint)
+    policy = make_policy(policy_name, exec_config, net)
     policy.reset(seed)
     env = ExecutionEnv(exec_config, lambda s: MarketSession(market_config, s))
     obs = env.reset(seed)
     spreads: list[int] = []
     imbalances: list[float] = []
-    t = 0
-    while t < exec_config.n_steps:
-        action = policy.act(t, obs, env)
-        pre_spread = env._market.book.spread()
-        pre_imb = float(env._market.book.volume_imbalance(env.side, 1))
+    while not env.done:
+        action = policy.act(env.t, obs, env)
+        pre_spread = env.book.spread()
+        pre_imb = float(env.book.volume_imbalance(env.side, 1))
         out = env.step(action)
         if out.info["filled"] > 0:
             if pre_spread is not None:
                 spreads.append(pre_spread)
             imbalances.append(pre_imb)
         obs = out.observation
-        t += 1
-        if env.completed:
-            break
     return EpisodeResult(policy=policy_name, seed=seed,
                          is_norm=env.episode_shortfall(),
                          pen_norm=env.episode_penalty(),
@@ -191,10 +188,12 @@ def run_experiment(policy_name: str, exec_config: ExecConfig,
     """One EpisodeResult per seed, ordered by seed regardless of parallelism."""
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    if policy_name == "rl" and checkpoint is None:
-        raise ValueError("rl policy requires a checkpoint")
-    seeds = sorted(seeds)
-    tasks = [(policy_name, exec_config, market_config, s, checkpoint) for s in seeds]
+    net = None
+    if policy_name == "rl":
+        if checkpoint is None:
+            raise ValueError("rl policy requires a checkpoint")
+        net, _ = QNetwork.load(checkpoint)
+    tasks = [(policy_name, exec_config, market_config, s, net) for s in sorted(seeds)]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_episode_task, tasks))
@@ -239,16 +238,22 @@ def histogram(values, bins: int):
     return edges, counts
 
 
-def histogram_csv(values, bins: int, header_comment: str = "") -> str:
+def _csv_text(header_comment: str, header: list, rows) -> str:
+    """CSV text: the optional hash comment line, a header row, then rows."""
     buf = io.StringIO()
     if header_comment:
         buf.write(header_comment + "\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["bin_lo", "bin_hi", "count"])
-    edges, counts = histogram(values, bins)
-    for i, count in enumerate(counts):
-        w.writerow([repr(edges[i]), repr(edges[i + 1]), count])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def histogram_csv(values, bins: int, header_comment: str = "") -> str:
+    edges, counts = histogram(values, bins)
+    return _csv_text(header_comment, ["bin_lo", "bin_hi", "count"],
+                     ([repr(edges[i]), repr(edges[i + 1]), count]
+                      for i, count in enumerate(counts)))
 
 
 def export_distributions(results: list[EpisodeResult], bins: int,
@@ -267,44 +272,31 @@ def export_distributions(results: list[EpisodeResult], bins: int,
 
 
 def episodes_csv(results: list[EpisodeResult], header_comment: str = "") -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(header_comment + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["policy", "seed", "is_norm", "pen_norm", "t_frac"])
-    for r in results:
-        w.writerow([r.policy, r.seed, repr(r.is_norm), repr(r.pen_norm),
-                    repr(r.t_frac)])
-    return buf.getvalue()
+    return _csv_text(header_comment,
+                     ["policy", "seed", "is_norm", "pen_norm", "t_frac"],
+                     ([r.policy, r.seed, repr(r.is_norm), repr(r.pen_norm),
+                       repr(r.t_frac)] for r in results))
 
 
 def metrics_csv(rows: list[MetricsRow], header_comment: str = "",
                 extra_cols: dict | None = None) -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(header_comment + "\n")
-    w = csv.writer(buf, lineterminator="\n")
     extra = extra_cols or {}
-    w.writerow([*extra.keys(), "policy", "n", "mean_is", "mean_pen",
-                "mean_t", "var_is"])
-    for r in rows:
-        w.writerow([*extra.values(), r.policy, r.n, repr(r.mean_is),
-                    repr(r.mean_pen), repr(r.mean_t), repr(r.var_is)])
-    return buf.getvalue()
+    return _csv_text(header_comment,
+                     [*extra.keys(), "policy", "n", "mean_is", "mean_pen",
+                      "mean_t", "var_is"],
+                     ([*extra.values(), r.policy, r.n, repr(r.mean_is),
+                       repr(r.mean_pen), repr(r.mean_t), repr(r.var_is)]
+                      for r in rows))
 
 
 def ttests_csv(tests: dict[str, TTestResult], header_comment: str = "",
                extra_cols: dict | None = None) -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(header_comment + "\n")
-    w = csv.writer(buf, lineterminator="\n")
     extra = extra_cols or {}
-    w.writerow([*extra.keys(), "comparison", "t", "df", "critical", "reject"])
-    for name, res in tests.items():
-        w.writerow([*extra.values(), name, repr(res.t), res.df,
-                    repr(res.critical), res.reject])
-    return buf.getvalue()
+    return _csv_text(header_comment,
+                     [*extra.keys(), "comparison", "t", "df", "critical", "reject"],
+                     ([*extra.values(), name, repr(res.t), res.df,
+                       repr(res.critical), res.reject]
+                      for name, res in tests.items()))
 
 
 def rl_vs_baselines(results: list[EpisodeResult]) -> dict[str, TTestResult]:

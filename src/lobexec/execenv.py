@@ -14,8 +14,6 @@ the parent size. Once the parent is filled, remaining steps are forced to
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,11 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fundamental import NS_PER_SEC
-from .lob import Side
+from .lob import OrderBook, Side
 
 FRAME_FEATURES = 9
 HISTORY = 4
-MARKET_DATA_BUFFER = 50
 EXEC_AGENT_ID = -1
 
 
@@ -103,6 +100,11 @@ class ExecutionEnv:
     def side(self) -> Side:
         return Side.BID if self.config.direction == "buy" else Side.ASK
 
+    @property
+    def book(self) -> OrderBook:
+        """The market's order book, for reading pre-step features."""
+        return self._market.book
+
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int) -> np.ndarray:
@@ -123,13 +125,9 @@ class ExecutionEnv:
         self._last_bid = self._market.book.best_bid()
         self._last_ask = self._market.book.best_ask()
         self._frames: deque = deque(maxlen=HISTORY)
-        self.market_data_buffer: deque = deque(maxlen=MARKET_DATA_BUFFER)
-        self.trace: list[dict] = []
-        self.exec_fills: list[tuple[int, int, Fraction]] = []  # (step, qty, avg px)
         frame = self._frame()
         for _ in range(HISTORY):
             self._frames.append(frame)
-        self.market_data_buffer.append(self._market.book.snapshot(10, self._start_ns))
         return self._stack()
 
     # -- observation -------------------------------------------------------
@@ -208,7 +206,6 @@ class ExecutionEnv:
                 self._cost += avg_price * filled
                 self.executed += filled
                 self._depth_total += d_t
-                self.exec_fills.append((self.t, filled, avg_price))
                 diff = self.arrival_price - avg_price
                 if self.side is Side.ASK:
                     diff = -diff
@@ -233,8 +230,6 @@ class ExecutionEnv:
 
         frame = self._frame()
         self._frames.append(frame)
-        self.market_data_buffer.append(
-            self._market.book.snapshot(10, self._market.now))
         obs = self._stack()
         info = {
             "t": self.t,
@@ -248,12 +243,6 @@ class ExecutionEnv:
             "over_term": over_term,
             "terminal_term": terminal_term,
         }
-        self.trace.append({
-            "t": self.t, "action": action, "filled": filled,
-            "avg_price": "" if avg_price is None else repr(float(avg_price)),
-            "d_t": d_t, "reward": repr(reward), "inventory": self.inventory,
-            "best_bid": self._last_bid, "best_ask": self._last_ask,
-        })
         return StepOutcome(observation=obs, reward=reward, done=self.done, info=info)
 
     def _depth(self, result) -> int:
@@ -285,14 +274,3 @@ class ExecutionEnv:
         if self.completion_step is None:
             return 1.0
         return self.completion_step / self.config.n_steps
-
-    def trace_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.DictWriter(
-            buf, fieldnames=["t", "action", "filled", "avg_price", "d_t",
-                             "reward", "inventory", "best_bid", "best_ask"],
-            lineterminator="\n")
-        w.writeheader()
-        for row in self.trace:
-            w.writerow(row)
-        return buf.getvalue()

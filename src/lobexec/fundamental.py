@@ -31,16 +31,6 @@ class FundamentalParams:
             raise ValueError("fundamental parameters must be nonnegative")
 
 
-@dataclass
-class OracleParams:
-    theta_or: float = 1.67e-16
-    vol: float = 5e-10
-
-    def validate(self) -> None:
-        if self.theta_or < 0 or self.vol < 0:
-            raise ValueError("oracle parameters must be nonnegative")
-
-
 def fundamental_step(x: float, dt: int, params: FundamentalParams,
                      rng: np.random.Generator) -> float:
     """Advance the fundamental by dt nanoseconds (exact OU step + jumps)."""

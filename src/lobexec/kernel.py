@@ -28,13 +28,7 @@ from .agents import (
     ValueAgent,
     ValueAgentParams,
 )
-from .fundamental import (
-    NS_PER_SEC,
-    FundamentalParams,
-    FundamentalPath,
-    Oracle,
-    OracleParams,
-)
+from .fundamental import NS_PER_SEC, FundamentalParams, FundamentalPath, Oracle
 from .lob import MarketOrderResult, Order, OrderBook, Side
 
 
@@ -49,7 +43,6 @@ class MarketConfig:
     depth: int = 10
     history: int = 500  # snapshot ring buffer length for agent queries
     fundamental: FundamentalParams = field(default_factory=FundamentalParams)
-    oracle: OracleParams = field(default_factory=OracleParams)
     noise: NoiseAgentParams = field(default_factory=NoiseAgentParams)
     value: ValueAgentParams = field(default_factory=ValueAgentParams)
     momentum: MomentumAgentParams = field(default_factory=MomentumAgentParams)
@@ -64,7 +57,6 @@ class MarketConfig:
         if self.depth < 1 or self.history < 1:
             raise ValueError("depth and history must be >= 1")
         self.fundamental.validate()
-        self.oracle.validate()
 
 
 @dataclass

@@ -100,7 +100,7 @@ class GreedyQPolicy(Policy):
 
 
 def make_policy(name: str, config: ExecConfig,
-                checkpoint: str | None = None) -> Policy:
+                net: QNetwork | None = None) -> Policy:
     if name == "twap":
         return TwapPolicy(config)
     if name == "passive":
@@ -108,8 +108,7 @@ def make_policy(name: str, config: ExecConfig,
     if name == "random":
         return RandomPolicy()
     if name == "rl":
-        if checkpoint is None:
-            raise ValueError("rl policy requires a checkpoint")
-        net, _ = QNetwork.load(checkpoint)
+        if net is None:
+            raise ValueError("rl policy requires a Q-network")
         return GreedyQPolicy(net)
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")

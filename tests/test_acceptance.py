@@ -29,8 +29,8 @@ from lobexec.lob import Order, OrderBook, Side
 from lobexec.dqn import QNetwork
 from lobexec.strategies import TwapPolicy, twap_schedule
 from lobexec.synthetic import ConstantMarket
-from lobexec._kernels import ou_exact_steps
 
+from test_kernels import ou_path
 from test_lob import apply_both, random_ops
 
 
@@ -116,7 +116,7 @@ def test_criterion_03_ou_moments_within_three_se():
     var_st = sigma ** 2 / (2 * theta)
     rng = np.random.default_rng(3)
     x0 = mu + math.sqrt(var_st) * rng.standard_normal()  # stationary start
-    path = ou_exact_steps(x0, mu, theta, sigma, dt, rng.standard_normal(n))
+    path = ou_path(x0, mu, theta, sigma, dt, rng.standard_normal(n))
     rho = math.exp(-theta * dt)
     n_eff = n * (1 - rho) / (1 + rho)   # autocorrelation-adjusted sample size
     mean, var = path.mean(), path.var()

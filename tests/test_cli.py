@@ -1,8 +1,11 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from lobexec.cli import main
+from lobexec.dqn import QNetwork
 
 LITE_YAML = """\
 seed: 0
@@ -68,6 +71,24 @@ class TestExitCodes:
         bad.write_text("seeed: 1\n")
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("body", [
+        "market: {n_noise: abc}\n",
+        "exec: {parent_size: 2000.5}\n",
+    ])
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(body)
+        assert main(["simulate", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_int_for_float_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(LITE_YAML.replace("session_seconds: 90",
+                                         "session_seconds: 60"))
+        assert main(["simulate", "--config", str(cfg), "--duration", "0",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
@@ -215,3 +236,105 @@ class TestBenchmark:
                      "--out", str(out)]) == 3
         assert (out / "benchmark" / "cell_-5N_1M" / "error.txt").exists()
         assert (out / "benchmark" / "cell_20N_1M" / "metrics.csv").exists()
+
+
+# The criterion-9 lite config with all four policies, so the rl readout and
+# the t-tests are covered too. Digests were computed before the env,
+# evaluation and DQN code was last refactored; "# config_hash=" lines are
+# stripped because the hash follows the config schema, not the behaviour.
+GOLDEN_YAML = (
+    "market:\n"
+    "  n_noise: 20\n  n_value: 5\n  n_momentum: 1\n  session_seconds: 90\n"
+    "  market_maker: {pov: 0.02, min_size: 50}\n"
+    "exec: {parent_size: 400, time_window_s: 60, warmup_s: 10}\n"
+    "dqn:\n  episodes: 2\n"
+    "  schedules: {learn_start: 32, batch_size: 16, lr_steps: 500,\n"
+    "              eps_steps: 100, replay_capacity: 1000}\n"
+    "eval:\n  episodes: 4\n  bins: 5\n  policies: [rl, twap, passive, random]\n"
+    "  grid: [[20, 1]]\n")
+
+GOLDEN_TRAIN_SHA256 = {
+    "checkpoint.json":
+        "6fbc2b02349747820d6dc679c017f62eeb7317d2571d1d8742d746dc227a4d08",
+    "learning_curve.csv":
+        "e742bfff45a1fefd44a077295e28696286166c89b8d41ce8b94896deef63d84e",
+}
+
+GOLDEN_EVALUATE_SHA256 = {
+    "metrics.csv":
+        "daf0e92b9b64d1512cf904fcb621e3ae6a280e03672ccb052a6fc552ccc4788c",
+    "passive/episodes.csv":
+        "bedc7a8278c83946ccdef98c0a8134aca7d119ed712945c52f39141b5a67fa8b",
+    "passive/hist_imbalance.csv":
+        "b12c9241cf6c99b3a43cceff3c87d04c345ed31fced24d8871436ce1ddb993bd",
+    "passive/hist_is.csv":
+        "480f88e6068f4a789792f874121da8913ec38a23eea1641d7714dffab11e43e3",
+    "passive/hist_spread.csv":
+        "c580fc03bfde23fbbae24f9649f7cc166895e293834a594bbc7cf2f646500e1d",
+    "passive/metrics.csv":
+        "087a93d1f9e3f78c0a9c7894293e3298fb20942d9223be37c30201c881362044",
+    "random/episodes.csv":
+        "8e240cab602d0cd7225ad9989cfc917926a080c7f90e06ba65064d27cb20037b",
+    "random/hist_imbalance.csv":
+        "8ba44c20bceaae1a393a1322afdfdbcc598c327a855eaf48a9f070166a042dc5",
+    "random/hist_is.csv":
+        "d4781f5613bc3a8c23a947cc2de74655da6f8ee4286410ce298e360e97959c64",
+    "random/hist_spread.csv":
+        "e8df64dddcaa0263b87ee7eb4a144b6e7d9faf6c94d1b6ae6d76e7b56c8703d9",
+    "random/metrics.csv":
+        "469d1dfde993975deaa596c3f8159234b1f7e4874964f0ce79bae7fdfd597da6",
+    "rl/episodes.csv":
+        "13d8a4a23b76d839c73c0d769012caec4f7e2fdec37d183765510fe3c6c73932",
+    "rl/hist_imbalance.csv":
+        "3a3e4830466399949444ff699647fec8e84188ac11912a2c6f830991d64698c4",
+    "rl/hist_is.csv":
+        "766ed089781170e1938b0b44dc5673a95f1b3d710ed7036b522e9209c9e8866c",
+    "rl/hist_spread.csv":
+        "a2cbff15f206345f6536e2a500cdd51fe45ffecca1a13e4f36e86e78957712a5",
+    "rl/metrics.csv":
+        "7b3a8b7b9e2d2ffb15121550501447ed7e5598f0dd9c728b699b0b9943b7cbda",
+    "ttests.csv":
+        "0cc718b7d6e5efa8418a267761eaee620e4dab60b866175c4161c86ce01fb87a",
+    "twap/episodes.csv":
+        "b8a6b2402cfbd6e86c9433d4fc1e1d7516407825344c7b9c04c65d6c5967165d",
+    "twap/hist_imbalance.csv":
+        "36aa2490bc8ce0e966731a578d775b3cea4509bfab91f1ce9b96dce35a0dc56b",
+    "twap/hist_is.csv":
+        "6fc1b72992cc4196aca520db96ce4b200bf2b9130c41d5ef0b52257c8b9f4560",
+    "twap/hist_spread.csv":
+        "e84f29fa62b5b4518b52ebb10391579fa54cb47a8e3f07e69d7c7a08d78421fa",
+    "twap/metrics.csv":
+        "f36fa77cd905e7e3512fac3e3e60c8497b29f65881e638e40cd6411cbcde0495",
+}
+
+
+def output_digest(path):
+    lines = path.read_text().splitlines(keepends=True)
+    body = "".join(l for l in lines if not l.startswith("# config_hash="))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.fixture
+    def golden_cfg(self, tmp_path):
+        p = tmp_path / "golden.yaml"
+        p.write_text(GOLDEN_YAML)
+        return p
+
+    def test_train_outputs(self, golden_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(golden_cfg), "--out", str(out)]) == 0
+        digests = {name: output_digest(out / "train" / name)
+                   for name in GOLDEN_TRAIN_SHA256}
+        assert digests == GOLDEN_TRAIN_SHA256
+
+    def test_evaluate_outputs(self, golden_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        QNetwork((36, 50, 20, 5), np.random.default_rng(0)).save(ckpt)
+        out = tmp_path / "run"
+        assert main(["evaluate", "--policy", "all", "--checkpoint", str(ckpt),
+                     "--config", str(golden_cfg), "--out", str(out)]) == 0
+        root = out / "evaluate"
+        digests = {str(p.relative_to(root)): output_digest(p)
+                   for p in sorted(root.rglob("*.csv"))}
+        assert digests == GOLDEN_EVALUATE_SHA256

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import pytest
 
 from lobexec.config import (
     ConfigError,
     RunConfig,
+    _from_dict,
     config_hash,
     dump_config,
     hash_comment,
@@ -75,6 +78,31 @@ def test_invalid_values_fail_validation(tmp_path):
     p.write_text("exec:\n  parent_size: 20000\n  time_window_s: 10\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize("body", [
+    "seed: true\n",                          # bool for an int field
+    "seed: 1.0\n",                           # float for an int field
+    "market:\n  session_seconds: '60'\n",    # str for a float field
+    "market:\n  session_seconds: false\n",   # bool for a float field
+    "exec:\n  direction: 1\n",               # int for a str field
+    "eval:\n  policies: twap\n",             # str for a list field
+])
+def test_wrongly_typed_values_rejected(tmp_path, body):
+    p = tmp_path / "c.yaml"
+    p.write_text(body)
+    with pytest.raises(ConfigError, match="expects"):
+        load_config(p)
+
+
+def test_bool_field_takes_only_bools():
+    @dataclass
+    class Flags:
+        on: bool = False
+
+    assert _from_dict(Flags, {"on": True}).on is True
+    with pytest.raises(ConfigError, match="expects bool"):
+        _from_dict(Flags, {"on": 1})
 
 
 def test_overrides_win_over_file(tmp_path):

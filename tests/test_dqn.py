@@ -13,7 +13,6 @@ from lobexec.dqn import (
     gradient_step,
     learning_curve_csv,
     loss_and_grads,
-    q_value_trace,
     td_targets,
     train,
 )
@@ -39,6 +38,12 @@ class TestForward:
     def test_zero_net_outputs_zero(self):
         q = zero_net().forward(np.ones(36))
         assert np.array_equal(q, np.zeros(5))
+
+    def test_zero_net_batch_outputs_zero(self):
+        obs = np.random.default_rng(0).normal(size=(12, 36))
+        q = zero_net().forward(obs)
+        assert q.shape == (12, 5)
+        assert np.all(q == 0.0)
 
     def test_hand_computed_toy_net(self):
         # 1-1-1-1 net, all weights 1, biases 0: relu(relu(x)) = x for x > 0
@@ -275,12 +280,6 @@ class TestCheckpointAndTrace:
         for k in net.params:
             assert np.array_equal(net.params[k], loaded.params[k])
 
-    def test_q_value_trace_zero_net(self):
-        obs = np.random.default_rng(0).normal(size=(12, 36))
-        trace = q_value_trace(zero_net(), obs)
-        assert trace.shape == (12, 5)
-        assert np.all(trace == 0.0)
-
     def test_greedy_replay_self_consistent(self):
         net = QNetwork((36, 50, 20, 5), np.random.default_rng(4))
         env = toy_env_factory()()
@@ -291,5 +290,5 @@ class TestCheckpointAndTrace:
             a = act(net, obs, 0.0, np.random.default_rng(0))
             actions.append(a)
             obs = env.step(a).observation
-        trace = q_value_trace(net, np.array(observations))
-        assert [int(np.argmax(row)) for row in trace] == actions
+        q = net.forward(np.array(observations))
+        assert [int(np.argmax(row)) for row in q] == actions

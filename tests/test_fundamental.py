@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lobexec._kernels import ou_exact_steps
 from lobexec.fundamental import (
     FundamentalParams,
     FundamentalPath,
     Oracle,
     fundamental_step,
 )
+
+from test_kernels import ou_path
 
 
 def params(**kw):
@@ -54,7 +55,7 @@ def test_ou_long_run_moments():
     theta, sigma, mu = 0.01, 0.3, 5.0
     rng = np.random.default_rng(3)
     n = 100_000
-    xs = ou_exact_steps(mu, mu, theta, sigma, 1.0, rng.standard_normal(n))
+    xs = ou_path(mu, mu, theta, sigma, 1.0, rng.standard_normal(n))
     stat_var = sigma ** 2 / (2 * theta)
     # autocorrelated series: effective sample size n (1-rho)/(1+rho)
     rho = math.exp(-theta)
