@@ -22,12 +22,24 @@ class NoiseAgentParams:
     max_size: int = 100
     mean_wake_s: float = 60.0
 
+    def validate(self) -> None:
+        if not 1 <= self.min_size <= self.max_size:
+            raise ValueError("noise sizes need 1 <= min_size <= max_size")
+        if self.mean_wake_s <= 0:
+            raise ValueError("noise mean_wake_s must be positive")
+
 
 @dataclass
 class ValueAgentParams:
     lambda_va: float = 5.7e-12    # arrival rate per ns
     size: int = 100
     obs_noise_std: float = 10.0   # cents
+
+    def validate(self) -> None:
+        if self.lambda_va <= 0:
+            raise ValueError("value lambda_va must be positive")
+        if self.size < 1:
+            raise ValueError("value size must be >= 1")
 
 
 @dataclass
@@ -36,6 +48,14 @@ class MomentumAgentParams:
     long_window: int = 50
     size: int = 50
     mean_wake_s: float = 60.0
+
+    def validate(self) -> None:
+        if self.short_window < 1 or self.long_window < 1:
+            raise ValueError("momentum windows must be >= 1")
+        if self.size < 1:
+            raise ValueError("momentum size must be >= 1")
+        if self.mean_wake_s <= 0:
+            raise ValueError("momentum mean_wake_s must be positive")
 
 
 @dataclass
@@ -46,6 +66,12 @@ class MarketMakerParams:
     window_s: float = 60.0        # initial adaptive volume window
     max_window_s: float = 600.0
     min_size: int = 1
+
+    def validate(self) -> None:
+        if int(self.wake_interval_s * NS_PER_SEC) < 1:
+            raise ValueError("market_maker wake_interval_s must be at least 1 ns")
+        if self.min_size < 1:
+            raise ValueError("market_maker min_size must be >= 1")
 
 
 class Agent:
@@ -173,9 +199,8 @@ class MarketMakerAgent(Agent):
         return round(exchange.oracle_observe(self.agent_id, now, 0.0))
 
     def wakeup(self, now, exchange):
-        for oid in self._live_orders:
-            exchange.cancel(oid)
-        self._live_orders.clear()
+        exchange.cancel_orders(self._live_orders)
+        self._live_orders = []
 
         volume = exchange.transacted_volume(now, self._window_ns)
         if volume == 0:
@@ -187,10 +212,10 @@ class MarketMakerAgent(Agent):
 
         ref = self._reference(exchange, now)
         if ref is not None:
+            quotes = []
             for i in range(1, self.params.n_ticks + 1):
                 if ref - i > 0:
-                    oid = exchange.submit_limit(self.agent_id, Side.BID, ref - i, size, now)
-                    self._live_orders.append(oid)
-                oid = exchange.submit_limit(self.agent_id, Side.ASK, ref + i, size, now)
-                self._live_orders.append(oid)
+                    quotes.append((Side.BID, ref - i, size))
+                quotes.append((Side.ASK, ref + i, size))
+            self._live_orders = exchange.submit_limits(self.agent_id, quotes, now)
         return int(self.params.wake_interval_s * NS_PER_SEC)

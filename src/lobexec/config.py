@@ -60,6 +60,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.eval.episodes < 2:
             raise ConfigError("eval.episodes must be >= 2")
+        if self.eval.bins < 1:
+            raise ConfigError("eval.bins must be >= 1")
         for name in self.eval.policies:
             if name not in ("rl", "twap", "passive", "random"):
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")

@@ -163,7 +163,7 @@ def run_episode(policy_name: str, exec_config: ExecConfig,
     while not env.done:
         action = policy.act(env.t, obs, env)
         pre_spread = env.book.spread()
-        pre_imb = float(env.book.volume_imbalance(env.side, 1))
+        pre_imb = env.book.imbalances(env.side, 1)[0]
         out = env.step(action)
         if out.info["filled"] > 0:
             if pre_spread is not None:

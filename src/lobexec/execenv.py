@@ -65,6 +65,8 @@ class ExecConfig:
             raise ValueError("parent_size must be positive")
         if self.direction not in ("buy", "sell"):
             raise ValueError("direction must be 'buy' or 'sell'")
+        if self.step_s < 1:
+            raise ValueError("step_s must be >= 1")
         if self.time_window_s % self.step_s != 0:
             raise ValueError("time_window_s must be a multiple of step_s")
         if self.depth_metric not in ("levels", "ticks"):
@@ -148,7 +150,7 @@ class ExecutionEnv:
             self._last_ask = ba
         holdings = min(1.0, max(0.0, 1.0 - self.executed / self.config.parent_size))
         time_rem = 1.0 - self.t / self.config.n_steps
-        imb = [float(book.volume_imbalance(self.side, k)) for k in range(1, 6)]
+        imb = book.imbalances(self.side, 5)
         return np.array(
             [holdings, time_rem, *imb,
              self._quote_feature(self._last_bid),

@@ -56,7 +56,11 @@ class MarketConfig:
             raise ValueError("session_seconds must be positive")
         if self.depth < 1 or self.history < 1:
             raise ValueError("depth and history must be >= 1")
+        if int(self.snapshot_interval_s * NS_PER_SEC) < 1:
+            raise ValueError("snapshot_interval_s must be at least 1 ns")
         self.fundamental.validate()
+        for params in (self.noise, self.value, self.momentum, self.market_maker):
+            params.validate()
 
 
 @dataclass
@@ -184,12 +188,22 @@ class MarketSession:
 
     def submit_limit(self, agent_id: int, side: Side, price: int, qty: int,
                      ts: int) -> int:
-        oid = self._next_order_id
-        self._next_order_id += 1
-        fills, _ = self.book.submit_limit(
-            Order(id=oid, agent_id=agent_id, side=side, qty=qty, price=price, ts=ts))
+        return self.submit_limits(agent_id, ((side, price, qty),), ts)[0]
+
+    def submit_limits(self, agent_id: int, quotes, ts: int) -> list[int]:
+        """Submit (side, price, qty) limit orders in order; their order ids.
+
+        An invalid quote raises with the book as one submit_limit call per
+        quote would leave it; the batch's ids are then all spent and its
+        fills are not recorded.
+        """
+        first = self._next_order_id
+        orders = [Order(first + i, agent_id, side, qty, price, ts)
+                  for i, (side, price, qty) in enumerate(quotes)]
+        self._next_order_id = first + len(orders)
+        fills, _ = self.book.submit_limits(orders)
         self._record_fills(fills)
-        return oid
+        return [order.id for order in orders]
 
     def submit_market(self, agent_id: int, side: Side, qty: int,
                       ts: int) -> MarketOrderResult:
@@ -200,7 +214,10 @@ class MarketSession:
         return result
 
     def cancel(self, order_id: int) -> bool:
-        return self.book.cancel(order_id)
+        return self.cancel_orders((order_id,)) == 1
+
+    def cancel_orders(self, order_ids) -> int:
+        return self.book.cancel_orders(order_ids)
 
     # -- event loop --------------------------------------------------------
 

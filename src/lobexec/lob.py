@@ -97,6 +97,14 @@ class OrderBook:
     is O(levels); each fill at the best level is O(1) and a cancel scans
     its queue.
 
+    ``submit_limits`` and ``cancel_orders`` take a whole batch, such as a
+    market maker's requote, in one call; ``submit_limit`` and ``cancel``
+    are the one-order case of the same loops, so a batch gives exactly the
+    ids, seq numbers, fills, queue positions and log lines of the
+    single-order calls in the same order. ``imbalances`` reads the top-k
+    imbalance features in one pass; ``total_depth`` and
+    ``volume_imbalance`` are the exact definitions.
+
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
     """
@@ -150,6 +158,26 @@ class OrderBook:
         if own + other == 0:
             return Fraction(1, 2)
         return Fraction(own, own + other)
+
+    def imbalances(self, side: Side, k: int) -> list[float]:
+        """``float(volume_imbalance(side, j))`` for j = 1..k, from one pass
+        over each side's top-k levels. Bit-identical: ``own / (own + other)``
+        on ints is correctly rounded, and so is the float of a Fraction."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        own_ladder, own_prices = self._top(side, k)
+        other_ladder, other_prices = self._top(side.opposite(), k)
+        n_own, n_other = len(own_prices), len(other_prices)
+        own = other = 0
+        out = []
+        for j in range(k):
+            if j < n_own:
+                own += own_ladder[own_prices[j]].total_qty
+            if j < n_other:
+                other += other_ladder[other_prices[j]].total_qty
+            total = own + other
+            out.append(own / total if total else 0.5)
+        return out
 
     def snapshot(self, d: int = 10, ts: int = 0) -> BookSnapshot:
         if d < 1:
@@ -219,34 +247,59 @@ class OrderBook:
 
         Returns (fills, resting_qty). The book is never crossed afterward.
         """
-        if order.qty <= 0:
-            raise ValueError("limit order qty must be positive")
-        price = order.price
-        if price is None or price <= 0:
-            raise ValueError("limit order needs a positive price")
-        if order.id in self._orders:
-            raise DuplicateOrderError(f"order id {order.id} already resting")
-        self._seq += 1
-        order.seq = self._seq
-        side = order.side
-        if self.event_log is not None:
-            self._log("submit", side, price, order.qty, order.id, order.agent_id, order.ts)
-        fills, order.qty, _, _ = self._match(side, order.qty, order.id,
-                                             order.agent_id, order.ts, price)
-        if side is Side.BID:
-            ladder, prices = self._bids, self._bid_prices
-        else:
-            ladder, prices = self._asks, self._ask_prices
-        resting = order.qty
-        if resting > 0:
+        return self.submit_limits((order,))
+
+    def submit_limits(self, orders) -> tuple[list[Fill], int]:
+        """Submit limit orders one after another, as many submit_limit calls.
+
+        Each order is validated, matched and any residual rests, in turn; an
+        order that cannot cross skips matching. Each order's ``qty`` is left
+        at its resting quantity. Returns (the fills of all orders in submit
+        order, total resting qty). An invalid order raises with the orders
+        before it applied.
+        """
+        resting_map, log = self._orders, self.event_log
+        fills: list[Fill] = []
+        total = 0
+        for order in orders:
+            qty = order.qty
+            if qty <= 0:
+                raise ValueError("limit order qty must be positive")
+            price = order.price
+            if price is None or price <= 0:
+                raise ValueError("limit order needs a positive price")
+            oid = order.id
+            if oid in resting_map:
+                raise DuplicateOrderError(f"order id {oid} already resting")
+            self._seq += 1
+            order.seq = self._seq
+            side = order.side
+            if log is not None:
+                self._log("submit", side, price, qty, oid, order.agent_id, order.ts)
+            if side is Side.BID:
+                opposite = self._ask_prices
+                crosses = opposite and opposite[0] <= price
+                ladder, prices = self._bids, self._bid_prices
+            else:
+                opposite = self._bid_prices
+                crosses = opposite and opposite[-1] >= price
+                ladder, prices = self._asks, self._ask_prices
+            if crosses:
+                new_fills, qty, _, _ = self._match(side, qty, oid, order.agent_id,
+                                                   order.ts, price)
+                fills += new_fills
+                order.qty = qty
+                if not qty:
+                    continue
             level = ladder.get(price)
             if level is None:
                 level = ladder[price] = _Level()
                 bisect.insort(prices, price)
             level.queue.append(order)
-            level.total_qty += resting
-            self._orders[order.id] = order
-        return fills, resting
+            level.total_qty += qty
+            resting_map[oid] = order
+            total += qty
+        return fills, total
 
     def submit_market(self, side: Side, qty: int, agent_id: int, ts: int = 0,
                       order_id: Optional[int] = None) -> MarketOrderResult:
@@ -266,22 +319,32 @@ class OrderBook:
 
     def cancel(self, order_id: int) -> bool:
         """Remove a resting order; False if unknown or already gone."""
-        order = self._orders.pop(order_id, None)
-        if order is None:
-            return False
-        if order.side is Side.BID:
-            ladder, prices = self._bids, self._bid_prices
-        else:
-            ladder, prices = self._asks, self._ask_prices
-        price = order.price
-        level = ladder[price]
-        queue = level.queue
-        queue.remove(order)
-        if queue:
-            level.total_qty -= order.qty
-        else:
-            del ladder[price]
-            prices.remove(price)
-        if self.event_log is not None:
-            self._log("cancel", order.side, price, order.qty, order.id, order.agent_id, order.ts)
-        return True
+        return self.cancel_orders((order_id,)) == 1
+
+    def cancel_orders(self, order_ids) -> int:
+        """Cancel orders one after another, as many cancel calls; the number
+        removed. Unknown or already-gone ids are skipped."""
+        orders, log = self._orders, self.event_log
+        removed = 0
+        for order_id in order_ids:
+            order = orders.pop(order_id, None)
+            if order is None:
+                continue
+            removed += 1
+            if order.side is Side.BID:
+                ladder, prices = self._bids, self._bid_prices
+            else:
+                ladder, prices = self._asks, self._ask_prices
+            price = order.price
+            level = ladder[price]
+            queue = level.queue
+            queue.remove(order)
+            if queue:
+                level.total_qty -= order.qty
+            else:
+                del ladder[price]
+                prices.remove(price)
+            if log is not None:
+                self._log("cancel", order.side, price, order.qty, order.id,
+                          order.agent_id, order.ts)
+        return removed

@@ -5,6 +5,7 @@ Actions are indices 0..4: 0 = do nothing, k = market order of q_min * k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -55,18 +56,30 @@ class TwapPolicy(Policy):
         return self.schedule.get(t, 0)
 
 
+def _choice_cdf(probs) -> list[float]:
+    """numpy's cumulative table for ``rng.choice(len(probs), p=probs)``.
+
+    ``bisect_right(cdf, rng.random())`` draws exactly what that call draws,
+    without its per-call overhead.
+    """
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class PassivePolicy(Policy):
     """Does nothing 60% of the time, else one of the four sizes uniformly."""
 
     name = "passive"
     probs = (0.6, 0.1, 0.1, 0.1, 0.1)
+    _cdf = _choice_cdf(probs)
 
     def reset(self, seed: int) -> None:
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
 
     def act(self, t, obs, env) -> int:
-        return int(self.rng.choice(5, p=self.probs))
+        return bisect_right(self._cdf, self.rng.random())
 
 
 class RandomPolicy(Policy):
@@ -78,13 +91,14 @@ class RandomPolicy(Policy):
 
     name = "random"
     probs = (0.625, 0.125, 0.125, 0.125, 0.0)
+    _cdf = _choice_cdf(probs)
 
     def reset(self, seed: int) -> None:
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(12,)))
 
     def act(self, t, obs, env) -> int:
-        return int(self.rng.choice(5, p=self.probs))
+        return bisect_right(self._cdf, self.rng.random())
 
 
 class GreedyQPolicy(Policy):

@@ -8,7 +8,7 @@ fills at the ask, never walking depth) and for fast training sanity runs.
 
 from __future__ import annotations
 
-from .lob import MarketOrderResult, OrderBook, Side
+from .lob import MarketOrderResult, Order, OrderBook, Side
 
 
 class ConstantMarket:
@@ -24,13 +24,14 @@ class ConstantMarket:
         self._requote()
 
     def _requote(self) -> None:
-        for oid in self.book.order_ids():
-            self.book.cancel(oid)
-        from .lob import Order
-        for side, price in ((Side.BID, self.bid), (Side.ASK, self.ask)):
-            self.book.submit_limit(Order(id=self._next_id, agent_id=0, side=side,
-                                         qty=self.level_qty, price=price, ts=self.now))
-            self._next_id += 1
+        self.book.cancel_orders(self.book.order_ids())
+        oid = self._next_id
+        self._next_id += 2
+        self.book.submit_limits(
+            [Order(id=oid, agent_id=0, side=Side.BID, qty=self.level_qty,
+                   price=self.bid, ts=self.now),
+             Order(id=oid + 1, agent_id=0, side=Side.ASK, qty=self.level_qty,
+                   price=self.ask, ts=self.now)])
 
     def run_until(self, t: int) -> None:
         self.now = max(self.now, t)

@@ -83,6 +83,37 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("market.snapshot_interval_s", 0),       # hung at t = 0
+        ("market.snapshot_interval_s", 1e-10),   # truncates to 0 ns
+        ("market.market_maker.wake_interval_s", 0),
+        ("exec.step_s", 0),                      # ZeroDivisionError, exit 3
+        ("market.noise.max_size", 5),            # below min_size 10
+        ("market.noise.mean_wake_s", -1),
+        ("market.market_maker.min_size", 0),
+        ("eval.bins", 0),
+        ("market.value.lambda_va", 0),           # ZeroDivisionError, exit 3
+        ("market.value.size", 0),
+        ("market.momentum.mean_wake_s", 0),      # wakes every 1 ns
+        ("market.momentum.size", 0),
+        ("market.momentum.short_window", 0),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
+        import yaml
+        data = yaml.safe_load(LITE_YAML)
+        section = data
+        *parents, leaf = key.split(".")
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(data))
+        # --duration 0 runs no session, so a value that is let through
+        # fails this test instead of hanging it
+        assert main(["simulate", "--config", str(bad), "--duration", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_int_for_float_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(LITE_YAML.replace("session_seconds: 90",

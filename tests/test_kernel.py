@@ -133,8 +133,15 @@ class FakeExchange:
         self._oid += 1
         return self._oid
 
+    def submit_limits(self, agent_id, quotes, ts):
+        return [self.submit_limit(agent_id, side, price, qty, ts)
+                for side, price, qty in quotes]
+
     def cancel(self, oid):
         return True
+
+    def cancel_orders(self, oids):
+        return len(oids)
 
     def mid_history(self):
         return self._mids
@@ -242,6 +249,46 @@ class TestMomentumAgent:
         expected_side = Side.BID if short > long else Side.ASK
         if short != long:
             assert ex.orders[0][1] is expected_side
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_session_batched_quotes_match_single_calls(seed):
+    """MarketSession.submit_limits/cancel_orders give the ids, fills, volume
+    record and book events of one submit_limit/cancel call per order."""
+    import random
+    rng = random.Random(seed)
+    cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
+    sessions, lines = [], []
+    for _ in range(2):
+        session = MarketSession(cfg, seed=0)
+        lines.append([])
+        session.book.event_log = lines[-1].append
+        sessions.append(session)
+    batched, single = sessions
+    live = []
+    for ts in range(1, 40):
+        if rng.random() < 0.5:
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            qty = rng.randint(1, 30)
+            assert batched.submit_market(9, side, qty, ts) == \
+                single.submit_market(9, side, qty, ts)
+        cancels = live + [10 ** 6]
+        assert batched.cancel_orders(cancels) == sum(single.cancel(i) for i in cancels)
+        ref = rng.randint(95, 105)
+        quotes = [(side, ref + sign * i, rng.randint(1, 20)) for i in range(1, 6)
+                  for side, sign in ((Side.BID, -1), (Side.ASK, 1))]
+        live = batched.submit_limits(4, quotes, ts)
+        assert live == list(range(live[0], live[0] + len(quotes)))
+        assert live == [single.submit_limit(4, s, p, q, ts) for s, p, q in quotes]
+        assert batched.transacted_volume(ts, 10 ** 9) == \
+            single.transacted_volume(ts, 10 ** 9)
+        assert batched.last_trade_price() == single.last_trade_price()
+    assert batched.log.fills == single.log.fills and batched.log.fills
+    assert lines[0] == lines[1]
+    # ids are consecutive over every order the session took, from 1
+    n_orders = sum(line.split(",")[1] == "submit" for line in lines[0])
+    assert batched.submit_limit(4, Side.BID, 1, 1, 99) == \
+        single.submit_limit(4, Side.BID, 1, 1, 99) == n_orders + 1
 
 
 class TestMarketMaker:

@@ -414,3 +414,201 @@ def test_fill_and_result_records_are_immutable_with_named_fields():
         fill.qty = 1
     with pytest.raises(AttributeError):
         res.unfilled = 0
+
+
+# -- batched requote and one-pass features ------------------------------------
+
+def requote_script(rng, n_steps):
+    """Background orders interleaved with maker-style requotes.
+
+    A requote cancels the maker's previous ids (some already filled, so the
+    cancel misses) plus an id that never existed, then posts a ladder around
+    a reference that may sit away from the book, so some quotes cross.
+    """
+    steps, oid, maker_ids = [], 0, []
+    for _ in range(n_steps):
+        if rng.random() < 0.6:
+            oid += 1
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            qty = rng.randint(1, 40)
+            if rng.random() < 0.4:
+                steps.append(("market", oid, side, qty))
+            else:
+                steps.append(("limit", oid, side, rng.randint(92, 108), qty))
+            continue
+        ref, size = rng.randint(90, 110), rng.randint(1, 20)
+        quotes = []
+        for i in range(1, rng.randint(1, 6) + 1):
+            for side, price in ((Side.BID, ref - i), (Side.ASK, ref + i)):
+                oid += 1
+                quotes.append((oid, side, price, size))
+        steps.append(("requote", maker_ids + [10 ** 9], quotes))
+        maker_ids = [q[0] for q in quotes]
+    return steps
+
+
+def run_requote_script(steps):
+    """Play a script on a batched book, a single-call book and the oracle."""
+    batched_log, single_log = [], []
+    batched = OrderBook(event_log=batched_log.append)
+    single = OrderBook(event_log=single_log.append)
+    ref = BruteForceBook()
+    crossing_batches = filled_misses = 0
+    for step in steps:
+        if step[0] == "limit":
+            _, oid, side, price, qty = step
+            assert batched.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid)) == \
+                single.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
+            ref.submit_limit(oid, 1, side, price, qty)
+        elif step[0] == "market":
+            _, oid, side, qty = step
+            assert batched.submit_market(side, qty, 1, oid, oid) == \
+                single.submit_market(side, qty, 1, oid, oid)
+            ref.submit_market(oid, 1, side, qty)
+        else:
+            _, cancel_ids, quotes = step
+            n_cancelled = batched.cancel_orders(cancel_ids)
+            assert n_cancelled == sum(single.cancel(i) for i in cancel_ids) == \
+                sum(ref.cancel(i) for i in cancel_ids)
+            filled_misses += len(cancel_ids) - 1 - n_cancelled  # one id never existed
+            a_orders = [mk(o, s, p, q, agent=2, ts=o) for o, s, p, q in quotes]
+            b_orders = [mk(o, s, p, q, agent=2, ts=o) for o, s, p, q in quotes]
+            fills, resting = batched.submit_limits(a_orders)
+            single_fills, single_resting, ref_fills = [], 0, []
+            for order, (o, s, p, q) in zip(b_orders, quotes):
+                fs, r = single.submit_limit(order)
+                single_fills += fs
+                single_resting += r
+                ref_fills += ref.submit_limit(o, 2, s, p, q)[0]
+            assert fills == single_fills
+            assert [(f.taker_order_id, f.maker_order_id, f.price, f.qty)
+                    for f in fills] == ref_fills
+            assert resting == single_resting
+            assert [(o.seq, o.qty) for o in a_orders] == \
+                [(o.seq, o.qty) for o in b_orders]
+            crossing_batches += bool(fills)
+        assert batched.snapshot(50) == single.snapshot(50)
+        assert batched.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
+        assert batched.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
+        assert batched.order_ids() == single.order_ids()
+    assert batched_log == single_log
+    return crossing_batches, filled_misses
+
+
+class TestBatchedRequote:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batched_equals_single_calls_and_reference(self, seed):
+        run_requote_script(requote_script(random.Random(seed), 60))
+
+    def test_scripts_cross_and_cancel_filled_quotes(self):
+        counts = [run_requote_script(requote_script(random.Random(s), 60))
+                  for s in range(20)]
+        assert sum(crossing for crossing, _ in counts) > 0
+        assert sum(misses for _, misses in counts) > 0
+
+    def test_quotes_cross_when_one_side_is_empty(self):
+        # asks only, all below the maker's reference: its bids take them
+        steps = [("limit", 1, Side.ASK, 98, 5), ("limit", 2, Side.ASK, 99, 7),
+                 ("limit", 3, Side.ASK, 100, 4),
+                 ("requote", [], [(10 + i, side, price, 6) for i, (side, price) in
+                                  enumerate([(Side.BID, 101), (Side.ASK, 103),
+                                             (Side.BID, 100), (Side.ASK, 104),
+                                             (Side.BID, 99), (Side.ASK, 105)])])]
+        crossing, _ = run_requote_script(steps)
+        assert crossing == 1
+
+    @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
+                                     "zero_price", "resting_id", "batch_id"])
+    def test_invalid_order_mid_batch_matches_single_calls(self, bad):
+        orders = {"zero_qty": (7, Side.BID, 99, 0), "negative_qty": (7, Side.ASK, 101, -3),
+                  "no_price": (7, Side.BID, None, 5), "zero_price": (7, Side.BID, 0, 5),
+                  "resting_id": (3, Side.BID, 97, 5), "batch_id": (5, Side.ASK, 106, 5)}
+        # the second quote crosses: it takes order 1 and part of order 3
+        quotes = [(5, Side.ASK, 104, 3), (6, Side.BID, 103, 4), orders[bad],
+                  (8, Side.ASK, 105, 2)]
+        books, logs, errors = [], [], []
+        for batched in (True, False):
+            log = []
+            book = OrderBook(event_log=log.append)
+            book.submit_limit(mk(1, Side.ASK, 102, 3))
+            book.submit_limit(mk(2, Side.BID, 100, 3))
+            book.submit_limit(mk(3, Side.ASK, 103, 10))
+            if batched:
+                assert book.cancel_orders([2, 4]) == 1
+            else:
+                assert book.cancel(2) and not book.cancel(4)
+            built = [mk(*q) for q in quotes]
+            with pytest.raises(ValueError) as exc:
+                if batched:
+                    book.submit_limits(built)
+                else:
+                    for order in built:
+                        book.submit_limit(order)
+            book.submit_limit(mk(9, Side.BID, 90, 1))  # seq continues alike
+            books.append((book.snapshot(10), book.order_ids(),
+                          [(o.seq, o.qty) for o in built]))
+            logs.append(log)
+            errors.append((type(exc.value), str(exc.value)))
+        assert books[0] == books[1]
+        assert logs[0] == logs[1]
+        assert errors[0] == errors[1]
+
+    def test_empty_batches(self):
+        book = OrderBook()
+        assert book.submit_limits([]) == ([], 0)
+        assert book.cancel_orders([]) == 0
+
+
+class TestImbalances:
+    @staticmethod
+    def check(book, ref, k):
+        for side in Side:
+            out = book.imbalances(side, k)
+            assert len(out) == k
+            for j in range(1, k + 1):
+                assert type(out[j - 1]) is float
+                assert out[j - 1].hex() == float(book.volume_imbalance(side, j)).hex()
+                assert out[j - 1].hex() == float(ref.imbalance(side, j)).hex()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_books_bit_exact(self, seed):
+        rng = random.Random(seed)
+        ops = random_ops(rng, rng.randint(0, 60))
+        book, ref, _, _ = apply_both(ops)
+        for k in (1, 2, 5, 12):
+            self.check(book, ref, k)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_large_quantities_bit_exact(self, seed):
+        # quantities past 2**53, where int / int must still round correctly
+        rng = random.Random(seed)
+        book, ref = OrderBook(), BruteForceBook()
+        for oid in range(1, 9):
+            side = Side.BID if oid % 2 else Side.ASK
+            price = rng.randint(90, 99) if side is Side.BID else rng.randint(101, 110)
+            qty = rng.randint(1, 10 ** 20)
+            book.submit_limit(mk(oid, side, price, qty))
+            ref.submit_limit(oid, 0, side, price, qty)
+        self.check(book, ref, 6)
+
+    def test_empty_book_is_one_half(self):
+        book = OrderBook()
+        self.check(book, BruteForceBook(), 5)
+        assert book.imbalances(Side.BID, 3) == [0.5, 0.5, 0.5]
+
+    def test_one_sided_and_short_books(self):
+        book, ref = OrderBook(), BruteForceBook()
+        for oid, price, qty in ((1, 99, 4), (2, 98, 6)):
+            book.submit_limit(mk(oid, Side.BID, price, qty))
+            ref.submit_limit(oid, 0, Side.BID, price, qty)
+        assert book.imbalances(Side.BID, 4) == [1.0] * 4
+        assert book.imbalances(Side.ASK, 4) == [0.0] * 4
+        self.check(book, ref, 4)
+        book.submit_limit(mk(3, Side.ASK, 101, 5))
+        ref.submit_limit(3, 0, Side.ASK, 101, 5)
+        assert book.imbalances(Side.BID, 4) == [4 / 9, 10 / 15, 10 / 15, 10 / 15]
+        self.check(book, ref, 4)
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError):
+            OrderBook().imbalances(Side.BID, 0)

@@ -103,6 +103,22 @@ class TestRandom:
                               empirical(RandomPolicy(), 1000, 9))
 
 
+@pytest.mark.parametrize("policy_cls, spawn_key", [(PassivePolicy, 11),
+                                                    (RandomPolicy, 12)])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 40])
+def test_draws_equal_generator_choice(policy_cls, spawn_key, seed):
+    """Each policy's actions are exactly those of rng.choice(5, p=probs)
+    on a generator seeded the same way."""
+    policy = policy_cls()
+    policy.reset(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(spawn_key,)))
+    n = 20_000
+    actions = [policy.act(t, None, None) for t in range(n)]
+    assert actions == [int(rng.choice(5, p=policy_cls.probs)) for _ in range(n)]
+    assert all(type(a) is int for a in actions)
+
+
 class TestFactory:
     def test_known_policies(self):
         cfg = default_cfg()
