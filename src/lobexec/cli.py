@@ -12,14 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_hash,
-    dump_config,
-    hash_comment,
-    load_config,
-)
+from .config import ConfigError, RunConfig, dump_config, hash_comment, load_config
 from .dqn import QNetwork, TrainingDivergedError, learning_curve_csv, train
 from .evaluation import (
     aggregate,
@@ -32,7 +25,8 @@ from .evaluation import (
     ttests_csv,
 )
 from .execenv import ExecutionEnv
-from .kernel import MarketConfig, MarketSession, kernel_run
+from .kernel import MarketSession, SessionLog, kernel_run
+from .strategies import POLICY_NAMES
 
 
 class UsageError(Exception):
@@ -74,7 +68,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="evaluate a policy over seeded episodes")
     common(p)
     p.add_argument("--policy", required=True,
-                   choices=["rl", "twap", "passive", "random", "all"])
+                   choices=[*POLICY_NAMES, "all"])
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1)
@@ -110,6 +104,11 @@ def _out_dir(args, config: RunConfig, sub: str) -> Path:
     return out
 
 
+def _write_csv(path: Path, comment: str, text: str) -> None:
+    """Write CSV text under its ``# config_hash=`` comment line."""
+    path.write_text(comment + "\n" + text)
+
+
 def cmd_simulate(args) -> int:
     config = _load(args)
     out = _out_dir(args, config, "simulate")
@@ -117,16 +116,13 @@ def cmd_simulate(args) -> int:
     comment = hash_comment(config)
     for seed in range(config.seed, config.seed + args.n_seeds):
         if args.duration is not None and args.duration == 0:
-            from .kernel import SessionLog
             log = SessionLog()
         else:
             log = kernel_run(config.market, seed)
-        depth = config.market.depth
-        (out / f"snapshots_{seed}.csv").write_text(
-            comment + "\n" + log.snapshots_csv(depth))
-        (out / f"fills_{seed}.csv").write_text(comment + "\n" + log.fills_csv())
-        (out / f"fundamental_{seed}.csv").write_text(
-            comment + "\n" + log.fundamental_csv())
+        _write_csv(out / f"snapshots_{seed}.csv", comment,
+                   log.snapshots_csv(config.market.depth))
+        _write_csv(out / f"fills_{seed}.csv", comment, log.fills_csv())
+        _write_csv(out / f"fundamental_{seed}.csv", comment, log.fundamental_csv())
         print(f"simulate: seed {seed} -> {len(log.snapshots)} snapshots, "
               f"{len(log.fills)} fills")
     return 0
@@ -172,11 +168,9 @@ def cmd_train(args) -> int:
         return 3
     body = learning_curve_csv(result.curve)
     if args.resume and curve_path.exists():
-        existing = curve_path.read_text()
-        body = existing + body.split("\n", 1)[1]
+        curve_path.write_text(curve_path.read_text() + body.split("\n", 1)[1])
     else:
-        body = hash_comment(config) + "\n" + body
-    curve_path.write_text(body)
+        _write_csv(curve_path, hash_comment(config), body)
     print(f"train: {config.dqn.episodes} episodes, checkpoint -> {checkpoint}")
     return 0
 
@@ -206,16 +200,15 @@ def cmd_evaluate(args) -> int:
         all_results.extend(results)
         pdir = out / policy
         pdir.mkdir(exist_ok=True)
-        (pdir / "episodes.csv").write_text(episodes_csv(results, comment))
-        (pdir / "metrics.csv").write_text(metrics_csv(aggregate(results), comment))
-        for name, text in export_distributions(results, config.eval.bins,
-                                               comment).items():
-            (pdir / name).write_text(text)
+        _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
+        _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
+        for name, text in export_distributions(results, config.eval.bins).items():
+            _write_csv(pdir / name, comment, text)
         print(f"evaluate: {policy} done over {len(seeds)} seeds")
     tests = rl_vs_baselines(all_results)
     if tests:
-        (out / "ttests.csv").write_text(ttests_csv(tests, comment))
-    (out / "metrics.csv").write_text(metrics_csv(aggregate(all_results), comment))
+        _write_csv(out / "ttests.csv", comment, ttests_csv(tests))
+    _write_csv(out / "metrics.csv", comment, metrics_csv(aggregate(all_results)))
     return 0
 
 
@@ -242,8 +235,8 @@ def cmd_benchmark(args) -> int:
             print(f"benchmark: {name} FAILED: {error}", file=sys.stderr)
             failures += 1
             continue
-        (cdir / "metrics.csv").write_text(metrics_csv(rows, comment, extra_cols=cell))
-        (cdir / "ttests.csv").write_text(ttests_csv(tests, comment, extra_cols=cell))
+        _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
+        _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
         print(f"benchmark: {name} done")
     return 3 if failures else 0
 

@@ -18,6 +18,7 @@ import yaml
 from .dqn import Schedules
 from .execenv import ExecConfig
 from .kernel import MarketConfig
+from .strategies import POLICY_NAMES
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,7 @@ class DqnConfig:
 class EvalConfig:
     episodes: int = 50
     bins: int = 20
-    policies: list = field(default_factory=lambda: ["rl", "twap", "passive", "random"])
+    policies: list = field(default_factory=lambda: list(POLICY_NAMES))
     # (n_noise, n_momentum) cells; defaults follow the benchmark grid:
     # noise in {10, 1000, 2000} at 12 momentum, momentum in {6, 24} at 1000 noise
     grid: list = field(default_factory=lambda: [
@@ -58,13 +59,23 @@ class RunConfig:
             self.dqn.schedules.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.dqn.episodes < 1:
+            raise ConfigError("dqn.episodes must be >= 1")
+        if len(self.dqn.hidden) != 2 or not all(type(n) is int and n >= 1
+                                                for n in self.dqn.hidden):
+            raise ConfigError("dqn.hidden must be two positive layer sizes")
         if self.eval.episodes < 2:
             raise ConfigError("eval.episodes must be >= 2")
         if self.eval.bins < 1:
             raise ConfigError("eval.bins must be >= 1")
         for name in self.eval.policies:
-            if name not in ("rl", "twap", "passive", "random"):
+            if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")
+        for cell in self.eval.grid:
+            if not (isinstance(cell, list) and len(cell) == 2
+                    and all(type(n) is int for n in cell)):
+                raise ConfigError(f"eval.grid cell {cell!r} must be "
+                                  "[n_noise, n_momentum]")
 
 
 def _check_type(key: str, value, default) -> None:

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csv import csv_text
 from ._kernels import mlp_backward, mlp_forward
-
-PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -126,6 +125,12 @@ class Schedules:
             raise ValueError("bad batch size / replay capacity")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
+        if self.lr_start < 0 or self.lr_end < 0:
+            raise ValueError("lr_start and lr_end must be >= 0")
+        if not (0.0 <= self.eps_start <= 1.0 and 0.0 <= self.eps_end <= 1.0):
+            raise ValueError("eps_start and eps_end must be in [0, 1]")
+        if self.target_sync < 0:
+            raise ValueError("target_sync must be >= 0")
 
 
 class ReplayMemory:
@@ -310,7 +315,5 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
 
 
 def learning_curve_csv(curve) -> str:
-    lines = ["episode,total_reward,rolling_mean"]
-    for ep, total, mean in curve:
-        lines.append(f"{ep},{total!r},{mean!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["episode", "total_reward", "rolling_mean"],
+                    ((ep, repr(total), repr(mean)) for ep, total, mean in curve))

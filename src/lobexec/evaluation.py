@@ -8,12 +8,11 @@ serial runs byte-identical downstream.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from ._csv import csv_text
 from .dqn import QNetwork
 from .execenv import ExecConfig, ExecutionEnv
 from .kernel import MarketConfig, MarketSession
@@ -238,65 +237,47 @@ def histogram(values, bins: int):
     return edges, counts
 
 
-def _csv_text(header_comment: str, header: list, rows) -> str:
-    """CSV text: the optional hash comment line, a header row, then rows."""
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(header_comment + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def histogram_csv(values, bins: int, header_comment: str = "") -> str:
+def histogram_csv(values, bins: int) -> str:
     edges, counts = histogram(values, bins)
-    return _csv_text(header_comment, ["bin_lo", "bin_hi", "count"],
-                     ([repr(edges[i]), repr(edges[i + 1]), count]
-                      for i, count in enumerate(counts)))
+    return csv_text(["bin_lo", "bin_hi", "count"],
+                    ((repr(edges[i]), repr(edges[i + 1]), count)
+                     for i, count in enumerate(counts)))
 
 
-def export_distributions(results: list[EpisodeResult], bins: int,
-                         header_comment: str = "") -> dict[str, str]:
+def export_distributions(results: list[EpisodeResult], bins: int) -> dict[str, str]:
     """Histogram CSV text per metric: IS plus spread/imbalance at fills."""
     out = {}
-    out["hist_is.csv"] = histogram_csv([r.is_norm for r in results], bins,
-                                       header_comment)
+    out["hist_is.csv"] = histogram_csv([r.is_norm for r in results], bins)
     spreads = [s for r in results for s in r.spreads]
     if spreads:
-        out["hist_spread.csv"] = histogram_csv(spreads, bins, header_comment)
+        out["hist_spread.csv"] = histogram_csv(spreads, bins)
     imbalances = [v for r in results for v in r.imbalances]
     if imbalances:
-        out["hist_imbalance.csv"] = histogram_csv(imbalances, bins, header_comment)
+        out["hist_imbalance.csv"] = histogram_csv(imbalances, bins)
     return out
 
 
-def episodes_csv(results: list[EpisodeResult], header_comment: str = "") -> str:
-    return _csv_text(header_comment,
-                     ["policy", "seed", "is_norm", "pen_norm", "t_frac"],
-                     ([r.policy, r.seed, repr(r.is_norm), repr(r.pen_norm),
-                       repr(r.t_frac)] for r in results))
+def episodes_csv(results: list[EpisodeResult]) -> str:
+    return csv_text(["policy", "seed", "is_norm", "pen_norm", "t_frac"],
+                    ((r.policy, r.seed, repr(r.is_norm), repr(r.pen_norm),
+                      repr(r.t_frac)) for r in results))
 
 
-def metrics_csv(rows: list[MetricsRow], header_comment: str = "",
-                extra_cols: dict | None = None) -> str:
+def metrics_csv(rows: list[MetricsRow], extra_cols: dict | None = None) -> str:
     extra = extra_cols or {}
-    return _csv_text(header_comment,
-                     [*extra.keys(), "policy", "n", "mean_is", "mean_pen",
-                      "mean_t", "var_is"],
-                     ([*extra.values(), r.policy, r.n, repr(r.mean_is),
-                       repr(r.mean_pen), repr(r.mean_t), repr(r.var_is)]
-                      for r in rows))
+    return csv_text([*extra.keys(), "policy", "n", "mean_is", "mean_pen",
+                     "mean_t", "var_is"],
+                    ((*extra.values(), r.policy, r.n, repr(r.mean_is),
+                      repr(r.mean_pen), repr(r.mean_t), repr(r.var_is))
+                     for r in rows))
 
 
-def ttests_csv(tests: dict[str, TTestResult], header_comment: str = "",
-               extra_cols: dict | None = None) -> str:
+def ttests_csv(tests: dict[str, TTestResult], extra_cols: dict | None = None) -> str:
     extra = extra_cols or {}
-    return _csv_text(header_comment,
-                     [*extra.keys(), "comparison", "t", "df", "critical", "reject"],
-                     ([*extra.values(), name, repr(res.t), res.df,
-                       repr(res.critical), res.reject]
-                      for name, res in tests.items()))
+    return csv_text([*extra.keys(), "comparison", "t", "df", "critical", "reject"],
+                    ((*extra.values(), name, repr(res.t), res.df,
+                      repr(res.critical), res.reject)
+                     for name, res in tests.items()))
 
 
 def rl_vs_baselines(results: list[EpisodeResult]) -> dict[str, TTestResult]:

@@ -122,7 +122,7 @@ class ExecutionEnv:
         self.executed = 0
         self.completion_step: Optional[int] = None
         self._over_charged = 0
-        self._cost = Fraction(0)  # sum of fill price * qty, exact
+        self._cost = 0  # sum of fill price * qty
         self._depth_total = 0
         self._last_bid = self._market.book.best_bid()
         self._last_ask = self._market.book.best_ask()
@@ -193,9 +193,7 @@ class ExecutionEnv:
         if self.completed:
             action = 0  # execution finished: forced no-op
 
-        filled = 0
-        avg_price: Optional[Fraction] = None
-        d_t = 0
+        filled = notional = d_t = 0
         shortfall_term = 0.0
         now = self._market.now
         if action > 0:
@@ -203,15 +201,15 @@ class ExecutionEnv:
                 EXEC_AGENT_ID, self.side, cfg.q_min * action, now)
             filled = result.filled
             if filled > 0:
-                avg_price = result.avg_price
+                notional = result.notional
                 d_t = self._depth(result)
-                self._cost += avg_price * filled
+                self._cost += notional
                 self.executed += filled
                 self._depth_total += d_t
-                diff = self.arrival_price - avg_price
+                diff = filled * self.arrival_price - notional
                 if self.side is Side.ASK:
                     diff = -diff
-                shortfall_term = float(filled * diff)
+                shortfall_term = float(diff)
 
         depth_term = -cfg.alpha * d_t
         over_term = 0.0
@@ -236,7 +234,7 @@ class ExecutionEnv:
         info = {
             "t": self.t,
             "filled": filled,
-            "avg_price": None if avg_price is None else float(avg_price),
+            "avg_price": notional / filled if filled else None,
             "depth_consumed": d_t,
             "inventory": self.inventory,
             "executed": self.executed,

@@ -9,14 +9,13 @@ submission order.
 from __future__ import annotations
 
 import bisect
-import csv
 import heapq
-import io
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import csv_text
 from .agents import (
     Agent,
     MarketMakerAgent,
@@ -69,37 +68,27 @@ class SessionLog:
     fills: list = field(default_factory=list)      # Fill records
 
     def snapshots_csv(self, depth: int = 10) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         header = ["ts", "fundamental", "best_bid", "best_ask"]
         for i in range(1, depth + 1):
             header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
-        w.writerow(header)
+        rows = []
         for ts, snap, fund in self.snapshots:
             row = [ts, repr(fund), snap.best_bid, snap.best_ask]
             for i in range(depth):
                 bid = snap.bids[i] if i < len(snap.bids) else ("", "")
                 ask = snap.asks[i] if i < len(snap.asks) else ("", "")
                 row += [bid[0], bid[1], ask[0], ask[1]]
-            w.writerow(row)
-        return buf.getvalue()
+            rows.append(row)
+        return csv_text(header, rows)
 
     def fills_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["ts", "side", "price", "qty", "taker_agent", "maker_agent"])
-        for f in self.fills:
-            w.writerow([f.ts, f.side.value, f.price, f.qty,
-                        f.taker_agent_id, f.maker_agent_id])
-        return buf.getvalue()
+        return csv_text(["ts", "side", "price", "qty", "taker_agent", "maker_agent"],
+                        ((f.ts, f.side.value, f.price, f.qty,
+                          f.taker_agent_id, f.maker_agent_id) for f in self.fills))
 
     def fundamental_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["ts", "fundamental"])
-        for ts, _, fund in self.snapshots:
-            w.writerow([ts, repr(fund)])
-        return buf.getvalue()
+        return csv_text(["ts", "fundamental"],
+                        ((ts, repr(fund)) for ts, _, fund in self.snapshots))
 
 
 class MarketSession:
@@ -160,9 +149,6 @@ class MarketSession:
 
     def oracle_observe(self, agent_id: int, ts: int, noise_std: float = 0.0) -> float:
         return self._oracle.observe(agent_id, ts, noise_std)
-
-    def fundamental_value(self, ts: int) -> float:
-        return self._fundamental.value(ts)
 
     def mid_history(self) -> list[float]:
         return list(self._mid_history)

@@ -1,8 +1,9 @@
 """Limit order book with price-time (FIFO) priority matching.
 
 Prices live in integer ticks (1 tick = 1 cent) so matching never touches
-floating point. Fractional quantities (mid price, average fill price,
-volume imbalance) are returned as exact ``fractions.Fraction`` values.
+floating point. A market order reports its int notional (sum of price
+times qty over its fills); fractional quantities (mid price, volume
+imbalance) are returned as exact ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Fill(NamedTuple):
 
 class MarketOrderResult(NamedTuple):
     fills: tuple[Fill, ...]
-    avg_price: Optional[Fraction]  # None when nothing filled
+    notional: int  # sum of price * qty over the fills, 0 if no fill
     depth_consumed: int  # distinct price levels touched minus one, 0 if no fill
     unfilled: int
 
@@ -311,11 +312,9 @@ class OrderBook:
         if self.event_log is not None:
             self._log("submit", side, None, qty, oid, agent_id, ts)
         if not (self._ask_prices if side is Side.BID else self._bid_prices):
-            return MarketOrderResult((), None, 0, qty)
+            return MarketOrderResult((), 0, 0, qty)
         fills, unfilled, notional, levels = self._match(side, qty, oid, agent_id, ts, None)
-        # the opposite side was not empty, so at least one share filled
-        return MarketOrderResult(tuple(fills), Fraction(notional, qty - unfilled),
-                                 levels - 1, unfilled)
+        return MarketOrderResult(tuple(fills), notional, levels - 1, unfilled)
 
     def cancel(self, order_id: int) -> bool:
         """Remove a resting order; False if unknown or already gone."""

@@ -97,6 +97,15 @@ class TestExitCodes:
         ("market.momentum.mean_wake_s", 0),      # wakes every 1 ns
         ("market.momentum.size", 0),
         ("market.momentum.short_window", 0),
+        ("dqn.schedules.lr_start", -1),          # exit 3 at the first grad step
+        ("dqn.schedules.lr_end", -1),            # exit 3 once the anneal ends
+        ("dqn.schedules.eps_start", 1.5),        # exit 3 at the first action
+        ("dqn.schedules.eps_end", -0.5),
+        ("dqn.schedules.target_sync", -3),       # exit 0, target never synced
+        ("dqn.hidden", [50]),                    # exit 3 when the net is built
+        ("dqn.hidden", [0, 20]),                 # OverflowError, exit 3
+        ("dqn.episodes", 0),
+        ("eval.grid", [[10]]),                   # raw unpack error in benchmark
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -248,6 +257,27 @@ class TestTrain:
         assert read_tree(a) == read_tree(b)
 
 
+class TestHashLine:
+    @pytest.mark.parametrize("commands", [
+        [["simulate", "--duration", "30"]],
+        [["train"]],
+        [["train"], ["train", "--resume"]],
+        [["evaluate", "--policy", "all"]],
+        [["benchmark", "--episodes", "2"]],
+    ], ids=["simulate", "train", "train_resume", "evaluate", "benchmark"])
+    def test_every_csv_starts_with_one_hash_line(self, lite_cfg, tmp_path, capsys,
+                                                 commands):
+        out = tmp_path / "run"
+        for argv in commands:
+            assert main([*argv, "--config", str(lite_cfg), "--out", str(out)]) == 0
+        paths = sorted(out.rglob("*.csv"))
+        assert paths
+        for path in paths:
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# config_hash="), path
+            assert sum(line.startswith("#") for line in lines) == 1, path
+
+
 class TestBenchmark:
     def test_grid_cells_written(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"
@@ -339,6 +369,14 @@ GOLDEN_EVALUATE_SHA256 = {
 }
 
 
+GOLDEN_BENCHMARK_SHA256 = {
+    "cell_20N_1M/metrics.csv":
+        "5c7ba7da5141bf74a1f9dd6ad0e82ccf6e50d21c0f11240753824ef0436fcf0a",
+    "cell_20N_1M/ttests.csv":
+        "dfa4e4143e5381b045d6a900643ed315ae0ce30d10c4dcbf2f012e2c7a7f7daa",
+}
+
+
 def output_digest(path):
     lines = path.read_text().splitlines(keepends=True)
     body = "".join(l for l in lines if not l.startswith("# config_hash="))
@@ -369,3 +407,14 @@ class TestGoldenDigests:
         digests = {str(p.relative_to(root)): output_digest(p)
                    for p in sorted(root.rglob("*.csv"))}
         assert digests == GOLDEN_EVALUATE_SHA256
+
+    def test_benchmark_outputs(self, golden_cfg, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        QNetwork((36, 50, 20, 5), np.random.default_rng(0)).save(ckpt)
+        out = tmp_path / "run"
+        assert main(["benchmark", "--checkpoint", str(ckpt),
+                     "--config", str(golden_cfg), "--out", str(out)]) == 0
+        root = out / "benchmark"
+        digests = {str(p.relative_to(root)): output_digest(p)
+                   for p in sorted(root.rglob("*.csv"))}
+        assert digests == GOLDEN_BENCHMARK_SHA256

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lobexec import dqn
 from lobexec.dqn import (
     Optimizer,
     QNetwork,
@@ -268,6 +269,45 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(toy_env_factory(), self.fast_schedules(), episodes=1, seed=0,
                   net=net)
+
+
+class TestTargetSync:
+    def recorded_calls(self, monkeypatch, target_sync):
+        """(target is online, online params, target params) per td_targets call."""
+        calls = []
+
+        def recorder(batch, net, target_net, gamma):
+            calls.append((target_net is net,
+                          {k: v.copy() for k, v in net.params.items()},
+                          {k: v.copy() for k, v in target_net.params.items()}))
+            return td_targets(batch, net, target_net, gamma)
+
+        monkeypatch.setattr(dqn, "td_targets", recorder)
+        sched = Schedules(lr_steps=2000, eps_steps=30, learn_start=16,
+                          replay_capacity=1000, batch_size=16,
+                          target_sync=target_sync)
+        train(toy_env_factory(parent_size=2000), sched, episodes=2, seed=0)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_target_is_online_copy_at_last_sync(self, monkeypatch, k):
+        calls = self.recorded_calls(monkeypatch, k)
+        assert len(calls) > 3 * k
+        for i, (shared, online, target) in enumerate(calls):
+            assert not shared
+            # the sync after grad step j - 1 copies the online params that
+            # call j then sees; call 0 sees the initial copy
+            synced = calls[i // k * k][1]
+            assert all(np.array_equal(target[n], synced[n]) for n in target)
+            if i % k:  # frozen in between, while the online net moves
+                assert all(np.array_equal(target[n], calls[i - 1][2][n])
+                           for n in target)
+                assert not all(np.array_equal(online[n], calls[i - 1][1][n])
+                               for n in online)
+
+    def test_zero_uses_online_net(self, monkeypatch):
+        calls = self.recorded_calls(monkeypatch, 0)
+        assert calls and all(shared for shared, _, _ in calls)
 
 
 class TestCheckpointAndTrace:

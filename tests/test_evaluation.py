@@ -134,9 +134,9 @@ class TestHistograms:
         results = [EpisodeResult("twap", i, 0.1 * i, -0.1, 0.5,
                                  spreads=[2, 3], imbalances=[0.5])
                    for i in range(4)]
-        out = export_distributions(results, bins=4, header_comment="# h=x")
+        out = export_distributions(results, bins=4)
         assert set(out) == {"hist_is.csv", "hist_spread.csv", "hist_imbalance.csv"}
-        assert out["hist_is.csv"].startswith("# h=x\nbin_lo,bin_hi,count")
+        assert out["hist_is.csv"].startswith("bin_lo,bin_hi,count\n")
 
 
 class TestRunExperiment:

@@ -215,6 +215,17 @@ class TestShortfall:
         expected = (executed * float(env.arrival_price) - cost) / 2000
         assert env.episode_shortfall() == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("direction", ["buy", "sell"])
+    def test_step_terms_sum_to_episode_shortfall(self, direction):
+        env = live_env(direction=direction)
+        env.reset(3)
+        rng = np.random.default_rng(3)
+        total = 0.0
+        while not env.done:
+            total += env.step(int(rng.integers(0, 5))).info["shortfall_term"]
+        assert env.executed > 0
+        assert total / 2000 == pytest.approx(env.episode_shortfall(), abs=1e-9)
+
     def test_sell_sign_symmetry(self):
         buy = constant_env(bid=9999, ask=10001)
         buy.reset(0)

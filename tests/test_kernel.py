@@ -12,8 +12,8 @@ from lobexec.agents import (
     NoiseAgentParams,
     ValueAgentParams,
 )
-from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, kernel_run
-from lobexec.lob import Side
+from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
+from lobexec.lob import BookSnapshot, Side
 
 
 def small_config(**kw):
@@ -80,6 +80,13 @@ def test_golden_output_digests():
     digests = {name: hashlib.sha256(getattr(log, name)().encode()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+def test_snapshots_csv_pads_short_and_one_sided_books():
+    snap = BookSnapshot(5, bids=((99, 3),), asks=())
+    log = SessionLog(snapshots=[(5, snap, 100.25)])
+    assert log.snapshots_csv(2).splitlines()[1] == "5,100.25,99,,99,3,,,,,,"
+    assert log.fundamental_csv() == "ts,fundamental\n5,100.25\n"
 
 
 def test_event_order_audit_hook():

@@ -71,7 +71,7 @@ class TestSubmitMarket:
         book = OrderBook()
         book.submit_limit(mk(1, Side.ASK, 101, 10))
         res = book.submit_market(Side.BID, 5, agent_id=9)
-        assert res.avg_price == 101
+        assert res.notional == 101 * 5
         assert res.depth_consumed == 0
         assert res.unfilled == 0
 
@@ -81,15 +81,15 @@ class TestSubmitMarket:
         book.submit_limit(mk(2, Side.ASK, 102, 5))
         res = book.submit_market(Side.BID, 8, agent_id=9)
         assert [(f.price, f.qty) for f in res.fills] == [(101, 5), (102, 3)]
-        assert res.avg_price == Fraction(101 * 5 + 102 * 3, 8) == Fraction(811, 8)
-        assert float(res.avg_price) == 101.375
+        assert res.notional == 101 * 5 + 102 * 3 == 811
+        assert res.notional / res.filled == 101.375
         assert res.depth_consumed == 1
 
     def test_empty_book(self):
         book = OrderBook()
         res = book.submit_market(Side.BID, 5, agent_id=9)
         assert res.fills == () and res.unfilled == 5
-        assert res.avg_price is None and res.depth_consumed == 0
+        assert res.notional == 0 and res.depth_consumed == 0
 
     def test_partial_fill_reports_unfilled(self):
         book = OrderBook()
@@ -309,11 +309,10 @@ class TestResultsAgainstBruteForce:
                 assert res.unfilled == ref_unfilled == qty - filled
                 assert res.filled == filled
                 if filled:
-                    notional = sum(p * q for _, _, p, q in ref_fills)
-                    assert res.avg_price == Fraction(notional, filled)
+                    assert res.notional == sum(p * q for _, _, p, q in ref_fills)
                     assert res.depth_consumed == len({p for _, _, p, _ in ref_fills}) - 1
                 else:
-                    assert res.avg_price is None and res.depth_consumed == 0
+                    assert res.notional == 0 and res.depth_consumed == 0
                 n_market += 1
             else:
                 assert book.cancel(op[1]) == ref.cancel(op[1])
@@ -405,9 +404,9 @@ def test_fill_and_result_records_are_immutable_with_named_fields():
                         maker_agent_id=2, side=Side.BID, price=101, qty=5, ts=7)
     assert Fill._fields == ("taker_order_id", "maker_order_id", "taker_agent_id",
                             "maker_agent_id", "side", "price", "qty", "ts")
-    assert MarketOrderResult._fields == ("fills", "avg_price", "depth_consumed",
+    assert MarketOrderResult._fields == ("fills", "notional", "depth_consumed",
                                          "unfilled")
-    assert res == MarketOrderResult(fills=(fill,), avg_price=Fraction(101),
+    assert res == MarketOrderResult(fills=(fill,), notional=505,
                                     depth_consumed=0, unfilled=3)
     assert res.filled == 5
     with pytest.raises(AttributeError):
