@@ -8,6 +8,8 @@ next to its outputs and embeds a config hash in every CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -21,7 +23,6 @@ from .evaluation import (
     metrics_csv,
     rl_vs_baselines,
     run_experiment,
-    sweep,
     ttests_csv,
 )
 from .execenv import ExecutionEnv
@@ -51,6 +52,13 @@ def build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default $LOBEXEC_OUT or ./results)")
 
+    def experiment(p):  # evaluate and benchmark
+        common(p)
+        p.add_argument("--checkpoint", type=Path, default=None)
+        p.add_argument("--episodes", type=int, default=None)
+        p.add_argument("--parallel", type=int, default=1,
+                       help="worker processes in the command's one pool (>= 1)")
+
     p = sub.add_parser("simulate", help="run background-only market sessions")
     common(p)
     p.add_argument("--n-seeds", type=int, default=1,
@@ -66,18 +74,11 @@ def build_parser() -> _Parser:
                    help="continue from the checkpoint in the output directory")
 
     p = sub.add_parser("evaluate", help="evaluate a policy over seeded episodes")
-    common(p)
+    experiment(p)
     p.add_argument("--policy", required=True,
                    choices=[*POLICY_NAMES, "all"])
-    p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
 
-    p = sub.add_parser("benchmark", help="sweep agent-population grid cells")
-    common(p)
-    p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    experiment(sub.add_parser("benchmark", help="sweep agent-population grid cells"))
     return parser
 
 
@@ -168,43 +169,59 @@ def cmd_train(args) -> int:
         return 3
     body = learning_curve_csv(result.curve)
     if args.resume and curve_path.exists():
-        curve_path.write_text(curve_path.read_text() + body.split("\n", 1)[1])
-    else:
-        _write_csv(curve_path, hash_comment(config), body)
+        header, rows = body.split("\n", 1)
+        old_rows = curve_path.read_text().split("\n", 2)[2]  # after hash, header
+        body = f"{header}\n{old_rows}{rows}"
+    _write_csv(curve_path, hash_comment(config), body)
     print(f"train: {config.dqn.episodes} episodes, checkpoint -> {checkpoint}")
     return 0
 
 
-def _eval_policies(args, config: RunConfig) -> list[str]:
-    if args.policy == "all":
-        return list(config.eval.policies)
-    return [args.policy]
+@contextlib.contextmanager
+def _episode_map(parallel: int):
+    """The ``map`` that runs a command's episodes: the builtin one, or that
+    of one process pool shared by every policy and cell of the command."""
+    if parallel == 1:
+        yield map
+    else:
+        # imported here so that serial commands never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            yield pool.map
+
+
+def _experiment_setup(args, config: RunConfig, policies, sub: str):
+    """Checks, output dir, dumped config, hash line, seeds and the rl net,
+    loaded once for the whole command."""
+    if "rl" in policies and args.checkpoint is None:
+        raise UsageError("--checkpoint is required for the rl policy")
+    if args.parallel < 1:
+        raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
+    out = _out_dir(args, config, sub)
+    dump_config(config, out / "config_used.yaml")
+    seeds = list(range(config.seed, config.seed + config.eval.episodes))
+    net = QNetwork.load(args.checkpoint)[0] if "rl" in policies else None
+    return out, hash_comment(config), seeds, net
 
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    policies = _eval_policies(args, config)
-    if "rl" in policies and args.checkpoint is None:
-        raise UsageError("--checkpoint is required for the rl policy")
-    out = _out_dir(args, config, "evaluate")
-    dump_config(config, out / "config_used.yaml")
-    comment = hash_comment(config)
-    seeds = list(range(config.seed, config.seed + config.eval.episodes))
-    checkpoint = str(args.checkpoint) if args.checkpoint else None
+    policies = list(config.eval.policies) if args.policy == "all" else [args.policy]
+    out, comment, seeds, net = _experiment_setup(args, config, policies, "evaluate")
 
     all_results = []
-    for policy in policies:
-        results = run_experiment(policy, config.exec, config.market, seeds,
-                                 checkpoint if policy == "rl" else None,
-                                 parallel=args.parallel)
-        all_results.extend(results)
-        pdir = out / policy
-        pdir.mkdir(exist_ok=True)
-        _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
-        _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
-        for name, text in export_distributions(results, config.eval.bins).items():
-            _write_csv(pdir / name, comment, text)
-        print(f"evaluate: {policy} done over {len(seeds)} seeds")
+    with _episode_map(args.parallel) as map_fn:
+        for policy in policies:
+            results = run_experiment(policy, config.exec, config.market, seeds,
+                                     net, map_fn)
+            all_results.extend(results)
+            pdir = out / policy
+            pdir.mkdir(exist_ok=True)
+            _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
+            _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
+            for name, text in export_distributions(results, config.eval.bins).items():
+                _write_csv(pdir / name, comment, text)
+            print(f"evaluate: {policy} done over {len(seeds)} seeds")
     tests = rl_vs_baselines(all_results)
     if tests:
         _write_csv(out / "ttests.csv", comment, ttests_csv(tests))
@@ -215,29 +232,30 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load(args)
     policies = list(config.eval.policies)
-    checkpoint = str(args.checkpoint) if args.checkpoint else None
-    if "rl" in policies and checkpoint is None:
-        raise UsageError("--checkpoint is required while 'rl' is in eval.policies")
-    out = _out_dir(args, config, "benchmark")
-    dump_config(config, out / "config_used.yaml")
-    comment = hash_comment(config)
-    seeds = list(range(config.seed, config.seed + config.eval.episodes))
+    out, comment, seeds, net = _experiment_setup(args, config, policies, "benchmark")
 
     failures = 0
-    for cell, rows, tests, error in sweep(config.eval.grid, policies, config.exec,
-                                          config.market, seeds, checkpoint,
-                                          parallel=args.parallel):
-        name = f"cell_{cell['n_noise']}N_{cell['n_momentum']}M"
-        cdir = out / name
-        cdir.mkdir(exist_ok=True)
-        if error is not None:
-            (cdir / "error.txt").write_text(error + "\n")
-            print(f"benchmark: {name} FAILED: {error}", file=sys.stderr)
-            failures += 1
-            continue
-        _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
-        _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
-        print(f"benchmark: {name} done")
+    with _episode_map(args.parallel) as map_fn:
+        for n_noise, n_momentum in config.eval.grid:
+            cell = {"n_noise": n_noise, "n_momentum": n_momentum}
+            cdir = out / f"cell_{n_noise}N_{n_momentum}M"
+            cdir.mkdir(exist_ok=True)
+            try:
+                market = dataclasses.replace(config.market, **cell)
+                results = []
+                for policy in policies:
+                    results += run_experiment(policy, config.exec, market, seeds,
+                                              net, map_fn)
+                rows, tests = aggregate(results), rl_vs_baselines(results)
+            except Exception as exc:  # keep running the remaining cells
+                error = f"{type(exc).__name__}: {exc}"
+                (cdir / "error.txt").write_text(error + "\n")
+                print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
+                failures += 1
+                continue
+            _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
+            _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
+            print(f"benchmark: {cdir.name} done")
     return 3 if failures else 0
 
 

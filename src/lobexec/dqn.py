@@ -243,6 +243,10 @@ def episode_seed(master_seed: int, episode: int) -> int:
     return int(np.random.SeedSequence((master_seed, episode)).generate_state(1)[0])
 
 
+CHECKPOINT_EVERY = 100  # episodes between checkpoint saves; the last one is saved too
+ROLLING = 100           # episodes in the learning curve's rolling mean
+
+
 @dataclass
 class TrainResult:
     net: QNetwork
@@ -255,7 +259,6 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
           net: QNetwork | None = None, obs_dim: int = 36, n_actions: int = 5,
           hidden=(50, 20), start_episode: int = 0,
           checkpoint_path: str | Path | None = None,
-          checkpoint_every: int = 100, rolling: int = 100,
           env_steps: int = 0, grad_steps: int = 0) -> TrainResult:
     """Online off-policy training loop over fresh episodes.
 
@@ -301,11 +304,11 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
                     target = net.copy()
         net.check_finite()
         rewards_window.append(total)
-        if len(rewards_window) > rolling:
+        if len(rewards_window) > ROLLING:
             rewards_window.pop(0)
         curve.append((ep, total, sum(rewards_window) / len(rewards_window)))
         if checkpoint_path is not None and (
-                (ep + 1 - start_episode) % checkpoint_every == 0
+                (ep + 1 - start_episode) % CHECKPOINT_EVERY == 0
                 or ep == start_episode + episodes - 1):
             net.save(checkpoint_path, meta={"episode": ep + 1, "seed": seed,
                                             "env_steps": env_steps,

@@ -1,16 +1,16 @@
 """Experiment runner and statistics: per-episode execution metrics,
 aggregate tables, histogram exports and one-sided pooled-variance t-tests.
 
-Episodes are independent and seed-deterministic, so they may run in a
-process pool; results are always ordered by seed, making parallel and
-serial runs byte-identical downstream.
+Episodes are independent and seed-deterministic, so the caller may run
+them through any ``map``, such as a process pool's; results are always
+ordered by seed, making parallel and serial runs byte-identical downstream.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ._csv import csv_text
 from .dqn import QNetwork
@@ -176,29 +176,16 @@ def run_episode(policy_name: str, exec_config: ExecConfig,
                          spreads=spreads, imbalances=imbalances)
 
 
-def _run_episode_task(args) -> EpisodeResult:
-    return run_episode(*args)
-
-
 def run_experiment(policy_name: str, exec_config: ExecConfig,
                    market_config: MarketConfig, seeds,
-                   checkpoint: str | None = None,
-                   parallel: int = 1) -> list[EpisodeResult]:
-    """One EpisodeResult per seed, ordered by seed regardless of parallelism."""
+                   net: QNetwork | None = None,
+                   map_fn=map) -> list[EpisodeResult]:
+    """One EpisodeResult per seed, ordered by seed whatever ``map_fn`` is
+    (the builtin ``map`` or an executor's)."""
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    net = None
-    if policy_name == "rl":
-        if checkpoint is None:
-            raise ValueError("rl policy requires a checkpoint")
-        net, _ = QNetwork.load(checkpoint)
-    tasks = [(policy_name, exec_config, market_config, s, net) for s in sorted(seeds)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_episode_task, tasks))
-    else:
-        results = [_run_episode_task(t) for t in tasks]
-    return results
+    return list(map_fn(run_episode, repeat(policy_name), repeat(exec_config),
+                       repeat(market_config), sorted(seeds), repeat(net)))
 
 
 def aggregate(results: list[EpisodeResult]) -> list[MetricsRow]:
@@ -290,26 +277,3 @@ def rl_vs_baselines(results: list[EpisodeResult]) -> dict[str, TTestResult]:
     rl = by_policy["rl"]
     return {f"rl_vs_{name}": pooled_t_test(rl, sample)
             for name, sample in by_policy.items() if name != "rl"}
-
-
-def sweep(grid, policies, exec_config: ExecConfig, market_config: MarketConfig,
-          seeds, checkpoint: str | None = None, parallel: int = 1):
-    """Run every (n_noise, n_momentum) grid cell for every policy.
-
-    Returns a list of (cell, metrics rows, t-test dict, error-or-None);
-    a failing cell is reported and the remaining cells continue.
-    """
-    out = []
-    for n_noise, n_momentum in grid:
-        cell = {"n_noise": n_noise, "n_momentum": n_momentum}
-        try:
-            cfg = MarketConfig(**{**market_config.__dict__,
-                                  "n_noise": n_noise, "n_momentum": n_momentum})
-            results: list[EpisodeResult] = []
-            for policy in policies:
-                results.extend(run_experiment(policy, exec_config, cfg, seeds,
-                                              checkpoint, parallel))
-            out.append((cell, aggregate(results), rl_vs_baselines(results), None))
-        except Exception as exc:  # keep sweeping the remaining cells
-            out.append((cell, [], {}, f"{type(exc).__name__}: {exc}"))
-    return out

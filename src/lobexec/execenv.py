@@ -67,6 +67,8 @@ class ExecConfig:
             raise ValueError("direction must be 'buy' or 'sell'")
         if self.step_s < 1:
             raise ValueError("step_s must be >= 1")
+        if self.warmup_s < 0:
+            raise ValueError("warmup_s must be >= 0")
         if self.time_window_s % self.step_s != 0:
             raise ValueError("time_window_s must be a multiple of step_s")
         if self.depth_metric not in ("levels", "ticks"):

@@ -207,8 +207,8 @@ class MarketSession:
 
     # -- event loop --------------------------------------------------------
 
-    def _schedule(self, delay_or_ts: int, payload, absolute: bool = False) -> None:
-        ts = delay_or_ts if absolute else self.now + delay_or_ts
+    def _schedule(self, delay: int, payload) -> None:
+        ts = self.now + delay
         if ts > self.session_end:
             return
         self._event_seq += 1

@@ -9,6 +9,7 @@ work runs once.
 import math
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -250,11 +251,13 @@ def test_criterion_07_toy_learning_sanity():
 
 def test_criterion_08_desk_scale_benchmark(desk_checkpoint):
     seeds = list(range(10000, 10050))  # held out from training
+    net, _ = QNetwork.load(desk_checkpoint)
     results = []
-    for policy in ("rl", "twap", "passive", "random"):
-        results += run_experiment(
-            policy, DESK_EXEC, DESK_MARKET, seeds,
-            desk_checkpoint if policy == "rl" else None, parallel=4)
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        for policy in ("rl", "twap", "passive", "random"):
+            results += run_experiment(
+                policy, DESK_EXEC, DESK_MARKET, seeds,
+                net if policy == "rl" else None, pool.map)
     rows = {r.policy: r for r in aggregate(results)}
     tests = rl_vs_baselines(results)
     assert set(tests) == {"rl_vs_twap", "rl_vs_passive", "rl_vs_random"}

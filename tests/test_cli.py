@@ -1,11 +1,14 @@
 import hashlib
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from lobexec.cli import main
+from lobexec.config import hash_comment, load_config
 from lobexec.dqn import QNetwork
+from lobexec.evaluation import aggregate, metrics_csv, run_experiment
 
 LITE_YAML = """\
 seed: 0
@@ -106,6 +109,7 @@ class TestExitCodes:
         ("dqn.hidden", [0, 20]),                 # OverflowError, exit 3
         ("dqn.episodes", 0),
         ("eval.grid", [[10]]),                   # raw unpack error in benchmark
+        ("exec.warmup_s", -5),                   # one-sided book, exit 3
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -137,6 +141,16 @@ class TestExitCodes:
     def test_rl_without_checkpoint_is_usage_error(self, lite_cfg, tmp_path, capsys):
         assert main(["evaluate", "--policy", "rl", "--config", str(lite_cfg),
                      "--out", str(tmp_path / "o")]) == 1
+
+    # only worker counts that start no process
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "twap"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_parallel_below_one_is_usage_error(self, lite_cfg, tmp_path, capsys,
+                                               argv, workers):
+        assert main([*argv, "--parallel", workers, "--config", str(lite_cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "--parallel" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -249,6 +263,17 @@ class TestTrain:
         episodes = [int(r.split(",")[0]) for r in rows]
         assert episodes == [0, 1, 2, 3]
 
+    def test_resume_stamps_the_resumed_config_hash(self, lite_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(lite_cfg), "--episodes", "1",
+                     "--out", str(out)]) == 0
+        assert main(["train", "--config", str(lite_cfg), "--episodes", "2",
+                     "--resume", "--out", str(out)]) == 0
+        tdir = out / "train"
+        curve = (tdir / "learning_curve.csv").read_text().splitlines()
+        assert curve[0] == hash_comment(load_config(tdir / "config_used.yaml"))
+        assert [int(r.split(",")[0]) for r in curve[2:]] == [0, 1, 2]
+
     def test_reproducible(self, lite_cfg, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -297,6 +322,88 @@ class TestBenchmark:
                      "--out", str(out)]) == 3
         assert (out / "benchmark" / "cell_-5N_1M" / "error.txt").exists()
         assert (out / "benchmark" / "cell_20N_1M" / "metrics.csv").exists()
+
+    def test_cells_run_in_grid_order(self, tmp_path, capsys):
+        cfg = grid_cfg(tmp_path, "[[30, 1], [10, 1], [20, 1]]")
+        assert main(["benchmark", "--config", str(cfg), "--episodes", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        done = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert done == ["cell_30N_1M", "cell_10N_1M", "cell_20N_1M"]
+
+    def test_failing_cell_leaves_the_shared_pool_to_later_cells(self, tmp_path,
+                                                                capsys):
+        # the -5 cell raises inside a worker; the next cell reuses that pool
+        cfg = grid_cfg(tmp_path, "[[-5, 1], [20, 1]]")
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["benchmark", "--config", str(cfg), "--episodes", "2",
+                         "--parallel", workers, "--out", str(out)]) == 3
+            trees.append(read_tree(out))
+        assert "benchmark/cell_-5N_1M/error.txt" in trees[1]
+        assert "benchmark/cell_20N_1M/metrics.csv" in trees[1]
+        assert trees[0] == trees[1]
+
+    def test_one_cell_metrics_equal_aggregate(self, lite_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["benchmark", "--config", str(lite_cfg), "--episodes", "2",
+                     "--out", str(out)]) == 0
+        config = load_config(lite_cfg)
+        results = []
+        for policy in config.eval.policies:
+            results += run_experiment(policy, config.exec, config.market, [0, 1])
+        cell = {"n_noise": 20, "n_momentum": 1}
+        written = (out / "benchmark" / "cell_20N_1M" / "metrics.csv").read_text()
+        assert written.split("\n", 1)[1] == metrics_csv(aggregate(results),
+                                                         extra_cols=cell)
+
+    def test_unreadable_checkpoint_fails_before_any_cell(self, tmp_path, capsys):
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]", policies="[rl, twap]")
+        out = tmp_path / "run"
+        assert main(["benchmark", "--checkpoint", str(tmp_path / "missing.json"),
+                     "--config", str(cfg), "--out", str(out)]) == 3
+        assert not list((out / "benchmark").glob("cell_*"))
+
+
+def grid_cfg(tmp_path, grid: str, policies: str = "[twap, random]"):
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text(LITE_YAML.replace("grid: [[20, 1]]", f"grid: {grid}")
+                   .replace("policies: [twap, random]", f"policies: {policies}"))
+    return cfg
+
+
+class TestOneRunnerPerCommand:
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_one_process_pool(self, tmp_path, capsys, monkeypatch, argv):
+        pools = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        assert main([*argv, "--parallel", "2", "--episodes", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert pools == [{"max_workers": 2}]
+
+    def test_benchmark_loads_checkpoint_once(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "net.json"
+        QNetwork((36, 50, 20, 5), np.random.default_rng(0)).save(ckpt)
+        loads = []
+        load = QNetwork.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(QNetwork, "load", classmethod(counting_load))
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]", policies="[rl, twap]")
+        assert main(["benchmark", "--checkpoint", str(ckpt), "--episodes", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert len(loads) == 1
 
 
 # The criterion-9 lite config with all four policies, so the rl readout and

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from scipy import stats as scipy_stats
@@ -14,7 +15,6 @@ from lobexec.evaluation import (
     pooled_t_test,
     rl_vs_baselines,
     run_experiment,
-    sweep,
     t_cdf,
     t_ppf,
     ttests_csv,
@@ -151,8 +151,9 @@ class TestRunExperiment:
 
     def test_parallel_equals_serial(self):
         serial = run_experiment("random", lite_exec(), lite_market(), [0, 1, 2, 3])
-        parallel = run_experiment("random", lite_exec(), lite_market(),
-                                  [0, 1, 2, 3], parallel=4)
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            parallel = run_experiment("random", lite_exec(), lite_market(),
+                                      [0, 1, 2, 3], map_fn=pool.map)
         assert episodes_csv(serial) == episodes_csv(parallel)
 
     def test_missing_checkpoint_is_startup_error(self):
@@ -179,26 +180,3 @@ class TestTTestMatrix:
     def test_no_rl_no_tests(self):
         results = [EpisodeResult("twap", i, 0.0, 0, 0.5) for i in range(3)]
         assert rl_vs_baselines(results) == {}
-
-
-class TestSweep:
-    def test_single_cell_reduces_to_run_experiment(self):
-        out = sweep([[20, 1]], ["twap"], lite_exec(), lite_market(), [0, 1])
-        assert len(out) == 1
-        cell, rows, tests, error = out[0]
-        assert error is None
-        assert cell == {"n_noise": 20, "n_momentum": 1}
-        direct = aggregate(run_experiment("twap", lite_exec(), lite_market(),
-                                          [0, 1]))
-        assert rows[0].mean_is == direct[0].mean_is
-
-    def test_failed_cell_reported_others_continue(self):
-        out = sweep([[-5, 1], [20, 1]], ["twap"], lite_exec(), lite_market(),
-                    [0, 1])
-        assert out[0][3] is not None   # first cell invalid
-        assert out[1][3] is None
-
-    def test_grid_of_three_blocks(self):
-        out = sweep([[10, 1], [20, 1], [30, 1]], ["random"], lite_exec(),
-                    lite_market(), [0, 1])
-        assert [c["n_noise"] for c, _, _, _ in out] == [10, 20, 30]
