@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._io import write_text_atomic
 from .config import ConfigError, RunConfig, dump_config, hash_comment, load_config
 from .dqn import QNetwork, TrainingDivergedError, learning_curve_csv, train
 from .evaluation import (
@@ -107,7 +108,7 @@ def _out_dir(args, config: RunConfig, sub: str) -> Path:
 
 def _write_csv(path: Path, comment: str, text: str) -> None:
     """Write CSV text under its ``# config_hash=`` comment line."""
-    path.write_text(comment + "\n" + text)
+    write_text_atomic(path, comment + "\n" + text)
 
 
 def cmd_simulate(args) -> int:

@@ -4,17 +4,27 @@ The Q-network is a 36-50-20-5 fully connected net with rectifier hidden
 activations, trained on the squared TD error of the taken action. Targets
 use the online network by default; an optional periodically synced target
 network can be enabled via ``target_sync``.
+
+All parameters live in one contiguous float64 vector, ``QNetwork.theta``,
+laid out as ``w1, b1, w2, b2, w3, b3`` (row-major weights of shape
+(fan_in, fan_out), then biases); ``QNetwork.params`` maps each name to a
+view into it. The optimizer updates ``theta`` in place: Adam keeps its
+moments ``m`` and ``v`` as flat vectors of the same length and runs each
+step as a few in-place ufuncs over the whole vector, rounding in the same
+order as the per-array formula ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._csv import csv_text
+from ._io import write_text_atomic
 from ._kernels import mlp_backward, mlp_forward
 
 
@@ -29,16 +39,35 @@ class QNetwork:
     """
 
     def __init__(self, sizes=(36, 50, 20, 5), rng: np.random.Generator | None = None):
+        self._bind(sizes, None)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        for i in (1, 2, 3):
+            fan_in, fan_out = self.sizes[i - 1], self.sizes[i]
+            bound = 1.0 / np.sqrt(fan_in)
+            self.params[f"w{i}"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    def _bind(self, sizes, theta: np.ndarray | None) -> None:
+        """Set ``sizes``, ``theta`` (zeros when None) and the ``params``
+        views into it."""
         if len(sizes) != 4:
             raise ValueError("QNetwork expects exactly two hidden layers")
         self.sizes = tuple(int(s) for s in sizes)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.params: dict[str, np.ndarray] = {}
-        for i, name in enumerate(("w1", "w2", "w3")):
-            fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params[name] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.params["b" + name[1]] = np.zeros(fan_out)
+        shapes = {}
+        for i in (1, 2, 3):
+            shapes[f"w{i}"] = self.sizes[i - 1:i + 1]
+            shapes[f"b{i}"] = self.sizes[i:i + 1]
+        counts = [math.prod(shape) for shape in shapes.values()]
+        self.theta = np.zeros(sum(counts)) if theta is None else theta
+        parts = np.split(self.theta, np.cumsum(counts)[:-1])
+        self.params: dict[str, np.ndarray] = {
+            name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+    @classmethod
+    def _from_theta(cls, sizes, theta: np.ndarray | None) -> "QNetwork":
+        """A net over ``theta`` as is, without a random init."""
+        net = cls.__new__(cls)
+        net._bind(sizes, theta)
+        return net
 
     @property
     def n_actions(self) -> int:
@@ -60,14 +89,21 @@ class QNetwork:
         return q[0] if single else q
 
     def copy(self) -> "QNetwork":
-        clone = QNetwork(self.sizes)
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        return clone
+        return self._from_theta(self.sizes, self.theta.copy())
 
     def check_finite(self) -> None:
+        if np.all(np.isfinite(self.theta)):
+            return
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise TrainingDivergedError(f"parameter {name} became non-finite")
+
+    # Pickled as sizes and theta, so the params stay views after unpickling.
+    def __getstate__(self) -> dict:
+        return {"sizes": self.sizes, "theta": self.theta}
+
+    def __setstate__(self, state: dict) -> None:
+        self._bind(state["sizes"], state["theta"])
 
     # -- persistence -------------------------------------------------------
 
@@ -78,16 +114,23 @@ class QNetwork:
             "params": {k: v.tolist() for k, v in self.params.items()},
             "meta": meta or {},
         }
-        Path(path).write_text(json.dumps(payload))
+        write_text_atomic(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["QNetwork", dict]:
         payload = json.loads(Path(path).read_text())
         if payload.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version: {payload.get('version')}")
-        net = cls(tuple(payload["sizes"]))
-        net.params = {k: np.array(v, dtype=np.float64)
-                      for k, v in payload["params"].items()}
+        net = cls._from_theta(tuple(payload["sizes"]), None)
+        if set(payload["params"]) != set(net.params):
+            raise ValueError(f"checkpoint params {sorted(payload['params'])} "
+                             f"do not match {sorted(net.params)}")
+        for name, value in payload["params"].items():
+            value = np.array(value, dtype=np.float64)
+            if value.shape != net.params[name].shape:
+                raise ValueError(f"checkpoint param {name} has shape {value.shape}, "
+                                 f"expected {net.params[name].shape}")
+            net.params[name][...] = value
         return net, payload.get("meta", {})
 
 
@@ -171,7 +214,8 @@ def td_targets(batch, net: QNetwork, target_net: QNetwork, gamma: float) -> np.n
 
 
 class Optimizer:
-    """Adam (default) or plain steepest descent over the network params."""
+    """Adam (default) or plain steepest descent over the network's flat
+    parameter vector, updated in place."""
 
     def __init__(self, net: QNetwork, kind: str = "adam",
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -179,23 +223,41 @@ class Optimizer:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         if kind == "adam":
-            self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
-            self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
+            n = net.theta.size
+            self.m, self.v = np.zeros(n), np.zeros(n)
+            self._scratch = (np.empty(n), np.empty(n))
 
     def update(self, net: QNetwork, grads: dict[str, np.ndarray], lr: float) -> None:
         if lr == 0.0:
             return
+        g = np.concatenate([grads[k].ravel() for k in net.params])
+        theta = net.theta
         if self.kind == "sgd":
-            for k, g in grads.items():
-                net.params[k] -= lr * g
+            g *= lr
+            theta -= g
             return
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            net.params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+        m, v = self.m, self.v
+        a, b = self._scratch
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=a)
+        m += a
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
+        v += a
+        # theta -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        theta -= a
 
 
 def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, dict[str, np.ndarray]]:

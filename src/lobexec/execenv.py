@@ -109,6 +109,16 @@ class ExecutionEnv:
         """The market's order book, for reading pre-step features."""
         return self._market.book
 
+    @property
+    def arrival_price(self) -> Fraction:
+        """The mid at episode start (P0); the quote features read its float."""
+        return self._arrival_price
+
+    @arrival_price.setter
+    def arrival_price(self, value) -> None:
+        self._arrival_price = value
+        self._arrival_float = float(value)
+
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int) -> np.ndarray:
@@ -119,7 +129,7 @@ class ExecutionEnv:
         mid = self._market.book.mid_price()
         if mid is None:
             raise RuntimeError("book one-sided at episode start; no arrival price")
-        self.arrival_price: Fraction = mid
+        self.arrival_price = mid
         self.t = 0
         self.executed = 0
         self.completion_step: Optional[int] = None
@@ -137,11 +147,12 @@ class ExecutionEnv:
     # -- observation -------------------------------------------------------
 
     def _quote_feature(self, price: Optional[int]) -> float:
+        p0 = self._arrival_float
         if price is None:
-            return float(self.arrival_price)  # only before any quote exists
+            return p0  # only before any quote exists
         if self.config.quote_mode == "raw":
             return float(price)
-        return (price - float(self.arrival_price)) / float(self.arrival_price)
+        return (price - p0) / p0
 
     def _frame(self) -> np.ndarray:
         book = self._market.book

@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from lobexec import cli
 from lobexec.cli import main
 from lobexec.config import hash_comment, load_config
 from lobexec.dqn import QNetwork
@@ -280,6 +281,29 @@ class TestTrain:
             assert main(["train", "--config", str(lite_cfg),
                          "--out", str(out)]) == 0
         assert read_tree(a) == read_tree(b)
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.csv"
+        cli._write_csv(path, "# config_hash=a", "x\n1\n")
+        good = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            cli._write_csv(path, "# config_hash=b", "x\n2\n")
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+    def test_no_temporary_files_left(self, lite_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        for argv in (["train"], ["train", "--resume"], ["evaluate", "--policy", "twap"]):
+            assert main([*argv, "--config", str(lite_cfg), "--out", str(out)]) == 0
+        assert (out / "train" / "checkpoint.json").exists()
+        assert not list(out.rglob("*.tmp"))
 
 
 class TestHashLine:

@@ -1,4 +1,10 @@
+import hashlib
+import json
 import math
+import os
+import pickle
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,3 +338,197 @@ class TestCheckpointAndTrace:
             obs = env.step(a).observation
         q = net.forward(np.array(observations))
         assert [int(np.argmax(row)) for row in q] == actions
+
+
+class ReferenceOptimizer:
+    """The per-array Adam/SGD that ``Optimizer`` replaced, kept verbatim as
+    an oracle: the flat, in-place update must give the same bits."""
+
+    def __init__(self, net, kind: str = "adam",
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.kind = kind
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        if kind == "adam":
+            self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
+            self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
+
+    def update(self, net, grads, lr):
+        if lr == 0.0:
+            return
+        if self.kind == "sgd":
+            for k, g in grads.items():
+                net.params[k] -= lr * g
+            return
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for k, g in grads.items():
+            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
+            net.params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+
+
+PARAM_ORDER = ["w1", "b1", "w2", "b2", "w3", "b3"]
+
+
+def assert_views_of_theta(net):
+    """Every param is a view into the one contiguous float64 ``theta``, in
+    the order w1, b1, w2, b2, w3, b3."""
+    assert list(net.params) == PARAM_ORDER
+    assert net.theta.dtype == np.float64 and net.theta.flags.c_contiguous
+    for v in net.params.values():
+        assert np.shares_memory(v, net.theta)
+    flat = np.concatenate([v.ravel() for v in net.params.values()])
+    assert np.array_equal(flat, net.theta)
+
+
+class TestFlatOptimizer:
+    LRS = [1e-3, 0.0, 3e-2, 2.5e-4, 0.0, 0.0, 0.1, 1e-5]
+
+    @pytest.mark.parametrize("sizes", [(36, 50, 20, 5), (6, 5, 4, 3)])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_bit_equal_to_per_array_update(self, sizes, kind):
+        rng = np.random.default_rng(17)
+        net = QNetwork(sizes, rng)
+        ref = SimpleNamespace(params={k: v.copy() for k, v in net.params.items()})
+        opt, ref_opt = Optimizer(net, kind), ReferenceOptimizer(ref, kind)
+        adam_steps = 0
+        for step in range(50):
+            lr = self.LRS[step % len(self.LRS)]
+            s, a, y = rand_batch(rng, n=16, dim=sizes[0], n_actions=sizes[-1])
+            _, grads = loss_and_grads(net, s, a, y)
+            opt.update(net, grads, lr)
+            ref_opt.update(ref, grads, lr)
+            adam_steps += kind == "adam" and lr != 0.0
+            assert opt.t == ref_opt.t == adam_steps
+            for k in PARAM_ORDER:
+                assert np.array_equal(net.params[k], ref.params[k]), (step, k)
+            if kind == "adam":
+                assert np.array_equal(
+                    opt.m, np.concatenate([ref_opt.m[k].ravel() for k in PARAM_ORDER]))
+                assert np.array_equal(
+                    opt.v, np.concatenate([ref_opt.v[k].ravel() for k in PARAM_ORDER]))
+        assert opt.t == (31 if kind == "adam" else 0)  # the 19 lr = 0 steps do not count
+        assert_views_of_theta(net)
+
+
+class TestFlatParams:
+    # sha256 of the checkpoints that the per-array QNetwork wrote for these
+    # seeded nets with meta {"episode": 7, "seed": seed}
+    PINNED = {((36, 50, 20, 5), 0):
+              "6bc755f9e444968423efcea10824aecca6c5361f76467e07f672594641794be1",
+              ((6, 5, 4, 3), 3):
+              "d1dc3d478f03acaf40c66d6706be954094baa124a87ebf72789280fee3aa59c4"}
+
+    def test_views_after_init(self):
+        assert_views_of_theta(QNetwork())
+        assert_views_of_theta(QNetwork((6, 5, 4, 3), np.random.default_rng(1)))
+
+    def test_copy_is_equal_independent_and_draws_nothing(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        net = QNetwork((36, 50, 20, 5), rng)
+        state = rng.bit_generator.state
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("copy drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        clone = net.copy()
+        monkeypatch.undo()
+        assert rng.bit_generator.state == state
+        assert_views_of_theta(clone)
+        assert clone.sizes == net.sizes
+        assert np.array_equal(clone.theta, net.theta)
+        assert not np.shares_memory(clone.theta, net.theta)
+        clone.params["w2"][0, 0] += 1.0
+        assert not np.array_equal(clone.theta, net.theta)
+
+    def test_load_writes_into_views(self, tmp_path):
+        net = QNetwork((6, 5, 4, 3), np.random.default_rng(3))
+        net.save(tmp_path / "c.json")
+        loaded, _ = QNetwork.load(tmp_path / "c.json")
+        assert_views_of_theta(loaded)
+        assert np.array_equal(loaded.theta, net.theta)
+
+    def test_pickle_round_trip_keeps_views(self):
+        net = QNetwork((36, 50, 20, 5), np.random.default_rng(4))
+        back = pickle.loads(pickle.dumps(net))
+        assert_views_of_theta(back)
+        assert np.array_equal(back.theta, net.theta)
+        s = np.random.default_rng(5).normal(size=(3, 36))
+        assert np.array_equal(back.forward(s), net.forward(s))
+        back.params["b3"][:] = 7.0  # a write through a view reaches theta
+        assert np.all(back.theta[-5:] == 7.0)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_views_after_gradient_steps(self, kind):
+        rng = np.random.default_rng(6)
+        net = QNetwork((6, 5, 4, 3), rng)
+        theta = net.theta
+        opt = Optimizer(net, kind)
+        for _ in range(20):
+            s, a, y = rand_batch(rng, dim=6, n_actions=3)
+            gradient_step(net, (s, a, y, s, np.zeros(5, dtype=bool)), y, 0.01, opt)
+        assert net.theta is theta
+        assert_views_of_theta(net)
+
+    @pytest.mark.parametrize("sizes, seed", list(PINNED))
+    def test_save_bytes_pinned(self, tmp_path, sizes, seed):
+        path = tmp_path / "c.json"
+        QNetwork(sizes, np.random.default_rng(seed)).save(
+            path, meta={"episode": 7, "seed": seed})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[sizes, seed]
+
+    def test_check_finite_names_the_parameter(self):
+        net = QNetwork((6, 5, 4, 3), np.random.default_rng(7))
+        net.check_finite()
+        net.params["b2"][1] = np.nan
+        with pytest.raises(TrainingDivergedError, match="parameter b2 became non-finite"):
+            net.check_finite()
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape"])
+    def test_load_rejects_mismatched_params(self, tmp_path, edit):
+        path = tmp_path / "c.json"
+        QNetwork((6, 5, 4, 3), np.random.default_rng(8)).save(path)
+        payload = json.loads(path.read_text())
+        if edit == "missing":
+            del payload["params"]["b3"]
+        elif edit == "extra":
+            payload["params"]["w4"] = [[0.0]]
+        else:
+            payload["params"]["w2"] = payload["params"]["w2"][1:]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            QNetwork.load(path)
+
+
+class TestCrashSafeSave:
+    @staticmethod
+    def fail_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    @staticmethod
+    def fail_mid_write(path, text):
+        with open(path, "w") as f:
+            f.write(text[: len(text) // 2])
+        raise OSError("simulated crash mid-write")
+
+    @pytest.mark.parametrize("where", ["write", "replace"])
+    def test_failed_save_keeps_last_checkpoint(self, tmp_path, monkeypatch, where):
+        path = tmp_path / "checkpoint.json"
+        QNetwork((6, 5, 4, 3), np.random.default_rng(9)).save(path, meta={"episode": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+        good = path.read_bytes()
+        if where == "write":
+            monkeypatch.setattr(Path, "write_text", self.fail_mid_write)
+        else:
+            monkeypatch.setattr(os, "replace", self.fail_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            QNetwork((6, 5, 4, 3), np.random.default_rng(10)).save(
+                path, meta={"episode": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        _, meta = QNetwork.load(path)
+        assert meta == {"episode": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]

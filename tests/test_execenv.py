@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,16 @@ class TestObservation:
         env = constant_env(quote_mode="raw")
         frame = env.reset(0).reshape(4, 9)[0]
         assert frame[7] == 9999.0 and frame[8] == 10001.0
+
+    @pytest.mark.parametrize("p0", [10000, 10002, Fraction(30001, 3)])
+    def test_quote_features_follow_assigned_arrival_price(self, p0):
+        env = constant_env(bid=9999, ask=10001)
+        env.reset(0)
+        env.arrival_price = p0
+        assert env.arrival_price == p0
+        frame = env.step(0).observation.reshape(4, 9)[-1]
+        assert frame[7] == (9999 - float(p0)) / float(p0)
+        assert frame[8] == (10001 - float(p0)) / float(p0)
 
 
 class TestShortfall:
