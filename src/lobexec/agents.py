@@ -75,22 +75,11 @@ class MarketMakerParams:
 
 
 class Agent:
-    def __init__(self, agent_id: int, rng: np.random.Generator):
+    """Base agent; by default it sleeps Exp(params.mean_wake_s) seconds between wakeups."""
+
+    def __init__(self, agent_id: int, rng: np.random.Generator, params):
         self.agent_id = agent_id
         self.rng = rng
-
-    def first_wakeup(self) -> int:
-        raise NotImplementedError
-
-    def wakeup(self, now: int, exchange) -> int | None:
-        raise NotImplementedError
-
-
-class NoiseAgent(Agent):
-    """Submits an equally likely buy/sell market order of uniform size."""
-
-    def __init__(self, agent_id, rng, params: NoiseAgentParams):
-        super().__init__(agent_id, rng)
         self.params = params
 
     def _delay(self) -> int:
@@ -98,6 +87,13 @@ class NoiseAgent(Agent):
 
     def first_wakeup(self) -> int:
         return self._delay()
+
+    def wakeup(self, now: int, exchange) -> int | None:
+        raise NotImplementedError
+
+
+class NoiseAgent(Agent):
+    """Submits an equally likely buy/sell market order of uniform size."""
 
     def wakeup(self, now, exchange):
         side = Side.BID if self.rng.random() < 0.5 else Side.ASK
@@ -109,16 +105,11 @@ class NoiseAgent(Agent):
 class ValueAgent(Agent):
     """Trades against perceived mispricing of the fundamental."""
 
-    def __init__(self, agent_id, rng, params: ValueAgentParams):
-        super().__init__(agent_id, rng)
-        self.params = params
-
     def _delay(self) -> int:
+        # the rate is per ns, so draw in ns rather than seconds * NS_PER_SEC,
+        # which would round differently
         mean_ns = 1.0 / self.params.lambda_va
         return max(1, int(self.rng.exponential(mean_ns)))
-
-    def first_wakeup(self) -> int:
-        return self._delay()
 
     def wakeup(self, now, exchange):
         obs = exchange.oracle_observe(self.agent_id, now, self.params.obs_noise_std)
@@ -149,16 +140,6 @@ class MomentumAgent(Agent):
     """Buys (sells) when the short mid-price moving average is above (below)
     the long one. Needs at least long_window mid samples to act."""
 
-    def __init__(self, agent_id, rng, params: MomentumAgentParams):
-        super().__init__(agent_id, rng)
-        self.params = params
-
-    def _delay(self) -> int:
-        return max(1, int(self.rng.exponential(self.params.mean_wake_s) * NS_PER_SEC))
-
-    def first_wakeup(self) -> int:
-        return self._delay()
-
     def wakeup(self, now, exchange):
         mids = exchange.mid_history()
         if len(mids) < self.params.long_window:
@@ -181,8 +162,7 @@ class MarketMakerAgent(Agent):
     """
 
     def __init__(self, agent_id, rng, params: MarketMakerParams):
-        super().__init__(agent_id, rng)
-        self.params = params
+        super().__init__(agent_id, rng, params)
         self._window_ns = int(params.window_s * NS_PER_SEC)
         self._live_orders: list[int] = []
 

@@ -63,9 +63,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run background-only market sessions")
     common(p)
     p.add_argument("--n-seeds", type=int, default=1,
-                   help="number of consecutive seeds to simulate")
+                   help="number of consecutive seeds to simulate (>= 1)")
     p.add_argument("--duration", type=float, default=None,
-                   help="session length in seconds (0 = header-only CSVs)")
+                   help="session length in seconds, >= 0 (0 = header-only CSVs)")
 
     p = sub.add_parser("train", help="train the DQN execution agent")
     common(p)
@@ -112,6 +112,10 @@ def _write_csv(path: Path, comment: str, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.n_seeds < 1:
+        raise UsageError(f"--n-seeds must be >= 1, got {args.n_seeds}")
+    if args.duration is not None and not args.duration >= 0:  # also rejects nan
+        raise UsageError(f"--duration must be >= 0, got {args.duration}")
     config = _load(args)
     out = _out_dir(args, config, "simulate")
     dump_config(config, out / "config_used.yaml")
@@ -250,7 +254,7 @@ def cmd_benchmark(args) -> int:
                 rows, tests = aggregate(results), rl_vs_baselines(results)
             except Exception as exc:  # keep running the remaining cells
                 error = f"{type(exc).__name__}: {exc}"
-                (cdir / "error.txt").write_text(error + "\n")
+                write_text_atomic(cdir / "error.txt", error + "\n")
                 print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
                 failures += 1
                 continue

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import yaml
 
+from ._io import write_text_atomic
 from .dqn import Schedules
 from .execenv import ExecConfig
 from .kernel import MarketConfig
@@ -148,7 +149,7 @@ def config_hash(config) -> str:
 
 
 def dump_config(config, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(to_dict(config), sort_keys=True))
+    write_text_atomic(path, yaml.safe_dump(to_dict(config), sort_keys=True))
 
 
 def hash_comment(config) -> str:

@@ -1,9 +1,10 @@
 """Deep Q-learning: MLP Q-function, replay memory, schedules, training loop.
 
 The Q-network is a 36-50-20-5 fully connected net with rectifier hidden
-activations, trained on the squared TD error of the taken action. Targets
-use the online network by default; an optional periodically synced target
-network can be enabled via ``target_sync``.
+activations, trained on the squared TD error of the taken action; its
+numpy kernels are the module-level ``mlp_forward`` and ``mlp_backward``.
+Targets use the online network by default; an optional periodically
+synced target network can be enabled via ``target_sync``.
 
 All parameters live in one contiguous float64 vector, ``QNetwork.theta``,
 laid out as ``w1, b1, w2, b2, w3, b3`` (row-major weights of shape
@@ -25,11 +26,35 @@ import numpy as np
 
 from ._csv import csv_text
 from ._io import write_text_atomic
-from ._kernels import mlp_backward, mlp_forward
 
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
+
+
+def mlp_forward(x, w1, b1, w2, b2, w3, b3):
+    """Affine-relu-affine-relu-affine. Returns (q, h1, h2) for backprop."""
+    z1 = x @ w1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2 + b2
+    h2 = np.maximum(z2, 0.0)
+    q = h2 @ w3 + b3
+    return q, h1, h2
+
+
+def mlp_backward(x, h1, h2, dq, w2, w3):
+    """Gradients of a scalar loss given dL/dq. Returns grads for all params."""
+    gw3 = h2.T @ dq
+    gb3 = dq.sum(axis=0)
+    dh2 = dq @ w3.T
+    dh2 = dh2 * (h2 > 0.0)
+    gw2 = h1.T @ dh2
+    gb2 = dh2.sum(axis=0)
+    dh1 = dh2 @ w2.T
+    dh1 = dh1 * (h1 > 0.0)
+    gw1 = x.T @ dh1
+    gb1 = dh1.sum(axis=0)
+    return gw1, gb1, gw2, gb2, gw3, gb3
 
 
 class QNetwork:
@@ -79,7 +104,7 @@ class QNetwork:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite observation")
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input dim {self.sizes[0]}, got {x.shape[1]}")
@@ -92,10 +117,10 @@ class QNetwork:
         return self._from_theta(self.sizes, self.theta.copy())
 
     def check_finite(self) -> None:
-        if np.all(np.isfinite(self.theta)):
+        if np.isfinite(self.theta).all():
             return
         for name, value in self.params.items():
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise TrainingDivergedError(f"parameter {name} became non-finite")
 
     # Pickled as sizes and theta, so the params stay views after unpickling.
@@ -134,6 +159,13 @@ class QNetwork:
         return net, payload.get("meta", {})
 
 
+def _anneal(start: float, end: float, steps: int, i: int) -> float:
+    """Linear from ``start`` at i = 0 to ``end`` at i = steps, then flat."""
+    if i >= steps:
+        return end
+    return start + (i / steps) * (end - start)
+
+
 @dataclass
 class Schedules:
     lr_start: float = 1e-3
@@ -150,16 +182,10 @@ class Schedules:
     optimizer: str = "adam"      # adam | sgd
 
     def lr(self, grad_step: int) -> float:
-        if grad_step >= self.lr_steps:
-            return self.lr_end
-        frac = grad_step / self.lr_steps
-        return self.lr_start + frac * (self.lr_end - self.lr_start)
+        return _anneal(self.lr_start, self.lr_end, self.lr_steps, grad_step)
 
     def epsilon(self, env_step: int) -> float:
-        if env_step >= self.eps_steps:
-            return self.eps_end
-        frac = env_step / self.eps_steps
-        return self.eps_start + frac * (self.eps_end - self.eps_start)
+        return _anneal(self.eps_start, self.eps_end, self.eps_steps, env_step)
 
     def validate(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
@@ -270,7 +296,7 @@ def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, dict[str, np.ndarray]
     n = s.shape[0]
     q_taken = q[np.arange(n), a]
     err = q_taken - y
-    loss = float(np.mean(err ** 2))
+    loss = float(np.add.reduce(err * err) / n)
     dq = np.zeros_like(q)
     dq[np.arange(n), a] = 2.0 * err / n
     gw1, gb1, gw2, gb2, gw3, gb3 = mlp_backward(s, h1, h2, dq, p["w2"], p["w3"])

@@ -142,7 +142,7 @@ class ExecutionEnv:
         frame = self._frame()
         for _ in range(HISTORY):
             self._frames.append(frame)
-        return self._stack()
+        return self.observe()
 
     # -- observation -------------------------------------------------------
 
@@ -170,12 +170,9 @@ class ExecutionEnv:
              self._quote_feature(self._last_ask)],
             dtype=np.float64)
 
-    def _stack(self) -> np.ndarray:
-        return np.concatenate(list(self._frames))
-
     def observe(self) -> np.ndarray:
         """Current stacked observation (oldest frame first)."""
-        return self._stack()
+        return np.concatenate(list(self._frames))
 
     @property
     def done(self) -> bool:
@@ -243,7 +240,7 @@ class ExecutionEnv:
 
         frame = self._frame()
         self._frames.append(frame)
-        obs = self._stack()
+        obs = self.observe()
         info = {
             "t": self.t,
             "filled": filled,

@@ -2,17 +2,17 @@
 
 The latent price follows dX = theta (mu - X) dt + sigma dW + J dN where J
 is drawn from a 50/50 mixture of N(jump_mu1, jump_sigma1^2) and
-N(-jump_mu1, jump_sigma1^2), so jumps have zero mean. Time is in integer
-nanoseconds; theta, sigma and lambda are per-ns quantities.
+N(-jump_mu1, jump_sigma1^2), so jumps have zero mean. The diffusion part
+advances by ``ou_step``, the exact discretization of the OU process. Time
+is in integer nanoseconds; theta, sigma and lambda are per-ns quantities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._kernels import ou_step
 
 NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
 
@@ -29,6 +29,24 @@ class FundamentalParams:
     def validate(self) -> None:
         if self.theta < 0 or self.sigma < 0 or self.jump_lambda < 0 or self.jump_sigma1 < 0:
             raise ValueError("fundamental parameters must be nonnegative")
+
+
+def ou_step(x: float, mu: float, theta: float, sigma: float, dt: float,
+            normal: float) -> float:
+    """One exact-discretization OU step of size dt.
+
+    x' = mu + (x - mu) e^{-theta dt} + eps, with
+    eps ~ N(0, sigma^2 (1 - e^{-2 theta dt}) / (2 theta)); the theta -> 0
+    limit sigma^2 dt is used when theta == 0. ``normal`` is a standard
+    normal draw supplied by the caller (keeps the RNG outside the step).
+    """
+    if theta > 0.0:
+        decay = math.exp(-theta * dt)
+        std = sigma * math.sqrt((1.0 - decay * decay) / (2.0 * theta))
+    else:
+        decay = 1.0
+        std = sigma * math.sqrt(dt)
+    return mu + (x - mu) * decay + std * normal
 
 
 def fundamental_step(x: float, dt: int, params: FundamentalParams,

@@ -119,22 +119,15 @@ class MarketSession:
         self._last_trade: int | None = None
         self._last_event_key = (-1, -1)
 
+        population = ((MarketMakerAgent, config.n_market_maker, config.market_maker),
+                      (ValueAgent, config.n_value, config.value),
+                      (MomentumAgent, config.n_momentum, config.momentum),
+                      (NoiseAgent, config.n_noise, config.noise))
         self.agents: list[Agent] = []
-        aid = 1
-        for _ in range(config.n_market_maker):
-            self.agents.append(MarketMakerAgent(aid, self._agent_rng(seed, aid),
-                                                config.market_maker))
-            aid += 1
-        for _ in range(config.n_value):
-            self.agents.append(ValueAgent(aid, self._agent_rng(seed, aid), config.value))
-            aid += 1
-        for _ in range(config.n_momentum):
-            self.agents.append(MomentumAgent(aid, self._agent_rng(seed, aid),
-                                             config.momentum))
-            aid += 1
-        for _ in range(config.n_noise):
-            self.agents.append(NoiseAgent(aid, self._agent_rng(seed, aid), config.noise))
-            aid += 1
+        for cls, count, params in population:
+            for _ in range(count):
+                aid = len(self.agents) + 1
+                self.agents.append(cls(aid, self._agent_rng(seed, aid), params))
 
         for agent in self.agents:
             self._schedule(agent.first_wakeup(), agent)

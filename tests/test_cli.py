@@ -7,7 +7,7 @@ import pytest
 
 from lobexec import cli
 from lobexec.cli import main
-from lobexec.config import hash_comment, load_config
+from lobexec.config import dump_config, hash_comment, load_config
 from lobexec.dqn import QNetwork
 from lobexec.evaluation import aggregate, metrics_csv, run_experiment
 
@@ -153,6 +153,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert "--parallel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-seeds", "0"),       # exit 0, only config_used.yaml written
+        ("--n-seeds", "-1"),
+        ("--duration", "-5"),     # exit 0 after the config's full session
+        ("--duration", "nan"),
+    ])
+    def test_bad_simulate_flag_is_usage_error(self, lite_cfg, tmp_path, capsys,
+                                              flag, value):
+        out = tmp_path / "o"
+        assert main(["simulate", flag, value, "--config", str(lite_cfg),
+                     "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_expected_files(self, lite_cfg, tmp_path, capsys):
@@ -297,6 +311,20 @@ class TestAtomicWrites:
             cli._write_csv(path, "# config_hash=b", "x\n2\n")
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+
+    def test_failed_config_dump_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "config_used.yaml"
+        dump_config(load_config(None), path)
+        good = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            dump_config(load_config(None, {"seed": 5}), path)
+        assert path.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config_used.yaml"]
 
     def test_no_temporary_files_left(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"

@@ -105,6 +105,16 @@ class TestTdTargets:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("n", [1, 7, 64, 65])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_equals_mean_of_squared_errors(self, n, seed):
+        rng = np.random.default_rng(seed)
+        net = QNetwork(rng=rng)
+        s, a, y = rand_batch(rng, n=n)
+        err = net.forward(s)[np.arange(n), a] - y
+        loss, _ = loss_and_grads(net, s, a, y)
+        assert loss == float(np.mean(err ** 2))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_analytic_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -187,6 +197,24 @@ class TestAct:
 
 
 class TestSchedules:
+    @staticmethod
+    def reference(start, end, steps, i):
+        """The linear anneal, in the order it has always been evaluated."""
+        if i >= steps:
+            return end
+        frac = i / steps
+        return start + frac * (end - start)
+
+    @pytest.mark.parametrize("steps", [1, 3, 7, 1000, 10_000, 90_000])
+    def test_lr_and_epsilon_match_reference_bit_for_bit(self, steps):
+        s = Schedules(lr_start=3e-3, lr_end=1e-5, lr_steps=steps,
+                      eps_start=0.9, eps_end=0.013, eps_steps=steps)
+        points = sorted({0, 1, steps // 3, steps // 2, steps - 1, steps,
+                         steps + 1, 10 * steps})
+        for i in points:
+            assert s.lr(i) == self.reference(3e-3, 1e-5, steps, i)
+            assert s.epsilon(i) == self.reference(0.9, 0.013, steps, i)
+
     def test_lr_linear_and_clamped(self):
         s = Schedules()
         assert s.lr(0) == 1e-3

@@ -7,9 +7,11 @@ import pytest
 from lobexec.agents import (
     MarketMakerAgent,
     MarketMakerParams,
+    MomentumAgent,
     MomentumAgentParams,
     NoiseAgent,
     NoiseAgentParams,
+    ValueAgent,
     ValueAgentParams,
 )
 from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
@@ -21,6 +23,38 @@ def small_config(**kw):
                 session_seconds=20.0)
     base.update(kw)
     return MarketConfig(**base)
+
+
+def test_default_population_order_and_ids():
+    agents = MarketSession(MarketConfig(), seed=0).agents
+    assert [a.agent_id for a in agents] == list(range(1, 1116))
+    expected = ([MarketMakerAgent] * 1 + [ValueAgent] * 102
+                + [MomentumAgent] * 12 + [NoiseAgent] * 1000)
+    assert [type(a) for a in agents] == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_wakeup_formulas(seed):
+    def twin():
+        return np.random.default_rng(seed)
+
+    def in_seconds(rng, mean_wake_s):
+        return max(1, int(rng.exponential(mean_wake_s) * NS_PER_SEC))
+
+    noise, momentum = NoiseAgentParams(mean_wake_s=7.5), MomentumAgentParams()
+    value = ValueAgentParams(lambda_va=3.1e-11)
+    cases = [
+        (NoiseAgent(1, twin(), noise), lambda r: in_seconds(r, 7.5)),
+        (MomentumAgent(2, twin(), momentum),
+         lambda r: in_seconds(r, momentum.mean_wake_s)),
+        (ValueAgent(3, twin(), value),
+         lambda r: max(1, int(r.exponential(1.0 / 3.1e-11)))),
+        (MarketMakerAgent(4, twin(), MarketMakerParams()), lambda r: 0),
+    ]
+    for agent, formula in cases:
+        rng = twin()
+        assert agent.first_wakeup() == formula(rng)
+        assert agent.first_wakeup() == formula(rng)
 
 
 def test_empty_population_book_stays_empty():

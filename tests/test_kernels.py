@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lobexec._kernels import mlp_backward, mlp_forward, ou_step
+from lobexec.dqn import mlp_backward, mlp_forward
+from lobexec.fundamental import ou_step
 
 
 def random_net(rng, batch=7, dims=(36, 50, 20, 5)):
