@@ -60,6 +60,8 @@ class RunConfig:
             self.dqn.schedules.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.dqn.episodes < 1:
             raise ConfigError("dqn.episodes must be >= 1")
         if len(self.dqn.hidden) != 2 or not all(type(n) is int and n >= 1

@@ -179,7 +179,6 @@ class Schedules:
     replay_capacity: int = 100_000
     learn_start: int = 1000      # replay size before gradient steps begin
     target_sync: int = 0         # 0 = single network (targets from online net)
-    optimizer: str = "adam"      # adam | sgd
 
     def lr(self, grad_step: int) -> float:
         return _anneal(self.lr_start, self.lr_end, self.lr_steps, grad_step)
@@ -188,8 +187,6 @@ class Schedules:
         return _anneal(self.eps_start, self.eps_end, self.eps_steps, env_step)
 
     def validate(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ValueError("bad batch size / replay capacity")
         if not 0.0 <= self.gamma <= 1.0:
@@ -240,28 +237,20 @@ def td_targets(batch, net: QNetwork, target_net: QNetwork, gamma: float) -> np.n
 
 
 class Optimizer:
-    """Adam (default) or plain steepest descent over the network's flat
-    parameter vector, updated in place."""
+    """Adam over the network's flat parameter vector, updated in place."""
 
-    def __init__(self, net: QNetwork, kind: str = "adam",
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.kind = kind
+    def __init__(self, net: QNetwork, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        if kind == "adam":
-            n = net.theta.size
-            self.m, self.v = np.zeros(n), np.zeros(n)
-            self._scratch = (np.empty(n), np.empty(n))
+        n = net.theta.size
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def update(self, net: QNetwork, grads: dict[str, np.ndarray], lr: float) -> None:
         if lr == 0.0:
             return
         g = np.concatenate([grads[k].ravel() for k in net.params])
-        theta = net.theta
-        if self.kind == "sgd":
-            g *= lr
-            theta -= g
-            return
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -283,7 +272,7 @@ class Optimizer:
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        theta -= a
+        net.theta -= a
 
 
 def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, dict[str, np.ndarray]]:
@@ -357,15 +346,15 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
         raise ValueError("episodes must be >= 1")
     schedules.validate()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
+    expected = (obs_dim, *hidden, n_actions)
     if net is None:
-        net = QNetwork((obs_dim, *hidden, n_actions),
-                       np.random.default_rng(np.random.SeedSequence(
-                           entropy=seed, spawn_key=(5,))))
-    if net.n_actions != n_actions:
-        raise ValueError(
-            f"network outputs {net.n_actions} actions, environment has {n_actions}")
+        net = QNetwork(expected, np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(5,))))
+    if net.sizes != expected:
+        raise ValueError(f"network has layer sizes {list(net.sizes)}, "
+                         f"config expects {list(expected)}")
     target = net if schedules.target_sync == 0 else net.copy()
-    optimizer = Optimizer(net, schedules.optimizer)
+    optimizer = Optimizer(net)
     replay = ReplayMemory(schedules.replay_capacity, obs_dim)
     curve = []
     rewards_window: list[float] = []

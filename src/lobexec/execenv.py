@@ -6,9 +6,11 @@ per-step reward is
 
     reward = filled * (P0 - P_t)  -  alpha * d_t  -  beta * I_T * 1{t=T}
 
-for a buy (shortfall sign flipped for a sell), with d_t the depth consumed
-by the child order and an additional per-share penalty for executing past
-the parent size. Once the parent is filled, remaining steps are forced to
+for a buy (shortfall sign flipped for a sell), with d_t the number of
+price levels past the touch that the child order consumes and an
+additional per-share penalty for executing past the parent size. The
+observation's quote features are (price - P0) / P0 for the last known
+best bid and ask. Once the parent is filled, remaining steps are forced to
 "do nothing" and earn zero reward.
 """
 
@@ -44,8 +46,6 @@ class ExecConfig:
     alpha: float = 2.0                # depth penalty weight
     beta: float = 5.0                 # terminal per-share penalty
     over_exec_penalty: float = 5.0    # per share beyond parent size
-    depth_metric: str = "levels"      # levels | ticks
-    quote_mode: str = "relative"      # relative | raw observation quotes
     warmup_s: int = 60                # market run-in before the episode starts
 
     @property
@@ -71,10 +71,6 @@ class ExecConfig:
             raise ValueError("warmup_s must be >= 0")
         if self.time_window_s % self.step_s != 0:
             raise ValueError("time_window_s must be a multiple of step_s")
-        if self.depth_metric not in ("levels", "ticks"):
-            raise ValueError("depth_metric must be 'levels' or 'ticks'")
-        if self.quote_mode not in ("relative", "raw"):
-            raise ValueError("quote_mode must be 'relative' or 'raw'")
         if self.q_min * self.n_size_actions * self.n_steps < self.parent_size:
             raise ValueError(
                 "infeasible config: max executable "
@@ -146,14 +142,6 @@ class ExecutionEnv:
 
     # -- observation -------------------------------------------------------
 
-    def _quote_feature(self, price: Optional[int]) -> float:
-        p0 = self._arrival_float
-        if price is None:
-            return p0  # only before any quote exists
-        if self.config.quote_mode == "raw":
-            return float(price)
-        return (price - p0) / p0
-
     def _frame(self) -> np.ndarray:
         book = self._market.book
         bb, ba = book.best_bid(), book.best_ask()
@@ -164,10 +152,10 @@ class ExecutionEnv:
         holdings = min(1.0, max(0.0, 1.0 - self.executed / self.config.parent_size))
         time_rem = 1.0 - self.t / self.config.n_steps
         imb = book.imbalances(self.side, 5)
+        p0 = self._arrival_float
         return np.array(
             [holdings, time_rem, *imb,
-             self._quote_feature(self._last_bid),
-             self._quote_feature(self._last_ask)],
+             (self._last_bid - p0) / p0, (self._last_ask - p0) / p0],
             dtype=np.float64)
 
     def observe(self) -> np.ndarray:
@@ -212,7 +200,7 @@ class ExecutionEnv:
             filled = result.filled
             if filled > 0:
                 notional = result.notional
-                d_t = self._depth(result)
+                d_t = result.depth_consumed
                 self._cost += notional
                 self.executed += filled
                 self._depth_total += d_t
@@ -254,12 +242,6 @@ class ExecutionEnv:
             "terminal_term": terminal_term,
         }
         return StepOutcome(observation=obs, reward=reward, done=self.done, info=info)
-
-    def _depth(self, result) -> int:
-        if self.config.depth_metric == "levels":
-            return result.depth_consumed
-        prices = [f.price for f in result.fills]
-        return max(prices) - min(prices)  # ticks traversed past the touch
 
     # -- episode accounting --------------------------------------------------
 

@@ -71,12 +71,11 @@ class FundamentalPath:
     (the event kernel queries in event order).
     """
 
-    def __init__(self, params: FundamentalParams, rng: np.random.Generator,
-                 x0: float | None = None):
+    def __init__(self, params: FundamentalParams, rng: np.random.Generator):
         params.validate()
         self.params = params
         self._rng = rng
-        self._cache: dict[int, float] = {0: params.mu if x0 is None else x0}
+        self._cache: dict[int, float] = {0: params.mu}
         self._last_ts = 0
 
     def value(self, ts: int) -> float:

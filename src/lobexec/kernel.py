@@ -97,7 +97,6 @@ class MarketSession:
     def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None):
         config.validate()
         self.config = config
-        self.seed = seed
         self.hooks = hooks or {}
         self.now = 0
         self.session_end = int(config.session_seconds * NS_PER_SEC)

@@ -11,13 +11,18 @@ from __future__ import annotations
 from .lob import MarketOrderResult, Order, OrderBook, Side
 
 
+DEPTH = 10 ** 9  # shares resting at each quote
+
+
 class ConstantMarket:
-    def __init__(self, bid: int, ask: int, level_qty: int = 10 ** 9, seed: int = 0):
+    """The quotes never move, so ``seed`` is unused; it keeps the signature
+    of a seeded market factory."""
+
+    def __init__(self, bid: int, ask: int, seed: int = 0):
         if not 0 < bid < ask:
             raise ValueError("need 0 < bid < ask")
         self.bid = bid
         self.ask = ask
-        self.level_qty = level_qty
         self.now = 0
         self.book = OrderBook()
         self._next_id = 1
@@ -28,9 +33,9 @@ class ConstantMarket:
         oid = self._next_id
         self._next_id += 2
         self.book.submit_limits(
-            [Order(id=oid, agent_id=0, side=Side.BID, qty=self.level_qty,
+            [Order(id=oid, agent_id=0, side=Side.BID, qty=DEPTH,
                    price=self.bid, ts=self.now),
-             Order(id=oid + 1, agent_id=0, side=Side.ASK, qty=self.level_qty,
+             Order(id=oid + 1, agent_id=0, side=Side.ASK, qty=DEPTH,
                    price=self.ask, ts=self.now)])
 
     def run_until(self, t: int) -> None:

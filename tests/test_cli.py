@@ -70,11 +70,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    # the last three are removed switches that older configs may still set
+    @pytest.mark.parametrize("body, key", [
+        ("seeed: 1\n", "seeed"),
+        ("exec: {quote_mode: raw}\n", "quote_mode"),
+        ("exec: {depth_metric: ticks}\n", "depth_metric"),
+        ("dqn: {schedules: {optimizer: sgd}}\n", "optimizer"),
+    ], ids=["seeed", "exec.quote_mode", "exec.depth_metric", "dqn.schedules.optimizer"])
+    def test_unknown_config_key(self, tmp_path, capsys, body, key):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("seeed: 1\n")
+        bad.write_text(body)
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [
         "market: {n_noise: abc}\n",
@@ -111,6 +119,7 @@ class TestExitCodes:
         ("dqn.episodes", 0),
         ("eval.grid", [[10]]),                   # raw unpack error in benchmark
         ("exec.warmup_s", -5),                   # one-sided book, exit 3
+        ("seed", -1),                            # exit 0 at --duration 0
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -166,6 +175,16 @@ class TestExitCodes:
                      "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--duration", "1"],
+                                      ["evaluate", "--policy", "twap"]],
+                             ids=["simulate", "evaluate"])
+    def test_negative_seed_is_config_error(self, lite_cfg, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--seed", "-1", "--config", str(lite_cfg),
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.rglob("config_used.yaml"))
 
 
 class TestSimulate:
@@ -288,6 +307,25 @@ class TestTrain:
         curve = (tdir / "learning_curve.csv").read_text().splitlines()
         assert curve[0] == hash_comment(load_config(tdir / "config_used.yaml"))
         assert [int(r.split(",")[0]) for r in curve[2:]] == [0, 1, 2]
+
+    def test_resume_rejects_checkpoint_of_another_shape(self, lite_cfg, tmp_path,
+                                                        capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(lite_cfg), "--episodes", "1",
+                     "--out", str(out)]) == 0
+        tdir = out / "train"
+        before = {name: (tdir / name).read_bytes()
+                  for name in ("checkpoint.json", "learning_curve.csv")}
+        capsys.readouterr()
+        other = tmp_path / "other.yaml"
+        other.write_text(lite_cfg.read_text().replace(
+            "dqn:\n", "dqn:\n  hidden: [30, 10]\n"))
+        assert main(["train", "--config", str(other), "--resume",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "[36, 50, 20, 5]" in err and "[36, 30, 10, 5]" in err
+        for name, data in before.items():
+            assert (tdir / name).read_bytes() == data
 
     def test_reproducible(self, lite_cfg, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

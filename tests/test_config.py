@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,12 @@ def test_dump_roundtrip(tmp_path):
     dump_config(cfg, out)
     again = load_config(out)
     assert to_dict(again) == to_dict(cfg)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.yaml"
+    p.write_text(block)
+    cfg = load_config(p)
+    assert cfg.seed == 7 and cfg.dqn.episodes == 300

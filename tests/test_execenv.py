@@ -180,11 +180,6 @@ class TestObservation:
         obs1 = env.step(1).observation.reshape(4, 9)
         assert np.array_equal(obs1[:3], obs0[1:])
 
-    def test_raw_quote_mode(self):
-        env = constant_env(quote_mode="raw")
-        frame = env.reset(0).reshape(4, 9)[0]
-        assert frame[7] == 9999.0 and frame[8] == 10001.0
-
     @pytest.mark.parametrize("p0", [10000, 10002, Fraction(30001, 3)])
     def test_quote_features_follow_assigned_arrival_price(self, p0):
         env = constant_env(bid=9999, ask=10001)
@@ -249,20 +244,3 @@ class TestShortfall:
             sell.step(4)
         # mirrored book: both pay the same half-spread
         assert buy.episode_shortfall() == sell.episode_shortfall() == -1.0
-
-
-def test_depth_metric_ticks():
-    cfg = ExecConfig(parent_size=2000, time_window_s=180, warmup_s=1,
-                     depth_metric="ticks")
-    market = ConstantMarket(9999, 10001)
-    env = ExecutionEnv(cfg, lambda s: market)
-    env.reset(0)
-    from lobexec.lob import Order, Side
-    for oid in market.book.order_ids():
-        market.book.cancel(oid)
-    market.book.submit_limit(Order(id=101, agent_id=0, side=Side.ASK,
-                                   qty=10, price=10001))
-    market.book.submit_limit(Order(id=102, agent_id=0, side=Side.ASK,
-                                   qty=10, price=10005))
-    out = env.step(1)
-    assert out.info["depth_consumed"] == 4  # 10005 - 10001 ticks traversed
