@@ -23,8 +23,8 @@ class NoiseAgentParams:
     mean_wake_s: float = 60.0
 
     def validate(self) -> None:
-        if not 1 <= self.min_size <= self.max_size:
-            raise ValueError("noise sizes need 1 <= min_size <= max_size")
+        if not 1 <= self.min_size <= self.max_size < 2**32:
+            raise ValueError("noise sizes need 1 <= min_size <= max_size < 2**32")
         if self.mean_wake_s <= 0:
             raise ValueError("noise mean_wake_s must be positive")
 
@@ -93,12 +93,44 @@ class Agent:
 
 
 class NoiseAgent(Agent):
-    """Submits an equally likely buy/sell market order of uniform size."""
+    """Submits an equally likely buy/sell market order of uniform size.
+
+    The size is the draw ``rng.integers(min_size, max_size + 1)`` would
+    make, taken straight from the bit generator: numpy's Lemire bounded
+    draw (arXiv:1805.10941) over 32-bit outputs, where each 64-bit raw
+    output yields its low half and buffers its high half. ``random`` and
+    ``exponential`` read 64-bit outputs and leave that buffer alone.
+    """
+
+    def __init__(self, agent_id, rng, params: NoiseAgentParams):
+        super().__init__(agent_id, rng, params)
+        self._raw = rng.bit_generator.random_raw
+        self._high: int | None = None  # buffered upper half of the last raw output
+
+    def _next_uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        raw = self._raw()
+        self._high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def _size(self) -> int:
+        lo = self.params.min_size
+        n = self.params.max_size - lo + 1  # < 2**32 by NoiseAgentParams.validate
+        if n == 1:
+            return lo
+        m = self._next_uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32() * n
+        return lo + (m >> 32)
 
     def wakeup(self, now, exchange):
         side = Side.BID if self.rng.random() < 0.5 else Side.ASK
-        qty = int(self.rng.integers(self.params.min_size, self.params.max_size + 1))
-        exchange.submit_market(self.agent_id, side, qty, now)
+        exchange.submit_market(self.agent_id, side, self._size(), now)
         return self._delay()
 
 

@@ -16,7 +16,13 @@ from pathlib import Path
 
 from ._io import write_text_atomic
 from .config import ConfigError, RunConfig, dump_config, hash_comment, load_config
-from .dqn import QNetwork, TrainingDivergedError, learning_curve_csv, train
+from .dqn import (
+    QNetwork,
+    TrainingDivergedError,
+    check_sizes,
+    learning_curve_csv,
+    train,
+)
 from .evaluation import (
     aggregate,
     episodes_csv,
@@ -145,26 +151,29 @@ def _env_factory(config: RunConfig):
 def cmd_train(args) -> int:
     config = _load(args)
     out = _out_dir(args, config, "train")
-    dump_config(config, out / "config_used.yaml")
     checkpoint = out / "checkpoint.json"
     curve_path = out / "learning_curve.csv"
+    hidden = tuple(config.dqn.hidden)
 
     net = None
     start_episode = 0
     env_steps = grad_steps = 0
     if args.resume and checkpoint.exists():
         net, meta = QNetwork.load(checkpoint)
+        # before dump_config, so a rejected resume leaves the run's files as they were
+        check_sizes(net, (config.exec.obs_dim, *hidden, config.exec.n_actions))
         start_episode = int(meta.get("episode", 0))
         env_steps = int(meta.get("env_steps", 0))
         grad_steps = int(meta.get("grad_steps", 0))
         print(f"train: resuming from episode {start_episode}")
+    dump_config(config, out / "config_used.yaml")
 
     try:
         result = train(_env_factory(config), config.dqn.schedules,
                        config.dqn.episodes, config.seed, net=net,
                        obs_dim=config.exec.obs_dim,
                        n_actions=config.exec.n_actions,
-                       hidden=tuple(config.dqn.hidden),
+                       hidden=hidden,
                        start_episode=start_episode,
                        checkpoint_path=checkpoint,
                        env_steps=env_steps, grad_steps=grad_steps)

@@ -332,6 +332,13 @@ class TrainResult:
     grad_steps: int = 0
 
 
+def check_sizes(net: QNetwork, expected: tuple) -> None:
+    """Raise unless ``net`` has the layer sizes ``expected``."""
+    if net.sizes != expected:
+        raise ValueError(f"network has layer sizes {list(net.sizes)}, "
+                         f"config expects {list(expected)}")
+
+
 def train(env_factory, schedules: Schedules, episodes: int, seed: int,
           net: QNetwork | None = None, obs_dim: int = 36, n_actions: int = 5,
           hidden=(50, 20), start_episode: int = 0,
@@ -350,9 +357,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     if net is None:
         net = QNetwork(expected, np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(5,))))
-    if net.sizes != expected:
-        raise ValueError(f"network has layer sizes {list(net.sizes)}, "
-                         f"config expects {list(expected)}")
+    check_sizes(net, expected)
     target = net if schedules.target_sync == 0 else net.copy()
     optimizer = Optimizer(net)
     replay = ReplayMemory(schedules.replay_capacity, obs_dim)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import csv_text
+from ._seeding import spawn_generators
 from .agents import (
     Agent,
     MarketMakerAgent,
@@ -122,20 +123,16 @@ class MarketSession:
                       (ValueAgent, config.n_value, config.value),
                       (MomentumAgent, config.n_momentum, config.momentum),
                       (NoiseAgent, config.n_noise, config.noise))
-        self.agents: list[Agent] = []
-        for cls, count, params in population:
-            for _ in range(count):
-                aid = len(self.agents) + 1
-                self.agents.append(cls(aid, self._agent_rng(seed, aid), params))
+        kinds = [(cls, params) for cls, count, params in population
+                 for _ in range(count)]
+        rngs = spawn_generators(seed, 2, range(1, len(kinds) + 1))
+        self.agents: list[Agent] = [
+            cls(aid, rng, params)
+            for aid, ((cls, params), rng) in enumerate(zip(kinds, rngs), start=1)]
 
         for agent in self.agents:
             self._schedule(agent.first_wakeup(), agent)
         self._schedule(0, "snapshot")
-
-    @staticmethod
-    def _agent_rng(seed: int, agent_id: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(2, agent_id)))
 
     # -- exchange interface used by agents --------------------------------
 

@@ -120,6 +120,7 @@ class TestExitCodes:
         ("eval.grid", [[10]]),                   # raw unpack error in benchmark
         ("exec.warmup_s", -5),                   # one-sided book, exit 3
         ("seed", -1),                            # exit 0 at --duration 0
+        ("market.noise.max_size", 2**32),        # 2**63 exited 3 in integers()
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -315,7 +316,8 @@ class TestTrain:
                      "--out", str(out)]) == 0
         tdir = out / "train"
         before = {name: (tdir / name).read_bytes()
-                  for name in ("checkpoint.json", "learning_curve.csv")}
+                  for name in ("checkpoint.json", "learning_curve.csv",
+                               "config_used.yaml")}
         capsys.readouterr()
         other = tmp_path / "other.yaml"
         other.write_text(lite_cfg.read_text().replace(

@@ -106,14 +106,33 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_golden_output_digests():
+# The same at seed 2**32 + 5, whose entropy is two uint32 words.
+GOLDEN_SHA256_WIDE_SEED = {
+    "snapshots_csv": "39b9f6eca0cbd383b4406a2aa667dc047562971371019d01f4b5a4e0293ab5a3",
+    "fills_csv": "75dab72acda090aa0e2ed7bc94d94cb7e147ace6698b7d35fea8f8914766452d",
+    "fundamental_csv": "9cbffa185102e9b9cb1e6dbafc9cd0a307a948e26fc111b683896fdba5fd21ab",
+}
+
+
+def golden_run(seed):
     cfg = MarketConfig(n_noise=20, n_value=5, n_momentum=1, session_seconds=300.0,
                        market_maker=MarketMakerParams(pov=0.02, min_size=50))
-    log = kernel_run(cfg, seed=0)
-    assert len(log.fills) == 202 and len(log.snapshots) == 301
+    log = kernel_run(cfg, seed=seed)
     digests = {name: hashlib.sha256(getattr(log, name)().encode()).hexdigest()
                for name in GOLDEN_SHA256}
+    return log, digests
+
+
+def test_golden_output_digests():
+    log, digests = golden_run(0)
+    assert len(log.fills) == 202 and len(log.snapshots) == 301
     assert digests == GOLDEN_SHA256
+
+
+def test_golden_output_digests_wide_seed():
+    log, digests = golden_run(2**32 + 5)
+    assert len(log.fills) == 169 and len(log.snapshots) == 301
+    assert digests == GOLDEN_SHA256_WIDE_SEED
 
 
 def test_snapshots_csv_pads_short_and_one_sided_books():
@@ -224,6 +243,75 @@ class TestNoiseAgent:
         agent.wakeup(0, ex)
         assert ex.book.snapshot(10) == ex.book.snapshot(10)  # book unchanged/empty
         assert ex.book.best_bid() is None and ex.book.best_ask() is None
+
+
+class Recorder:
+    """Exchange stub that records each market order's side and size."""
+
+    def __init__(self):
+        self.orders = []
+
+    def submit_market(self, agent_id, side, qty, ts):
+        self.orders.append((side, qty))
+
+
+class TestNoiseAgentDraws:
+    """NoiseAgent draws its sizes from the bit generator; each wakeup must
+    match a twin Generator's random(), integers(min, max + 1) and
+    exponential(), and leave the stream where the twin's is."""
+
+    @pytest.mark.parametrize("min_size,max_size", [
+        (10, 10),                 # span 0: no draw, the delay still matches
+        (10, 11),                 # span 1
+        (10, 100),                # span 90, the default sizes
+        (1, 2**31 + 1),           # span 2**31: about half the first draws rejected
+        (1, 2**32 - 1),           # span 2**32 - 2, the widest NoiseAgentParams allows
+    ])
+    def test_matches_live_generator(self, min_size, max_size):
+        params = NoiseAgentParams(min_size=min_size, max_size=max_size, mean_wake_s=7.5)
+        params.validate()
+        wakeups = draws = 0
+        for seed in range(12):
+            agent = NoiseAgent(1, np.random.default_rng(seed), params)
+            next_uint32 = agent._next_uint32
+
+            def counted():
+                nonlocal draws
+                draws += 1
+                return next_uint32()
+
+            agent._next_uint32 = counted
+            twin = np.random.default_rng(seed)
+            ex = Recorder()
+            for _ in range(800):
+                delay = agent.wakeup(0, ex)
+                side = Side.BID if twin.random() < 0.5 else Side.ASK
+                assert ex.orders[-1] == (side, int(twin.integers(min_size, max_size + 1)))
+                assert delay == max(1, int(twin.exponential(7.5) * NS_PER_SEC))
+                ours, theirs = agent.rng.bit_generator.state, twin.bit_generator.state
+                assert ours["state"] == theirs["state"]
+                assert agent._high == (theirs["uinteger"] if theirs["has_uint32"]
+                                       else None)
+                wakeups += 1
+        if min_size == max_size:
+            assert draws == 0
+        elif max_size - min_size == 2**31:
+            assert draws > 1.5 * wakeups
+        else:
+            assert draws >= wakeups
+
+    def test_rejection_threshold(self):
+        # Lemire: the word u gives m = u * n and is redrawn iff m mod 2**32
+        # < 2**32 mod n. Random streams almost never land next to that
+        # threshold, so words on either side of it are scripted here.
+        lo, n = 10, 91
+        threshold = 2**32 % n
+        inverse = pow(n, -1, 2**32)
+        redrawn, kept = (t * inverse % 2**32 for t in (threshold - 1, threshold))
+        agent = NoiseAgent(1, np.random.default_rng(0), NoiseAgentParams(lo, lo + n - 1))
+        agent._raw = iter([kept << 32 | redrawn]).__next__  # low half first
+        assert agent._size() == lo + (kept * n >> 32)
+        assert agent._high is None
 
 
 class TestValueAgent:
