@@ -1,5 +1,5 @@
-"""Many spawned generators at once, with exactly the streams of ``SeedSequence``.
-
+"""Every random stream of a run: `generator` for one spawn key, `episode_seed`,
+and `spawn_generators` for the market agents, one generator each. For them
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(key, i)))``
 costs tens of microseconds per generator, most of it in ``SeedSequence``'s
 Python-level hashing. `spawn_states` runs numpy's own algorithm (the
@@ -106,3 +106,13 @@ def spawn_generators(seed: int, key: int, ids) -> list[np.random.Generator]:
     ISeedSequence.register(_State)
     return [np.random.Generator(np.random.PCG64(_State(row)))
             for row in spawn_states(seed, key, ids)]
+
+
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """``default_rng(SeedSequence(entropy=seed, spawn_key=key))``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def episode_seed(master_seed: int, episode: int) -> int:
+    """The market seed of training episode ``episode``."""
+    return int(np.random.SeedSequence((master_seed, episode)).generate_state(1)[0])

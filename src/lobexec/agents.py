@@ -145,26 +145,21 @@ class ValueAgent(Agent):
 
     def wakeup(self, now, exchange):
         obs = exchange.oracle_observe(self.agent_id, now, self.params.obs_noise_std)
-        best_bid = exchange.book.best_bid()
-        best_ask = exchange.book.best_ask()
-        size = self.params.size
-        if best_bid is None or best_ask is None:
+        bid, ask = exchange.book.best_bid(), exchange.book.best_ask()
+        if bid is None or ask is None:
             # no two-sided market: quote the missing side at the observed value
-            price = max(1, round(obs))
-            side = Side.ASK if best_ask is None else Side.BID
-            exchange.submit_limit(self.agent_id, side, price, size, now)
-            return self._delay()
-        if obs > best_ask:
-            exchange.submit_limit(self.agent_id, Side.BID, best_ask, size, now)
-        elif obs < best_bid:
-            exchange.submit_limit(self.agent_id, Side.ASK, best_bid, size, now)
+            quote = (Side.ASK if ask is None else Side.BID, max(1, round(obs)))
+        elif obs > ask:
+            quote = (Side.BID, ask)
+        elif obs < bid:
+            quote = (Side.ASK, bid)
+        elif ask - bid > 1 and obs > (bid + ask) / 2:
+            quote = (Side.BID, bid + 1)
+        elif ask - bid > 1 and obs < (bid + ask) / 2:
+            quote = (Side.ASK, ask - 1)
         else:
-            mid = (best_bid + best_ask) / 2
-            if obs > mid and best_ask - best_bid > 1:
-                exchange.submit_limit(self.agent_id, Side.BID, best_bid + 1, size, now)
-            elif obs < mid and best_ask - best_bid > 1:
-                exchange.submit_limit(self.agent_id, Side.ASK, best_ask - 1, size, now)
-            # obs == mid: no opinion, no order
+            return self._delay()  # obs at the mid, or no tick inside: no order
+        exchange.submit_limits(self.agent_id, ((*quote, self.params.size),), now)
         return self._delay()
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -120,8 +121,8 @@ def _write_csv(path: Path, comment: str, text: str) -> None:
 def cmd_simulate(args) -> int:
     if args.n_seeds < 1:
         raise UsageError(f"--n-seeds must be >= 1, got {args.n_seeds}")
-    if args.duration is not None and not args.duration >= 0:  # also rejects nan
-        raise UsageError(f"--duration must be >= 0, got {args.duration}")
+    if args.duration is not None and not 0 <= args.duration < math.inf:  # and nan
+        raise UsageError(f"--duration must be finite and >= 0, got {args.duration}")
     config = _load(args)
     out = _out_dir(args, config, "simulate")
     dump_config(config, out / "config_used.yaml")

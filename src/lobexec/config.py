@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -85,13 +86,15 @@ def _check_type(key: str, value, default) -> None:
     """Reject a value whose type does not fit the field's default.
 
     bool fields take only bools, int fields ints but not bools, float fields
-    ints or floats (not bools), and str and list fields their own type.
+    ints or finite floats (not bools), and str and list fields their own type.
     """
     allowed = (int, float) if isinstance(default, float) else type(default)
     if (isinstance(value, bool) != isinstance(default, bool)
             or not isinstance(value, allowed)):
         raise ConfigError(f"config key {key!r} expects {type(default).__name__}, "
                           f"got {type(value).__name__} {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def _from_dict(cls, data: dict, path: str = ""):
@@ -114,31 +117,29 @@ def _from_dict(cls, data: dict, path: str = ""):
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus CLI overrides (flags win)."""
+    """Build a RunConfig from an optional file plus CLI overrides (flags win),
+    each ``{"a.b": v}`` written into the file's data as ``a: {b: v}``."""
     data: dict = {}
     if path is not None:
-        raw = Path(path).read_text()
-        loaded = yaml.safe_load(raw)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        try:
+            data = yaml.safe_load(Path(path).read_text())
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed config file: {exc}") from exc
+        if data is None:
+            data = {}
+        if not isinstance(data, dict):
             raise ConfigError("config file must contain a mapping")
-        data = loaded
-    config = _from_dict(RunConfig, data)
     for dotted, value in (overrides or {}).items():
-        _apply_override(config, dotted, value)
+        *sections, name = dotted.split(".")
+        section = data
+        for part in sections:
+            section = section.setdefault(part, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"section {part!r} must be a mapping")
+        section[name] = value
+    config = _from_dict(RunConfig, data)
     config.validate()
     return config
-
-
-def _apply_override(config, dotted: str, value) -> None:
-    obj = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        obj = getattr(obj, part)
-    if not hasattr(obj, parts[-1]):
-        raise ConfigError(f"unknown override target {dotted!r}")
-    setattr(obj, parts[-1], value)
 
 
 def to_dict(config) -> dict:

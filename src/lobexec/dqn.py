@@ -26,6 +26,7 @@ import numpy as np
 
 from ._csv import csv_text
 from ._io import write_text_atomic
+from ._seeding import episode_seed, generator
 
 
 class TrainingDivergedError(RuntimeError):
@@ -316,10 +317,6 @@ def act(net: QNetwork, s: np.ndarray, epsilon: float,
     return int(np.argmax(net.forward(s)))
 
 
-def episode_seed(master_seed: int, episode: int) -> int:
-    return int(np.random.SeedSequence((master_seed, episode)).generate_state(1)[0])
-
-
 CHECKPOINT_EVERY = 100  # episodes between checkpoint saves; the last one is saved too
 ROLLING = 100           # episodes in the learning curve's rolling mean
 
@@ -352,11 +349,10 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     schedules.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
+    rng = generator(seed, 4)
     expected = (obs_dim, *hidden, n_actions)
     if net is None:
-        net = QNetwork(expected, np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(5,))))
+        net = QNetwork(expected, generator(seed, 5))
     check_sizes(net, expected)
     target = net if schedules.target_sync == 0 else net.copy()
     optimizer = Optimizer(net)

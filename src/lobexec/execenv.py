@@ -132,10 +132,8 @@ class ExecutionEnv:
         self._over_charged = 0
         self._cost = 0  # sum of fill price * qty
         self._depth_total = 0
-        self._last_bid = self._market.book.best_bid()
-        self._last_ask = self._market.book.best_ask()
         self._frames: deque = deque(maxlen=HISTORY)
-        frame = self._frame()
+        frame = self._frame()  # both sides quote here, so it sets the last bid and ask
         for _ in range(HISTORY):
             self._frames.append(frame)
         return self.observe()

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import generator
+
 NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
 
 
@@ -64,59 +66,48 @@ def fundamental_step(x: float, dt: int, params: FundamentalParams,
 
 
 class FundamentalPath:
-    """Lazily generated, cached fundamental path shared by all agents.
+    """Lazily generated fundamental path shared by all agents.
 
-    Values are cached at every queried timestamp so repeated queries are
-    consistent within a seed. Fresh timestamps must be nondecreasing
-    (the event kernel queries in event order).
+    Only the last queried ``(ts, value)`` is kept: a repeated query returns
+    it, a later one steps the path from it, and an earlier one raises (the
+    event kernel queries in event order).
     """
 
     def __init__(self, params: FundamentalParams, rng: np.random.Generator):
         params.validate()
         self.params = params
         self._rng = rng
-        self._cache: dict[int, float] = {0: params.mu}
         self._last_ts = 0
+        self._last_value = params.mu
 
     def value(self, ts: int) -> float:
-        if ts in self._cache:
-            return self._cache[ts]
+        if ts == self._last_ts:
+            return self._last_value
         if ts < self._last_ts:
             raise ValueError(
                 f"fundamental queried out of order: {ts} < {self._last_ts}")
-        x = fundamental_step(self._cache[self._last_ts], ts - self._last_ts,
-                             self.params, self._rng)
-        self._cache[ts] = x
+        self._last_value = fundamental_step(self._last_value, ts - self._last_ts,
+                                            self.params, self._rng)
         self._last_ts = ts
-        return x
+        return self._last_value
 
 
 class Oracle:
     """Noisy per-agent view of the fundamental.
 
-    Each (agent, timestamp) pair draws its observation noise once and
-    caches it, so repeated queries return the same value.
+    Each agent draws its observation noise from its own generator, spawn
+    key ``(7, agent_id)`` of the run's seed, made on its first noisy query.
     """
 
-    def __init__(self, path: FundamentalPath, seed_seq: np.random.SeedSequence):
+    def __init__(self, path: FundamentalPath, seed: int):
         self.path = path
-        self._seed_seq = seed_seq
+        self._seed = seed
         self._rngs: dict[int, np.random.Generator] = {}
-        self._cache: dict[tuple[int, int], float] = {}
 
     def observe(self, agent_id: int, ts: int, noise_std: float = 0.0) -> float:
-        key = (agent_id, ts)
-        if key in self._cache:
-            return self._cache[key]
         value = self.path.value(ts)
         if noise_std > 0.0:
-            rng = self._rngs.get(agent_id)
-            if rng is None:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(
-                        entropy=self._seed_seq.entropy,
-                        spawn_key=(7, agent_id)))
-                self._rngs[agent_id] = rng
-            value += noise_std * rng.standard_normal()
-        self._cache[key] = value
+            if agent_id not in self._rngs:
+                self._rngs[agent_id] = generator(self._seed, 7, agent_id)
+            value += noise_std * self._rngs[agent_id].standard_normal()
         return value

@@ -13,10 +13,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._csv import csv_text
-from ._seeding import spawn_generators
+from ._seeding import generator, spawn_generators
 from .agents import (
     Agent,
     MarketMakerAgent,
@@ -41,7 +39,6 @@ class MarketConfig:
     session_seconds: float = 1800.0
     snapshot_interval_s: float = 1.0
     depth: int = 10
-    history: int = 500  # snapshot ring buffer length for agent queries
     fundamental: FundamentalParams = field(default_factory=FundamentalParams)
     noise: NoiseAgentParams = field(default_factory=NoiseAgentParams)
     value: ValueAgentParams = field(default_factory=ValueAgentParams)
@@ -54,8 +51,8 @@ class MarketConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.session_seconds <= 0:
             raise ValueError("session_seconds must be positive")
-        if self.depth < 1 or self.history < 1:
-            raise ValueError("depth and history must be >= 1")
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
         if int(self.snapshot_interval_s * NS_PER_SEC) < 1:
             raise ValueError("snapshot_interval_s must be at least 1 ns")
         self.fundamental.validate()
@@ -102,18 +99,17 @@ class MarketSession:
         self.now = 0
         self.session_end = int(config.session_seconds * NS_PER_SEC)
 
-        seed_seq = np.random.SeedSequence(seed)
-        self._fundamental = FundamentalPath(
-            config.fundamental,
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
-        self._oracle = Oracle(self._fundamental, seed_seq)
+        self._fundamental = FundamentalPath(config.fundamental, generator(seed, 1))
+        self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()
         self.log = SessionLog()
         self._next_order_id = 1
         self._event_seq = 0
         self._queue: list[tuple[int, int, object]] = []
-        self._mid_history: deque = deque(maxlen=config.history)
+        # the most mids a momentum agent reads
+        self._mid_history: deque = deque(
+            maxlen=max(config.momentum.short_window, config.momentum.long_window))
         self._fill_ts: list[int] = []
         self._fill_qty_cum: list[int] = [0]
         self._last_trade: int | None = None
@@ -161,15 +157,11 @@ class MarketSession:
             qty_cum.append(cum)
         self._last_trade = fills[-1].price
 
-    def submit_limit(self, agent_id: int, side: Side, price: int, qty: int,
-                     ts: int) -> int:
-        return self.submit_limits(agent_id, ((side, price, qty),), ts)[0]
-
     def submit_limits(self, agent_id: int, quotes, ts: int) -> list[int]:
         """Submit (side, price, qty) limit orders in order; their order ids.
 
-        An invalid quote raises with the book as one submit_limit call per
-        quote would leave it; the batch's ids are then all spent and its
+        An invalid quote raises with the book as one ``OrderBook.submit_limit``
+        call per quote would leave it; the batch's ids are then all spent and its
         fills are not recorded.
         """
         first = self._next_order_id
@@ -187,9 +179,6 @@ class MarketSession:
         result = self.book.submit_market(side, qty, agent_id, ts, order_id=oid)
         self._record_fills(result.fills)
         return result
-
-    def cancel(self, order_id: int) -> bool:
-        return self.cancel_orders((order_id,)) == 1
 
     def cancel_orders(self, order_ids) -> int:
         return self.book.cancel_orders(order_ids)
@@ -232,11 +221,9 @@ class MarketSession:
                     self._schedule(max(1, delay), payload)
         self.now = max(self.now, t)
 
-    def run(self) -> SessionLog:
-        self.run_until(self.session_end)
-        return self.log
-
 
 def kernel_run(config: MarketConfig, seed: int, hooks: dict | None = None) -> SessionLog:
     """Run a full background-only session and return its log."""
-    return MarketSession(config, seed, hooks).run()
+    session = MarketSession(config, seed, hooks)
+    session.run_until(session.session_end)
+    return session.log

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 
+from ._seeding import generator
 from .dqn import QNetwork
 from .execenv import ExecConfig
 
@@ -75,8 +76,7 @@ class PassivePolicy(Policy):
     _cdf = _choice_cdf(probs)
 
     def reset(self, seed: int) -> None:
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
+        self.rng = generator(seed, 11)
 
     def act(self, t, obs, env) -> int:
         return bisect_right(self._cdf, self.rng.random())
@@ -94,8 +94,7 @@ class RandomPolicy(Policy):
     _cdf = _choice_cdf(probs)
 
     def reset(self, seed: int) -> None:
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(12,)))
+        self.rng = generator(seed, 12)
 
     def act(self, t, obs, env) -> int:
         return bisect_right(self._cdf, self.rng.random())

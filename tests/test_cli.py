@@ -70,13 +70,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
-    # the last three are removed switches that older configs may still set
+    # the last four are removed settings that older configs may still set
     @pytest.mark.parametrize("body, key", [
         ("seeed: 1\n", "seeed"),
         ("exec: {quote_mode: raw}\n", "quote_mode"),
         ("exec: {depth_metric: ticks}\n", "depth_metric"),
         ("dqn: {schedules: {optimizer: sgd}}\n", "optimizer"),
-    ], ids=["seeed", "exec.quote_mode", "exec.depth_metric", "dqn.schedules.optimizer"])
+        ("market: {history: 500}\n", "history"),
+    ], ids=["seeed", "exec.quote_mode", "exec.depth_metric", "dqn.schedules.optimizer",
+            "market.history"])
     def test_unknown_config_key(self, tmp_path, capsys, body, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(body)
@@ -121,6 +123,9 @@ class TestExitCodes:
         ("exec.warmup_s", -5),                   # one-sided book, exit 3
         ("seed", -1),                            # exit 0 at --duration 0
         ("market.noise.max_size", 2**32),        # 2**63 exited 3 in integers()
+        ("market.session_seconds", float("nan")),     # ValueError, exit 3
+        ("market.noise.mean_wake_s", float("nan")),   # ValueError, exit 3
+        ("market.snapshot_interval_s", float("inf")),  # OverflowError, exit 3
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -137,6 +142,34 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad), "--duration", "0",
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_malformed_yaml_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: 0\n  market: [")
+        assert main(["simulate", "--config", str(bad), "--duration", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_flag_is_config_error(self, lite_cfg, tmp_path, capsys,
+                                                value):
+        out = tmp_path / "o"
+        assert main(["train", "--lr", value, "--config", str(lite_cfg),
+                     "--out", str(out)]) == 2
+        assert "lr_start" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a flag's value goes into its section, which must be a mapping
+    @pytest.mark.parametrize("body, argv", [
+        ("market: 5\n", ["simulate", "--duration", "1"]),
+        ("dqn: {schedules: [1]}\n", ["train", "--lr", "0.1"]),
+        ("eval:\n", ["evaluate", "--policy", "twap", "--episodes", "2"]),
+    ], ids=["market", "dqn.schedules", "eval-null"])
+    def test_flag_into_non_mapping_section(self, tmp_path, capsys, body, argv):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(body)
+        assert main([*argv, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "must be a mapping" in capsys.readouterr().err
 
     def test_int_for_float_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -168,6 +201,7 @@ class TestExitCodes:
         ("--n-seeds", "-1"),
         ("--duration", "-5"),     # exit 0 after the config's full session
         ("--duration", "nan"),
+        ("--duration", "inf"),    # OverflowError, exit 3
     ])
     def test_bad_simulate_flag_is_usage_error(self, lite_cfg, tmp_path, capsys,
                                               flag, value):

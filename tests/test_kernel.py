@@ -188,17 +188,13 @@ class FakeExchange:
         self.orders.append(("market", side, qty))
         return self.book.submit_market(side, qty, agent_id, ts)
 
-    def submit_limit(self, agent_id, side, price, qty, ts):
-        self.orders.append(("limit", side, price, qty))
-        self._oid += 1
-        return self._oid
-
     def submit_limits(self, agent_id, quotes, ts):
-        return [self.submit_limit(agent_id, side, price, qty, ts)
-                for side, price, qty in quotes]
-
-    def cancel(self, oid):
-        return True
+        ids = []
+        for side, price, qty in quotes:
+            self.orders.append(("limit", side, price, qty))
+            self._oid += 1
+            ids.append(self._oid)
+        return ids
 
     def cancel_orders(self, oids):
         return len(oids)
@@ -380,10 +376,29 @@ class TestMomentumAgent:
             assert ex.orders[0][1] is expected_side
 
 
+def test_mid_ring_holds_what_momentum_agents_read():
+    """The session keeps the last max(short_window, long_window) mids, so an
+    agent whose short window is the longer one still averages the trailing
+    mids of the whole history, as it did over a longer ring."""
+    params = MomentumAgentParams(short_window=30, long_window=10, mean_wake_s=2.0)
+    session = MarketSession(small_config(n_momentum=3, momentum=params,
+                                         session_seconds=60.0), seed=3)
+    momentum_ids = {a.agent_id for a in session.agents if isinstance(a, MomentumAgent)}
+    for t in range(1, 61):
+        session.run_until(t * NS_PER_SEC)
+        mids = [float(snap.mid) for _, snap, _ in session.log.snapshots
+                if snap.mid is not None]
+        ring = session.mid_history()
+        assert ring[-30:] == mids[-30:]  # what the agents average over
+        assert len(ring) == min(len(mids), 30)
+    assert len(mids) > 30
+    assert any(f.taker_agent_id in momentum_ids for f in session.log.fills)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_session_batched_quotes_match_single_calls(seed):
-    """MarketSession.submit_limits/cancel_orders give the ids, fills, volume
-    record and book events of one submit_limit/cancel call per order."""
+    """A MarketSession.submit_limits/cancel_orders batch gives the ids, fills,
+    volume record and book events of one call per order."""
     import random
     rng = random.Random(seed)
     cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
@@ -402,13 +417,14 @@ def test_session_batched_quotes_match_single_calls(seed):
             assert batched.submit_market(9, side, qty, ts) == \
                 single.submit_market(9, side, qty, ts)
         cancels = live + [10 ** 6]
-        assert batched.cancel_orders(cancels) == sum(single.cancel(i) for i in cancels)
+        assert batched.cancel_orders(cancels) == \
+            sum(single.cancel_orders((i,)) for i in cancels)
         ref = rng.randint(95, 105)
         quotes = [(side, ref + sign * i, rng.randint(1, 20)) for i in range(1, 6)
                   for side, sign in ((Side.BID, -1), (Side.ASK, 1))]
         live = batched.submit_limits(4, quotes, ts)
         assert live == list(range(live[0], live[0] + len(quotes)))
-        assert live == [single.submit_limit(4, s, p, q, ts) for s, p, q in quotes]
+        assert live == [single.submit_limits(4, (quote,), ts)[0] for quote in quotes]
         assert batched.transacted_volume(ts, 10 ** 9) == \
             single.transacted_volume(ts, 10 ** 9)
         assert batched.last_trade_price() == single.last_trade_price()
@@ -416,8 +432,9 @@ def test_session_batched_quotes_match_single_calls(seed):
     assert lines[0] == lines[1]
     # ids are consecutive over every order the session took, from 1
     n_orders = sum(line.split(",")[1] == "submit" for line in lines[0])
-    assert batched.submit_limit(4, Side.BID, 1, 1, 99) == \
-        single.submit_limit(4, Side.BID, 1, 1, 99) == n_orders + 1
+    quote = ((Side.BID, 1, 1),)
+    assert batched.submit_limits(4, quote, 99) == \
+        single.submit_limits(4, quote, 99) == [n_orders + 1]
 
 
 class TestMarketMaker:

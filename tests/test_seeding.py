@@ -8,13 +8,26 @@ here rather than silently move every simulator output.
 import numpy as np
 import pytest
 
-from lobexec._seeding import _State, spawn_generators, spawn_states
+from lobexec._seeding import (
+    _State,
+    episode_seed,
+    generator,
+    spawn_generators,
+    spawn_states,
+)
 
 IDS = np.arange(1, 1116)  # the default population's agent ids
 
 # 2**32 + 5, 2**64 + 3 and 2**128 + 1 take two, three and five uint32
 # words; five is more than the entropy pool's four.
 SEEDS = [0, 1, 7, 2**32 - 1, 2**32 + 5, 2**64 + 3, 2**128 + 1]
+
+
+# every spawn key a run uses: 1 the fundamental path, 4 the training policy,
+# 5 the Q-network's initial weights, (7, id) an agent's oracle noise, 11 and
+# 12 the passive and random policies (agents' (2, id) go through
+# spawn_generators)
+KEYS = [(1,), (4,), (5,), (7, 2), (7, 1115), (11,), (12,)]
 
 
 def live_states(seed, key, ids):
@@ -60,3 +73,20 @@ def test_state_refuses_other_requests():
         state.generate_state(8, np.uint32)
     with pytest.raises(RuntimeError):
         state.generate_state(4, np.uint32)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generator_draws_as_default_rng(seed, key):
+    rng = generator(seed, *key)
+    twin = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.random() == twin.random()
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_episode_seed_matches_seed_sequence(seed):
+    for episode in (0, 1, 499):
+        assert episode_seed(seed, episode) == int(
+            np.random.SeedSequence((seed, episode)).generate_state(1)[0])
