@@ -219,10 +219,11 @@ class MarketMakerAgent(Agent):
 
         ref = self._reference(exchange, now)
         if ref is not None:
+            bid, ask = Side.BID, Side.ASK  # Side.X is slow: EnumType has a __getattr__
             quotes = []
             for i in range(1, self.params.n_ticks + 1):
                 if ref - i > 0:
-                    quotes.append((Side.BID, ref - i, size))
-                quotes.append((Side.ASK, ref + i, size))
+                    quotes.append((bid, ref - i, size))
+                quotes.append((ask, ref + i, size))
             self._live_orders = exchange.submit_limits(self.agent_id, quotes, now)
         return int(self.params.wake_interval_s * NS_PER_SEC)

@@ -27,7 +27,7 @@ from .agents import (
     ValueAgentParams,
 )
 from .fundamental import NS_PER_SEC, FundamentalParams, FundamentalPath, Oracle
-from .lob import MarketOrderResult, Order, OrderBook, Side
+from .lob import MarketOrderResult, OrderBook, Side
 
 
 @dataclass
@@ -158,19 +158,18 @@ class MarketSession:
         self._last_trade = fills[-1].price
 
     def submit_limits(self, agent_id: int, quotes, ts: int) -> list[int]:
-        """Submit (side, price, qty) limit orders in order; their order ids.
+        """Submit a sequence of (side, price, qty) limit orders in order; their
+        order ids. The book builds the orders (``OrderBook.submit_quotes``).
 
         An invalid quote raises with the book as one ``OrderBook.submit_limit``
         call per quote would leave it; the batch's ids are then all spent and its
         fills are not recorded.
         """
         first = self._next_order_id
-        orders = [Order(first + i, agent_id, side, qty, price, ts)
-                  for i, (side, price, qty) in enumerate(quotes)]
-        self._next_order_id = first + len(orders)
-        fills, _ = self.book.submit_limits(orders)
+        end = self._next_order_id = first + len(quotes)
+        fills, _ = self.book.submit_quotes(agent_id, quotes, first, ts)
         self._record_fills(fills)
-        return [order.id for order in orders]
+        return list(range(first, end))
 
     def submit_market(self, agent_id: int, side: Side, qty: int,
                       ts: int) -> MarketOrderResult:

@@ -8,7 +8,7 @@ imbalance) are returned as exact ``fractions.Fraction`` values.
 
 from __future__ import annotations
 
-import bisect
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +28,7 @@ class DuplicateOrderError(ValueError):
     """Raised when an order id is submitted twice."""
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Order:
     id: int
     agent_id: int
@@ -82,29 +82,43 @@ class BookSnapshot:
         return None
 
 
-class _Level:
-    __slots__ = ("queue", "total_qty")
+class _Quote(Order):
+    """An order the book built from a quote. No caller holds it, so once it
+    is cancelled the book may re-stamp it for a new quote."""
+    __slots__ = ()
 
-    def __init__(self):
-        self.queue: deque[Order] = deque()
-        self.total_qty = 0
+
+class _Level(deque):
+    """The FIFO queue of the orders resting at one price, and their total."""
+    __slots__ = ("total_qty",)
 
 
 class OrderBook:
     """Two price ladders with FIFO queues per level.
 
     Each side keeps its prices in an ascending list (best bid last, best
-    ask first) and a dict from price to level. Opening or dropping a level
-    is O(levels); each fill at the best level is O(1) and a cancel scans
-    its queue.
+    ask first) and a dict from price to level; a level is one deque of
+    orders with its total qty. Opening or dropping a level is a dict entry
+    plus an O(levels) list insert or removal; each fill at the best level is
+    O(1) and a cancel scans its queue. No read ever sees an empty level.
 
-    ``submit_limits`` and ``cancel_orders`` take a whole batch, such as a
-    market maker's requote, in one call; ``submit_limit`` and ``cancel``
-    are the one-order case of the same loops, so a batch gives exactly the
-    ids, seq numbers, fills, queue positions and log lines of the
-    single-order calls in the same order. ``imbalances`` reads the top-k
-    imbalance features in one pass; ``total_depth`` and
-    ``volume_imbalance`` are the exact definitions.
+    A cancel that empties a level takes it off the ladder at once, but keeps
+    the level object, still holding the cancelled order, as a spare for its
+    side and price. The spares last until the start of the next
+    ``cancel_orders`` call. When a limit order opens a level at a spare's
+    price, the book reuses that spare instead of allocating one, and a quote
+    that lands there re-stamps the cancelled order if the book built it (it
+    never re-stamps an ``Order`` a caller passed in). So a market maker that
+    cancels and re-posts its ladder at unchanged prices allocates nothing.
+
+    ``submit_limits`` (caller-built ``Order``s), ``submit_quotes`` ((side,
+    price, qty) tuples, for which the book builds the orders) and
+    ``cancel_orders`` take a whole batch, such as a market maker's requote,
+    in one call; ``submit_limit`` and ``cancel`` are the one-order case of
+    the same loops, so a batch gives exactly the ids, seq numbers, fills,
+    queue positions and log lines of the single-order calls in the same
+    order. ``imbalances`` reads the top-k imbalance features in one pass;
+    ``total_depth`` and ``volume_imbalance`` are the exact definitions.
 
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
@@ -115,6 +129,9 @@ class OrderBook:
         self._ask_prices: list[int] = []  # ascending; best ask = first
         self._bids: dict[int, _Level] = {}
         self._asks: dict[int, _Level] = {}
+        # levels the last cancel_orders call emptied, off the ladder
+        self._bid_spares: dict[int, _Level] = {}
+        self._ask_spares: dict[int, _Level] = {}
         self._orders: dict[int, Order] = {}  # resting only
         self._seq = 0
         self.event_log = event_log
@@ -221,10 +238,9 @@ class OrderBook:
                 break
             levels += 1
             level = ladder[price]
-            queue = level.queue
             taken = 0
-            while qty and queue:
-                maker = queue[0]
+            while qty and level:
+                maker = level[0]
                 traded = qty if qty < maker.qty else maker.qty
                 fills.append(Fill(oid, maker.id, aid, maker.agent_id, side, price, traded, ts))
                 if log is not None:
@@ -233,10 +249,10 @@ class OrderBook:
                 taken += traded
                 maker.qty -= traded
                 if not maker.qty:
-                    queue.popleft()
+                    level.popleft()
                     del orders[maker.id]
             notional += price * taken
-            if queue:
+            if level:
                 level.total_qty -= taken
             else:
                 del ladder[price]
@@ -259,45 +275,78 @@ class OrderBook:
         order, total resting qty). An invalid order raises with the orders
         before it applied.
         """
-        resting_map, log = self._orders, self.event_log
+        return self._submit(orders, None, 0, 0)
+
+    def submit_quotes(self, agent_id: int, quotes, first_id: int,
+                      ts: int) -> tuple[list[Fill], int]:
+        """``submit_limits`` of ``(side, price, qty)`` quotes from one agent at
+        ``ts``, with ids ``first_id``, ``first_id + 1``, ...; the book builds
+        the orders, so no caller holds them."""
+        return self._submit(quotes, agent_id, first_id, ts)
+
+    def _submit(self, items, agent_id: Optional[int], oid: int,
+                ts: int) -> tuple[list[Fill], int]:
+        """The limit-order loop: ``items`` are caller-built orders when
+        ``agent_id`` is None, else quotes numbered from ``oid``."""
+        resting_map, log, bid_side = self._orders, self.event_log, Side.BID
+        bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
+        asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
         fills: list[Fill] = []
         total = 0
-        for order in orders:
-            qty = order.qty
+        oid -= 1
+        for item in items:
+            if agent_id is None:
+                order = item
+                side, price, qty = order.side, order.price, order.qty
+                oid, aid, ts = order.id, order.agent_id, order.ts
+            else:
+                order = None
+                side, price, qty = item
+                aid = agent_id
+                oid += 1
             if qty <= 0:
                 raise ValueError("limit order qty must be positive")
-            price = order.price
             if price is None or price <= 0:
                 raise ValueError("limit order needs a positive price")
-            oid = order.id
             if oid in resting_map:
                 raise DuplicateOrderError(f"order id {oid} already resting")
-            self._seq += 1
-            order.seq = self._seq
-            side = order.side
+            seq = self._seq = self._seq + 1
+            if order is not None:
+                order.seq = seq
             if log is not None:
-                self._log("submit", side, price, qty, oid, order.agent_id, order.ts)
-            if side is Side.BID:
-                opposite = self._ask_prices
-                crosses = opposite and opposite[0] <= price
-                ladder, prices = self._bids, self._bid_prices
+                self._log("submit", side, price, qty, oid, aid, ts)
+            if side is bid_side:
+                crosses = ask_prices and ask_prices[0] <= price
+                ladder, prices, spares = bids, bid_prices, bid_spares
             else:
-                opposite = self._bid_prices
-                crosses = opposite and opposite[-1] >= price
-                ladder, prices = self._asks, self._ask_prices
+                crosses = bid_prices and bid_prices[-1] >= price
+                ladder, prices, spares = asks, ask_prices, ask_spares
             if crosses:
-                new_fills, qty, _, _ = self._match(side, qty, oid, order.agent_id,
-                                                   order.ts, price)
+                new_fills, qty, _, _ = self._match(side, qty, oid, aid, ts, price)
                 fills += new_fills
-                order.qty = qty
+                if order is not None:
+                    order.qty = qty
                 if not qty:
                     continue
             level = ladder.get(price)
-            if level is None:
-                level = ladder[price] = _Level()
-                bisect.insort(prices, price)
-            level.queue.append(order)
-            level.total_qty += qty
+            if level is not None:
+                level.total_qty += qty
+            else:
+                level = spares.pop(price, None)
+                if level is None:
+                    level = _Level()
+                else:
+                    old = level.pop()  # the order the emptying cancel left in it
+                    if order is None and type(old) is _Quote:
+                        order = old
+                        order.id, order.agent_id, order.qty = oid, aid, qty
+                        order.ts, order.seq = ts, seq
+                level.total_qty = qty
+                ladder[price] = level
+                insort(prices, price)
+            if order is None:
+                order = _Quote(oid, aid, side, qty, price, ts, seq)
+            level.append(order)
             resting_map[oid] = order
             total += qty
         return fills, total
@@ -322,27 +371,32 @@ class OrderBook:
 
     def cancel_orders(self, order_ids) -> int:
         """Cancel orders one after another, as many cancel calls; the number
-        removed. Unknown or already-gone ids are skipped."""
-        orders, log = self._orders, self.event_log
+        removed. Unknown or already-gone ids are skipped. A level this call
+        empties becomes a spare until the next call (see the class doc)."""
+        orders, log, bid_side = self._orders, self.event_log, Side.BID
+        bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
+        asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
+        bid_spares.clear()
+        ask_spares.clear()
         removed = 0
         for order_id in order_ids:
             order = orders.pop(order_id, None)
             if order is None:
                 continue
             removed += 1
-            if order.side is Side.BID:
-                ladder, prices = self._bids, self._bid_prices
+            if order.side is bid_side:
+                ladder, prices, spares = bids, bid_prices, bid_spares
             else:
-                ladder, prices = self._asks, self._ask_prices
+                ladder, prices, spares = asks, ask_prices, ask_spares
             price = order.price
             level = ladder[price]
-            queue = level.queue
-            queue.remove(order)
-            if queue:
+            if len(level) > 1:
+                level.remove(order)
                 level.total_qty -= order.qty
-            else:
+            else:  # its only order: the level leaves the ladder, order and all
                 del ladder[price]
                 prices.remove(price)
+                spares[price] = level
             if log is not None:
                 self._log("cancel", order.side, price, order.qty, order.id,
                           order.agent_id, order.ts)

@@ -8,7 +8,7 @@ fills at the ask, never walking depth) and for fast training sanity runs.
 
 from __future__ import annotations
 
-from .lob import MarketOrderResult, Order, OrderBook, Side
+from .lob import MarketOrderResult, OrderBook, Side
 
 
 DEPTH = 10 ** 9  # shares resting at each quote
@@ -32,11 +32,8 @@ class ConstantMarket:
         self.book.cancel_orders(self.book.order_ids())
         oid = self._next_id
         self._next_id += 2
-        self.book.submit_limits(
-            [Order(id=oid, agent_id=0, side=Side.BID, qty=DEPTH,
-                   price=self.bid, ts=self.now),
-             Order(id=oid + 1, agent_id=0, side=Side.ASK, qty=DEPTH,
-                   price=self.ask, ts=self.now)])
+        self.book.submit_quotes(0, ((Side.BID, self.bid, DEPTH),
+                                    (Side.ASK, self.ask, DEPTH)), oid, self.now)
 
     def run_until(self, t: int) -> None:
         self.now = max(self.now, t)

@@ -126,6 +126,10 @@ class TestExitCodes:
         ("market.session_seconds", float("nan")),     # ValueError, exit 3
         ("market.noise.mean_wake_s", float("nan")),   # ValueError, exit 3
         ("market.snapshot_interval_s", float("inf")),  # OverflowError, exit 3
+        # two factors below 1 made a positive max executable: evaluate and
+        # train exited 3 on an empty action grid
+        ("exec", {"q_min": -20, "n_size_actions": -4}),
+        ("exec", {"q_min": 20, "n_size_actions": 0}),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobexec.lob import (
+    BookSnapshot,
     DuplicateOrderError,
     Fill,
     MarketOrderResult,
@@ -441,38 +443,64 @@ def requote_script(rng, n_steps):
             for side, price in ((Side.BID, ref - i), (Side.ASK, ref + i)):
                 oid += 1
                 quotes.append((oid, side, price, size))
-        steps.append(("requote", maker_ids + [10 ** 9], quotes))
+        steps += [("cancel", maker_ids + [10 ** 9]), ("quotes", quotes)]
         maker_ids = [q[0] for q in quotes]
     return steps
 
 
+def resting_state(book):
+    """Every resting order's fields, in ``order_ids()`` order."""
+    return [(o.id, o.agent_id, o.side, o.price, o.qty, o.ts, o.seq)
+            for o in book._orders.values()]
+
+
 def run_requote_script(steps):
-    """Play a script on a batched book, a single-call book and the oracle."""
-    batched_log, single_log = [], []
-    batched = OrderBook(event_log=batched_log.append)
-    single = OrderBook(event_log=single_log.append)
+    """Play a script on three books and the oracle.
+
+    ``("limit", oid, side, price, qty)`` and ``("market", oid, side, qty)``
+    are background orders from agent 1. ``("cancel", ids)`` and ``("quotes",
+    [(oid, side, price, qty), ...])`` are agent 2's batches, with consecutive
+    ids and the first id as their ts. The batched book takes each batch in
+    one call of caller-built orders, the quoted book in one ``submit_quotes``
+    call, and the single book as one call per order. Returns (batches that
+    crossed, cancels of submitted ids that missed, the quoted book).
+    """
+    logs = {name: [] for name in ("batched", "quoted", "single")}
+    batched, quoted, single = books = [OrderBook(event_log=log.append)
+                                       for log in logs.values()]
     ref = BruteForceBook()
+    submitted = set()
     crossing_batches = filled_misses = 0
     for step in steps:
         if step[0] == "limit":
             _, oid, side, price, qty = step
-            assert batched.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid)) == \
-                single.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
+            results = [book.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
+                       for book in books]
+            assert results[0] == results[1] == results[2]
             ref.submit_limit(oid, 1, side, price, qty)
+            submitted.add(oid)
         elif step[0] == "market":
             _, oid, side, qty = step
-            assert batched.submit_market(side, qty, 1, oid, oid) == \
-                single.submit_market(side, qty, 1, oid, oid)
+            results = [book.submit_market(side, qty, 1, oid, oid) for book in books]
+            assert results[0] == results[1] == results[2]
             ref.submit_market(oid, 1, side, qty)
-        else:
-            _, cancel_ids, quotes = step
+        elif step[0] == "cancel":
+            _, cancel_ids = step
             n_cancelled = batched.cancel_orders(cancel_ids)
-            assert n_cancelled == sum(single.cancel(i) for i in cancel_ids) == \
+            assert n_cancelled == quoted.cancel_orders(cancel_ids) == \
+                sum(single.cancel(i) for i in cancel_ids) == \
                 sum(ref.cancel(i) for i in cancel_ids)
-            filled_misses += len(cancel_ids) - 1 - n_cancelled  # one id never existed
-            a_orders = [mk(o, s, p, q, agent=2, ts=o) for o, s, p, q in quotes]
-            b_orders = [mk(o, s, p, q, agent=2, ts=o) for o, s, p, q in quotes]
+            filled_misses += sum(i in submitted for i in cancel_ids) - n_cancelled
+        else:
+            _, quotes = step
+            first = quotes[0][0]
+            assert [q[0] for q in quotes] == list(range(first, first + len(quotes)))
+            submitted.update(q[0] for q in quotes)
+            a_orders = [mk(o, s, p, q, agent=2, ts=first) for o, s, p, q in quotes]
+            b_orders = [mk(o, s, p, q, agent=2, ts=first) for o, s, p, q in quotes]
             fills, resting = batched.submit_limits(a_orders)
+            assert quoted.submit_quotes(2, [q[1:] for q in quotes], first, first) == \
+                (fills, resting)
             single_fills, single_resting, ref_fills = [], 0, []
             for order, (o, s, p, q) in zip(b_orders, quotes):
                 fs, r = single.submit_limit(order)
@@ -486,12 +514,21 @@ def run_requote_script(steps):
             assert [(o.seq, o.qty) for o in a_orders] == \
                 [(o.seq, o.qty) for o in b_orders]
             crossing_batches += bool(fills)
-        assert batched.snapshot(50) == single.snapshot(50)
-        assert batched.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
-        assert batched.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
-        assert batched.order_ids() == single.order_ids()
-    assert batched_log == single_log
-    return crossing_batches, filled_misses
+        for book in books:
+            assert book.snapshot(50) == single.snapshot(50)
+            assert book.order_ids() == single.order_ids()
+            assert resting_state(book) == resting_state(single)
+        assert single.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
+        assert single.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
+    assert logs["batched"] == logs["quoted"] == logs["single"]
+    return crossing_batches, filled_misses, quoted
+
+
+def ladder(first, ref, n, size):
+    """Agent 2's quotes: n bid/ask pairs around ref, ids from first."""
+    return [(first + 2 * i + j, side, ref + sign * (i + 1), size)
+            for i in range(n)
+            for j, (side, sign) in enumerate(((Side.BID, -1), (Side.ASK, 1)))]
 
 
 class TestBatchedRequote:
@@ -502,19 +539,155 @@ class TestBatchedRequote:
     def test_scripts_cross_and_cancel_filled_quotes(self):
         counts = [run_requote_script(requote_script(random.Random(s), 60))
                   for s in range(20)]
-        assert sum(crossing for crossing, _ in counts) > 0
-        assert sum(misses for _, misses in counts) > 0
+        assert sum(crossing for crossing, _, _ in counts) > 0
+        assert sum(misses for _, misses, _ in counts) > 0
 
     def test_quotes_cross_when_one_side_is_empty(self):
         # asks only, all below the maker's reference: its bids take them
         steps = [("limit", 1, Side.ASK, 98, 5), ("limit", 2, Side.ASK, 99, 7),
                  ("limit", 3, Side.ASK, 100, 4),
-                 ("requote", [], [(10 + i, side, price, 6) for i, (side, price) in
-                                  enumerate([(Side.BID, 101), (Side.ASK, 103),
-                                             (Side.BID, 100), (Side.ASK, 104),
-                                             (Side.BID, 99), (Side.ASK, 105)])])]
-        crossing, _ = run_requote_script(steps)
+                 ("quotes", [(10 + i, side, price, 6) for i, (side, price) in
+                             enumerate([(Side.BID, 101), (Side.ASK, 103),
+                                        (Side.BID, 100), (Side.ASK, 104),
+                                        (Side.BID, 99), (Side.ASK, 105)])])]
+        crossing, _, _ = run_requote_script(steps)
         assert crossing == 1
+
+    # -- the spare levels a cancel leaves --------------------------------
+
+    def test_requote_at_unchanged_prices_reuses_levels_and_quotes(self):
+        book = OrderBook()
+        book.submit_quotes(2, [q[1:] for q in ladder(1, 100, 3, 5)], 1, 0)
+        levels = {p: book._bids.get(p) or book._asks[p] for p in range(97, 104)
+                  if p != 100}
+        orders = [book._orders[oid] for oid in range(1, 7)]
+        assert book.cancel_orders(range(1, 7)) == 6
+        assert book.snapshot(10) == BookSnapshot(0, (), ())
+        book.submit_quotes(2, [q[1:] for q in ladder(7, 100, 3, 8)], 7, 5)
+        for p, level in levels.items():
+            assert (book._bids.get(p) or book._asks[p]) is level
+        assert [book._orders[oid] for oid in range(7, 13)] == orders  # identity
+        assert resting_state(book)[0] == (7, 2, Side.BID, 99, 8, 5, 7)
+
+    def test_other_order_at_spare_price_between_cancel_and_quotes(self):
+        steps = [("quotes", ladder(1, 100, 3, 5)), ("cancel", list(range(1, 7))),
+                 # agent 1 opens the spare bid and ask levels first
+                 ("limit", 7, Side.BID, 98, 4), ("limit", 8, Side.ASK, 101, 2),
+                 ("quotes", ladder(9, 100, 3, 6))]
+        _, _, book = run_requote_script(steps)
+        assert book.snapshot(3).bids == ((99, 6), (98, 10), (97, 6))
+        assert book.order_ids(1) == [7, 8]
+
+    def test_cancel_on_a_shared_level_keeps_it_on_the_ladder(self):
+        steps = [("limit", 1, Side.BID, 99, 4), ("quotes", ladder(2, 100, 2, 5)),
+                 ("limit", 6, Side.ASK, 101, 3), ("cancel", [2, 3, 4, 5]),
+                 ("quotes", ladder(7, 100, 2, 6))]
+        _, _, book = run_requote_script(steps)
+        # queue priority: agent 1's orders stay ahead of the new quotes
+        assert book.order_ids() == [1, 6, 7, 8, 9, 10]
+        assert book.snapshot(2).bids == ((99, 10), (98, 6))
+
+    def test_cancel_of_a_shared_level_makes_no_spare(self):
+        book = OrderBook()
+        book.submit_limit(mk(1, Side.BID, 99, 4))
+        book.submit_quotes(2, [(Side.BID, 99, 5), (Side.BID, 98, 5)], 2, 0)
+        assert book.cancel_orders([2, 3]) == 2
+        assert list(book._bid_spares) == [98]
+        assert book.snapshot(5).bids == ((99, 4),)
+
+    def test_spares_last_until_the_next_cancel_call(self):
+        book = OrderBook()
+        book.submit_quotes(2, [q[1:] for q in ladder(1, 100, 2, 5)], 1, 0)
+        book.cancel_orders([1, 2])
+        assert (list(book._bid_spares), list(book._ask_spares)) == ([99], [101])
+        book.cancel_orders([3, 10 ** 9])
+        assert (list(book._bid_spares), list(book._ask_spares)) == ([98], [])
+        book.cancel_orders([])
+        assert not book._bid_spares and not book._ask_spares
+
+    def test_crossing_residual_rests_at_a_spare_price(self):
+        steps = [("limit", 1, Side.ASK, 104, 5), ("quotes", ladder(2, 100, 2, 5)),
+                 ("cancel", [2, 3, 4, 5]),
+                 ("limit", 6, Side.ASK, 99, 3),  # below the spare bid at 99
+                 ("quotes", [(7, Side.BID, 99, 8), (8, Side.ASK, 101, 5)])]
+        crossing, _, book = run_requote_script(steps)
+        assert crossing == 1
+        assert book.snapshot(2).bids == ((99, 5),)
+        assert book.snapshot(2).asks == ((101, 5), (104, 5))
+
+    def test_two_cancel_batches_without_a_submit_between(self):
+        steps = [("quotes", ladder(1, 100, 2, 5)), ("cancel", [1, 2]),
+                 ("cancel", [3, 4, 10 ** 9]),  # drops the first call's spares
+                 ("quotes", ladder(5, 100, 2, 7)), ("cancel", []),
+                 ("quotes", ladder(9, 100, 1, 2))]
+        _, _, book = run_requote_script(steps)
+        assert book.snapshot(3).bids == ((99, 9), (98, 7))
+
+    def test_quotes_cross_a_one_sided_book_after_the_cancel(self):
+        steps = [("quotes", ladder(1, 100, 3, 5)), ("limit", 7, Side.BID, 96, 9),
+                 ("cancel", list(range(1, 7))),
+                 # bids only, at and above the spare ask prices
+                 ("limit", 8, Side.BID, 102, 4), ("limit", 9, Side.BID, 101, 3),
+                 ("quotes", ladder(10, 100, 3, 5))]
+        crossing, _, book = run_requote_script(steps)
+        assert crossing == 1
+        # the ask at 101 fills in full against both bids and never rests
+        assert book.snapshot(5).asks == ((102, 5), (103, 5))
+        assert book.snapshot(2).bids == ((101, 2), (99, 5))
+
+    @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
+                                     "zero_price", "resting_id"])
+    def test_invalid_quote_after_a_cancel_matches_single_calls(self, bad):
+        quotes = {"zero_qty": (Side.BID, 99, 0), "negative_qty": (Side.ASK, 101, -3),
+                  "no_price": (Side.BID, None, 5), "zero_price": (Side.BID, 0, 5),
+                  "resting_id": (Side.BID, 97, 5)}
+        # the first quote reopens the spare bid level at 100, the second crosses
+        batch = [(Side.BID, 100, 4), (Side.BID, 103, 4), quotes[bad], (Side.ASK, 105, 2)]
+        first = 7 if bad == "resting_id" else 11  # the third id, 9, is resting
+        states, logs, errors = [], [], []
+        for how in ("batched", "quoted", "single"):
+            log = []
+            book = OrderBook(event_log=log.append)
+            for order in (mk(1, Side.ASK, 102, 3), mk(2, Side.BID, 100, 3),
+                          mk(3, Side.ASK, 103, 10), mk(9, Side.BID, 90, 1)):
+                book.submit_limit(order)
+            assert book.cancel_orders([2, 4]) == 1
+            built = [mk(first + i, s, p, q, agent=2, ts=5)
+                     for i, (s, p, q) in enumerate(batch)]
+            with pytest.raises(ValueError) as exc:
+                if how == "batched":
+                    book.submit_limits(built)
+                elif how == "quoted":
+                    book.submit_quotes(2, batch, first, 5)
+                else:
+                    for order in built:
+                        book.submit_limit(order)
+            book.submit_limit(mk(20, Side.BID, 91, 1))  # seq continues alike
+            states.append((book.snapshot(10), book.order_ids(), resting_state(book)))
+            logs.append(log)
+            errors.append((type(exc.value), str(exc.value)))
+        assert states[0] == states[1] == states[2]
+        assert logs[0] == logs[1] == logs[2]
+        assert errors[0] == errors[1] == errors[2]
+        assert states[0][0].bids[0] == (100, 4)
+
+    def test_caller_order_is_never_re_stamped(self):
+        book = OrderBook()
+        order = mk(1, Side.BID, 99, 5, agent=3, ts=7)
+        book.submit_limit(order)
+        assert order.seq == 1
+        before = astuple(order)
+        assert book.cancel_orders([1]) == 1  # its level becomes a spare
+        book.submit_quotes(2, [(Side.BID, 99, 8)], 2, 20)
+        assert astuple(order) == before
+        assert book._orders[2] is not order
+        assert resting_state(book) == [(2, 2, Side.BID, 99, 8, 20, 2)]
+        # and a caller's order on a spare that holds a book-built quote rests as is
+        book.cancel_orders([2])
+        mine = mk(3, Side.BID, 99, 6, agent=4, ts=21)
+        book.submit_limits([mine])
+        assert book._orders[3] is mine
+        assert resting_state(book) == [(3, 4, Side.BID, 99, 6, 21, 3)]
 
     @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
                                      "zero_price", "resting_id", "batch_id"])
