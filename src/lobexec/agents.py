@@ -15,6 +15,10 @@ import numpy as np
 from .fundamental import NS_PER_SEC
 from .lob import Side
 
+# Side.BID is a slow lookup (EnumType has a __getattr__); wakeups read these.
+_BID, _ASK = Side.BID, Side.ASK
+_HALF = 2**63  # random() < 0.5 exactly when the raw 64-bit output is below this
+
 
 @dataclass
 class NoiseAgentParams:
@@ -95,17 +99,22 @@ class Agent:
 class NoiseAgent(Agent):
     """Submits an equally likely buy/sell market order of uniform size.
 
-    The size is the draw ``rng.integers(min_size, max_size + 1)`` would
-    make, taken straight from the bit generator: numpy's Lemire bounded
-    draw (arXiv:1805.10941) over 32-bit outputs, where each 64-bit raw
-    output yields its low half and buffers its high half. ``random`` and
-    ``exponential`` read 64-bit outputs and leave that buffer alone.
+    Every draw is the one a ``Generator`` call would make, taken straight
+    from the bit generator. The side is ``rng.random() < 0.5``: ``random``
+    is ``(raw >> 11) * 2**-53`` of a 64-bit raw output, which is below 0.5
+    exactly when ``raw < 2**63``. The size is ``rng.integers(min_size,
+    max_size + 1)``: numpy's Lemire bounded draw (arXiv:1805.10941) over
+    32-bit outputs, where each 64-bit raw output yields its low half and
+    buffers its high half. The side draw, like ``standard_exponential``,
+    reads a 64-bit output and leaves that buffer alone; ``exponential(s)``
+    is ``s * standard_exponential()`` bit for bit.
     """
 
     def __init__(self, agent_id, rng, params: NoiseAgentParams):
         super().__init__(agent_id, rng, params)
         self._raw = rng.bit_generator.random_raw
         self._high: int | None = None  # buffered upper half of the last raw output
+        self._exp = rng.standard_exponential
 
     def _next_uint32(self) -> int:
         high = self._high
@@ -129,9 +138,10 @@ class NoiseAgent(Agent):
         return lo + (m >> 32)
 
     def wakeup(self, now, exchange):
-        side = Side.BID if self.rng.random() < 0.5 else Side.ASK
+        side = _BID if self._raw() < _HALF else _ASK
         exchange.submit_market(self.agent_id, side, self._size(), now)
-        return self._delay()
+        delay = int(self._exp() * self.params.mean_wake_s * NS_PER_SEC)
+        return delay if delay > 1 else 1
 
 
 class ValueAgent(Agent):
@@ -148,15 +158,15 @@ class ValueAgent(Agent):
         bid, ask = exchange.book.best_bid(), exchange.book.best_ask()
         if bid is None or ask is None:
             # no two-sided market: quote the missing side at the observed value
-            quote = (Side.ASK if ask is None else Side.BID, max(1, round(obs)))
+            quote = (_ASK if ask is None else _BID, max(1, round(obs)))
         elif obs > ask:
-            quote = (Side.BID, ask)
+            quote = (_BID, ask)
         elif obs < bid:
-            quote = (Side.ASK, bid)
+            quote = (_ASK, bid)
         elif ask - bid > 1 and obs > (bid + ask) / 2:
-            quote = (Side.BID, bid + 1)
+            quote = (_BID, bid + 1)
         elif ask - bid > 1 and obs < (bid + ask) / 2:
-            quote = (Side.ASK, ask - 1)
+            quote = (_ASK, ask - 1)
         else:
             return self._delay()  # obs at the mid, or no tick inside: no order
         exchange.submit_limits(self.agent_id, ((*quote, self.params.size),), now)
@@ -174,9 +184,9 @@ class MomentumAgent(Agent):
         short = sum(mids[-self.params.short_window:]) / self.params.short_window
         long = sum(mids[-self.params.long_window:]) / self.params.long_window
         if short > long:
-            exchange.submit_market(self.agent_id, Side.BID, self.params.size, now)
+            exchange.submit_market(self.agent_id, _BID, self.params.size, now)
         elif short < long:
-            exchange.submit_market(self.agent_id, Side.ASK, self.params.size, now)
+            exchange.submit_market(self.agent_id, _ASK, self.params.size, now)
         return self._delay()
 
 
@@ -197,9 +207,10 @@ class MarketMakerAgent(Agent):
         return 0  # seeds the book at session open
 
     def _reference(self, exchange, now) -> int | None:
-        mid = exchange.book.mid_price()
-        if mid is not None:
-            return int(mid)
+        book = exchange.book
+        bid, ask = book.best_bid(), book.best_ask()
+        if bid is not None and ask is not None:
+            return (bid + ask) // 2  # int(book.mid_price()): prices are positive
         last = exchange.last_trade_price()
         if last is not None:
             return last
@@ -219,7 +230,7 @@ class MarketMakerAgent(Agent):
 
         ref = self._reference(exchange, now)
         if ref is not None:
-            bid, ask = Side.BID, Side.ASK  # Side.X is slow: EnumType has a __getattr__
+            bid, ask = _BID, _ASK
             quotes = []
             for i in range(1, self.params.n_ticks + 1):
                 if ref - i > 0:

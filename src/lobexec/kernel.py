@@ -12,6 +12,7 @@ import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ._csv import csv_text
 from ._seeding import generator, spawn_generators
@@ -28,6 +29,8 @@ from .agents import (
 )
 from .fundamental import NS_PER_SEC, FundamentalParams, FundamentalPath, Oracle
 from .lob import MarketOrderResult, OrderBook, Side
+
+_SNAPSHOT = "snapshot"  # the queue payload of a book snapshot, tested by identity
 
 
 @dataclass
@@ -69,20 +72,26 @@ class SessionLog:
         header = ["ts", "fundamental", "best_bid", "best_ask"]
         for i in range(1, depth + 1):
             header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
-        rows = []
-        for ts, snap, fund in self.snapshots:
-            row = [ts, repr(fund), snap.best_bid, snap.best_ask]
-            for i in range(depth):
-                bid = snap.bids[i] if i < len(snap.bids) else ("", "")
-                ask = snap.asks[i] if i < len(snap.asks) else ("", "")
-                row += [bid[0], bid[1], ask[0], ask[1]]
-            rows.append(row)
-        return csv_text(header, rows)
+        pad = (("", ""),) * depth
+        flat = chain.from_iterable
+
+        def rows():
+            for ts, snap, fund in self.snapshots:
+                bids, asks = snap.bids[:depth], snap.asks[:depth]
+                row = [ts, repr(fund), bids[0][0] if bids else None,
+                       asks[0][0] if asks else None]
+                # per level: bid price, bid qty, ask price, ask qty; "" past the book
+                row += flat(flat(zip(bids + pad[len(bids):], asks + pad[len(asks):])))
+                yield row
+        return csv_text(header, rows())
 
     def fills_csv(self) -> str:
+        bid = Side.BID
+        # Fill fields by index: 2 taker_agent_id, 3 maker_agent_id, 4 side,
+        # 5 price, 6 qty, 7 ts
         return csv_text(["ts", "side", "price", "qty", "taker_agent", "maker_agent"],
-                        ((f.ts, f.side.value, f.price, f.qty,
-                          f.taker_agent_id, f.maker_agent_id) for f in self.fills))
+                        ((f[7], "bid" if f[4] is bid else "ask", f[5], f[6], f[2], f[3])
+                         for f in self.fills))
 
     def fundamental_csv(self) -> str:
         return csv_text(["ts", "fundamental"],
@@ -126,9 +135,10 @@ class MarketSession:
             cls(aid, rng, params)
             for aid, ((cls, params), rng) in enumerate(zip(kinds, rngs), start=1)]
 
+        self._snapshot_interval = int(config.snapshot_interval_s * NS_PER_SEC)
         for agent in self.agents:
             self._schedule(agent.first_wakeup(), agent)
-        self._schedule(0, "snapshot")
+        self._schedule(0, _SNAPSHOT)
 
     # -- exchange interface used by agents --------------------------------
 
@@ -174,9 +184,10 @@ class MarketSession:
     def submit_market(self, agent_id: int, side: Side, qty: int,
                       ts: int) -> MarketOrderResult:
         oid = self._next_order_id
-        self._next_order_id += 1
-        result = self.book.submit_market(side, qty, agent_id, ts, order_id=oid)
-        self._record_fills(result.fills)
+        self._next_order_id = oid + 1
+        result = self.book.submit_market(side, qty, agent_id, ts, oid)
+        if result.fills:  # most full-scale market orders meet an empty side
+            self._record_fills(result.fills)
         return result
 
     def cancel_orders(self, order_ids) -> int:
@@ -185,6 +196,10 @@ class MarketSession:
     # -- event loop --------------------------------------------------------
 
     def _schedule(self, delay: int, payload) -> None:
+        """Queue ``payload`` ``delay`` ns from now: an event past the session
+        end is dropped, any other gets the next sequence number. ``run_until``
+        applies the same rule inline to the delay a wakeup returns, after
+        going silent on ``None`` and raising a delay below 1 ns to 1."""
         ts = self.now + delay
         if ts > self.session_end:
             return
@@ -195,29 +210,39 @@ class MarketSession:
         snap = self.book.snapshot(self.config.depth, ts)
         fund = self._fundamental.value(ts)
         self.log.snapshots.append((ts, snap, fund))
-        mid = snap.mid
-        if mid is not None:
-            self._mid_history.append(float(mid))
+        bids, asks = snap.bids, snap.asks
+        if bids and asks:
+            # float(snap.mid): int true division is correctly rounded too
+            self._mid_history.append((bids[0][0] + asks[0][0]) / 2)
 
     def run_until(self, t: int) -> None:
         """Process every event with ts <= t, then set the clock to t."""
-        t = min(t, self.session_end)
+        end = self.session_end
+        t = min(t, end)
         on_event = self.hooks.get("on_event")
-        while self._queue and self._queue[0][0] <= t:
-            ts, seq, payload = heapq.heappop(self._queue)
-            assert (ts, seq) > self._last_event_key, "event order violated"
-            self._last_event_key = (ts, seq)
+        queue, pop, push = self._queue, heapq.heappop, heapq.heappush
+        interval, snapshot = self._snapshot_interval, _SNAPSHOT
+        while queue and queue[0][0] <= t:
+            ts, seq, payload = pop(queue)
+            key = (ts, seq)
+            assert key > self._last_event_key, "event order violated"
+            self._last_event_key = key
             self.now = ts
             if on_event is not None:
                 on_event(ts, seq)
-            if payload == "snapshot":
+            if payload is snapshot:
                 self._take_snapshot(ts)
-                self._schedule(int(self.config.snapshot_interval_s * NS_PER_SEC),
-                               "snapshot")
+                delay = interval
             else:
                 delay = payload.wakeup(ts, self)
-                if delay is not None:
-                    self._schedule(max(1, delay), payload)
+                if delay is None:
+                    continue
+                if delay < 1:
+                    delay = 1
+            ts += delay  # the rule of _schedule, inline
+            if ts <= end:
+                self._event_seq += 1
+                push(queue, (ts, self._event_seq, payload))
         self.now = max(self.now, t)
 
 

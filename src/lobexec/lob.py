@@ -21,7 +21,15 @@ class Side(Enum):
     ASK = "ask"
 
     def opposite(self) -> "Side":
-        return Side.ASK if self is Side.BID else Side.BID
+        return _ASK if self is _BID else _BID
+
+
+# Side.BID is a slow lookup (EnumType has a __getattr__); per-event code
+# reads these module globals instead.
+_BID, _ASK = Side.BID, Side.ASK
+# Per-event code builds its NamedTuples with ``_new(cls, fields)``, which is
+# ``cls(*fields)`` without the Python-level ``__new__`` frame.
+_new = tuple.__new__
 
 
 class DuplicateOrderError(ValueError):
@@ -158,7 +166,7 @@ class OrderBook:
 
     def _top(self, side: Side, k: int) -> tuple[dict[int, _Level], list[int]]:
         """The ladder of one side and its top-k prices, best first."""
-        if side is Side.BID:
+        if side is _BID:
             return self._bids, self._bid_prices[:-k - 1:-1]
         return self._asks, self._ask_prices[:k]
 
@@ -200,8 +208,8 @@ class OrderBook:
     def snapshot(self, d: int = 10, ts: int = 0) -> BookSnapshot:
         if d < 1:
             raise ValueError(f"snapshot depth must be >= 1, got {d}")
-        bids, bid_prices = self._top(Side.BID, d)
-        asks, ask_prices = self._top(Side.ASK, d)
+        bids, bid_prices = self._top(_BID, d)
+        asks, ask_prices = self._top(_ASK, d)
         return BookSnapshot(ts=ts,
                             bids=tuple([(p, bids[p].total_qty) for p in bid_prices]),
                             asks=tuple([(p, asks[p].total_qty) for p in ask_prices]))
@@ -223,7 +231,7 @@ class OrderBook:
 
         Returns (fills, unfilled qty, notional, price levels touched).
         """
-        is_bid = side is Side.BID
+        is_bid = side is _BID
         if is_bid:
             prices, ladder, best = self._ask_prices, self._asks, 0
         else:
@@ -242,7 +250,8 @@ class OrderBook:
             while qty and level:
                 maker = level[0]
                 traded = qty if qty < maker.qty else maker.qty
-                fills.append(Fill(oid, maker.id, aid, maker.agent_id, side, price, traded, ts))
+                fills.append(_new(Fill, (oid, maker.id, aid, maker.agent_id, side, price,
+                                         traded, ts)))
                 if log is not None:
                     self._log("fill", side, price, traded, oid, aid, ts)
                 qty -= traded
@@ -288,7 +297,7 @@ class OrderBook:
                 ts: int) -> tuple[list[Fill], int]:
         """The limit-order loop: ``items`` are caller-built orders when
         ``agent_id`` is None, else quotes numbered from ``oid``."""
-        resting_map, log, bid_side = self._orders, self.event_log, Side.BID
+        resting_map, log, bid_side = self._orders, self.event_log, _BID
         bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
         asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
         fills: list[Fill] = []
@@ -360,10 +369,10 @@ class OrderBook:
         oid = order_id if order_id is not None else -self._seq
         if self.event_log is not None:
             self._log("submit", side, None, qty, oid, agent_id, ts)
-        if not (self._ask_prices if side is Side.BID else self._bid_prices):
-            return MarketOrderResult((), 0, 0, qty)
+        if not (self._ask_prices if side is _BID else self._bid_prices):
+            return _new(MarketOrderResult, ((), 0, 0, qty))
         fills, unfilled, notional, levels = self._match(side, qty, oid, agent_id, ts, None)
-        return MarketOrderResult(tuple(fills), notional, levels - 1, unfilled)
+        return _new(MarketOrderResult, (tuple(fills), notional, levels - 1, unfilled))
 
     def cancel(self, order_id: int) -> bool:
         """Remove a resting order; False if unknown or already gone."""
@@ -373,7 +382,7 @@ class OrderBook:
         """Cancel orders one after another, as many cancel calls; the number
         removed. Unknown or already-gone ids are skipped. A level this call
         empties becomes a spare until the next call (see the class doc)."""
-        orders, log, bid_side = self._orders, self.event_log, Side.BID
+        orders, log, bid_side = self._orders, self.event_log, _BID
         bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
         asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
         bid_spares.clear()

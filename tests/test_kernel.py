@@ -149,6 +149,64 @@ def test_event_order_audit_hook():
     assert len(set(keys)) == len(keys)
 
 
+class Scripted:
+    """Agent stub that returns its scripted delays in turn, then None."""
+
+    def __init__(self, name, delays, woken):
+        self.name, self.delays, self.woken = name, list(delays), woken
+
+    def wakeup(self, now, exchange):
+        self.woken.append((self.name, now))
+        return self.delays.pop(0) if self.delays else None
+
+
+def test_scheduling_contract():
+    """A delay of None goes silent, one below 1 ns becomes 1, an event past
+    the session end is dropped without a sequence number, and one exactly
+    at the end still runs."""
+    end = 10 * NS_PER_SEC
+    keys, woken = [], []
+    session = MarketSession(small_config(n_noise=0, n_value=0, n_momentum=0,
+                                         n_market_maker=0, session_seconds=10.0),
+                            seed=0, hooks={"on_event": lambda ts, seq: keys.append((ts, seq))})
+    assert session.session_end == end
+    # queued after the t=0 snapshot (seq 1) as seq 2, 3, 4 and 5
+    session._schedule(5, Scripted("silent", [None], woken))
+    session._schedule(5, Scripted("zero", [0, -5], woken))
+    session._schedule(100, Scripted("on_end", [end - 100, 1], woken))
+    session._schedule(200, Scripted("beyond", [end - 199], woken))
+    session.run_until(end)
+    assert woken == [("silent", 5), ("zero", 5), ("zero", 6), ("zero", 7),
+                     ("on_end", 100), ("beyond", 200), ("on_end", end)]
+    # snapshots take seq 6 at 1 s, then 10, 11, ... from 2 s on
+    snapshots = [(NS_PER_SEC, 6)] + [(k * NS_PER_SEC, 8 + k) for k in range(2, 11)]
+    assert keys == ([(0, 1), (5, 2), (5, 3), (6, 7), (7, 8), (100, 4), (200, 5)]
+                    + snapshots[:-1] + [(end, 9), snapshots[-1]])
+    assert session._queue == [] and session.now == end
+
+
+@pytest.mark.parametrize("piece_ns", [NS_PER_SEC, 333_333_333])
+def test_run_until_in_pieces_matches_one_call(piece_ns):
+    """Advancing the clock piece by piece, as ExecutionEnv does, processes
+    the same events and writes the same bytes as one call to the end."""
+    cfg = small_config(session_seconds=30.0, noise=NoiseAgentParams(mean_wake_s=3.0))
+    runs = []
+    for pieces in (False, True):
+        keys = []
+        session = MarketSession(cfg, seed=5, hooks={
+            "on_event": lambda ts, seq: keys.append((ts, seq))})
+        if pieces:
+            for t in range(piece_ns, session.session_end + piece_ns, piece_ns):
+                session.run_until(t)
+        else:
+            session.run_until(session.session_end)
+        runs.append((keys, session.log.fills_csv(), session.log.snapshots_csv()))
+    whole, piecewise = runs
+    keys, fills, _ = whole
+    assert len(keys) > 200 and fills.count("\n") > 20
+    assert piecewise == whole
+
+
 def test_malformed_config_rejected_before_run():
     with pytest.raises(ValueError):
         MarketSession(small_config(n_noise=-1), seed=0)
@@ -309,6 +367,18 @@ class TestNoiseAgentDraws:
         assert agent._size() == lo + (kept * n >> 32)
         assert agent._high is None
 
+    def test_side_threshold(self):
+        # random() is (raw >> 11) * 2**-53, below 0.5 exactly when raw <
+        # 2**63; the words on either side of that are scripted here.
+        words = [2**63 - 1, 2**63]
+        assert [(w >> 11) * 2**-53 < 0.5 for w in words] == [True, False]
+        agent = NoiseAgent(1, np.random.default_rng(0), NoiseAgentParams(10, 10))
+        agent._raw = iter(words).__next__  # min_size == max_size: no size draw
+        ex = Recorder()
+        agent.wakeup(0, ex)
+        agent.wakeup(0, ex)
+        assert ex.orders == [(Side.BID, 10), (Side.ASK, 10)]
+
 
 class TestValueAgent:
     def make(self, obs, bid=(99, 100), ask=(101, 100)):
@@ -453,6 +523,15 @@ class TestMarketMaker:
         mm.wakeup(0, ex)
         quotes = [o for o in ex.orders if o[0] == "limit"]
         assert quotes and all(q[3] == 1 for q in quotes)
+
+    def test_reference_rounds_an_odd_mid_down(self):
+        # bid 99, ask 102: the mid 100.5 gives reference 100
+        ex = FakeExchange(bid=(99, 100), ask=(102, 100))
+        mm = MarketMakerAgent(4, np.random.default_rng(9), MarketMakerParams())
+        mm.wakeup(0, ex)
+        quotes = [o for o in ex.orders if o[0] == "limit"]
+        assert [q[2] for q in quotes if q[1] is Side.BID] == list(range(99, 89, -1))
+        assert [q[2] for q in quotes if q[1] is Side.ASK] == list(range(101, 111))
 
     def test_adaptive_window_doubles_then_halves(self):
         ex = FakeExchange(bid=(99990, 100), ask=(100010, 100))
