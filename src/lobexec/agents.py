@@ -44,6 +44,8 @@ class ValueAgentParams:
             raise ValueError("value lambda_va must be positive")
         if self.size < 1:
             raise ValueError("value size must be >= 1")
+        if self.obs_noise_std < 0:
+            raise ValueError("value obs_noise_std must be >= 0")
 
 
 @dataclass
@@ -76,6 +78,12 @@ class MarketMakerParams:
             raise ValueError("market_maker wake_interval_s must be at least 1 ns")
         if self.min_size < 1:
             raise ValueError("market_maker min_size must be >= 1")
+        if self.n_ticks < 1:
+            raise ValueError("market_maker n_ticks must be >= 1")
+        if self.pov < 0:
+            raise ValueError("market_maker pov must be >= 0")
+        if self.window_s <= 0 or self.max_window_s <= 0:
+            raise ValueError("market_maker window_s and max_window_s must be positive")
 
 
 class Agent:
@@ -206,20 +214,15 @@ class MarketMakerAgent(Agent):
     def first_wakeup(self) -> int:
         return 0  # seeds the book at session open
 
-    def _reference(self, exchange, now) -> int | None:
-        book = exchange.book
-        bid, ask = book.best_bid(), book.best_ask()
+    def _reference(self, bid, ask, exchange, now) -> int:
         if bid is not None and ask is not None:
-            return (bid + ask) // 2  # int(book.mid_price()): prices are positive
+            return (bid + ask) // 2  # int(mid): prices are positive
         last = exchange.last_trade_price()
         if last is not None:
             return last
         return round(exchange.oracle_observe(self.agent_id, now, 0.0))
 
     def wakeup(self, now, exchange):
-        exchange.cancel_orders(self._live_orders)
-        self._live_orders = []
-
         volume = exchange.transacted_volume(now, self._window_ns)
         if volume == 0:
             self._window_ns = min(self._window_ns * 2,
@@ -228,13 +231,15 @@ class MarketMakerAgent(Agent):
             self._window_ns = max(self._window_ns // 2, NS_PER_SEC)
         size = max(self.params.min_size, round(self.params.pov * volume))
 
-        ref = self._reference(exchange, now)
-        if ref is not None:
-            bid, ask = _BID, _ASK
+        def quotes_at(bid, ask):  # the touch once the old ladder is cancelled
+            ref = self._reference(bid, ask, exchange, now)
             quotes = []
             for i in range(1, self.params.n_ticks + 1):
                 if ref - i > 0:
-                    quotes.append((bid, ref - i, size))
-                quotes.append((ask, ref + i, size))
-            self._live_orders = exchange.submit_limits(self.agent_id, quotes, now)
+                    quotes.append((_BID, ref - i, size))
+                quotes.append((_ASK, ref + i, size))
+            return quotes
+
+        self._live_orders = exchange.requote(self.agent_id, self._live_orders,
+                                             quotes_at, now)
         return int(self.params.wake_interval_s * NS_PER_SEC)

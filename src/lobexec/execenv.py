@@ -71,6 +71,8 @@ class ExecConfig:
             raise ValueError("warmup_s must be >= 0")
         if self.time_window_s % self.step_s != 0:
             raise ValueError("time_window_s must be a multiple of step_s")
+        if self.alpha < 0 or self.beta < 0 or self.over_exec_penalty < 0:
+            raise ValueError("alpha, beta and over_exec_penalty must be >= 0")
         if self.q_min < 1 or self.n_size_actions < 1:
             raise ValueError("q_min and n_size_actions must be >= 1")
         if self.q_min * self.n_size_actions * self.n_steps < self.parent_size:

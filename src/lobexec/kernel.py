@@ -59,6 +59,8 @@ class MarketConfig:
         if int(self.snapshot_interval_s * NS_PER_SEC) < 1:
             raise ValueError("snapshot_interval_s must be at least 1 ns")
         self.fundamental.validate()
+        if self.fundamental.mu <= 0:  # the path starts at mu; quotes need a price
+            raise ValueError("fundamental mu must be positive")
         for params in (self.noise, self.value, self.momentum, self.market_maker):
             params.validate()
 
@@ -99,9 +101,18 @@ class SessionLog:
 
 
 class MarketSession:
-    """One seeded market run. Single-threaded; one instance per episode."""
+    """One seeded market run. Single-threaded; one instance per episode.
 
-    def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None):
+    ``log``, when given, receives a ``BookSnapshot`` with the fundamental
+    at every snapshot tick and every fill; ``kernel_run`` passes one. A
+    session without a log (the execution MDP's) keeps only what agents and
+    the MDP read, and behaves the same: each tick still draws the
+    fundamental, since skipping it would shift its random stream, and still
+    feeds the momentum agents' mid ring.
+    """
+
+    def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None,
+                 log: SessionLog | None = None):
         config.validate()
         self.config = config
         self.hooks = hooks or {}
@@ -112,7 +123,7 @@ class MarketSession:
         self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()
-        self.log = SessionLog()
+        self.log = log
         self._next_order_id = 1
         self._event_seq = 0
         self._queue: list[tuple[int, int, object]] = []
@@ -158,7 +169,8 @@ class MarketSession:
     def _record_fills(self, fills) -> None:
         if not fills:
             return
-        self.log.fills.extend(fills)
+        if self.log is not None:
+            self.log.fills.extend(fills)
         fill_ts, qty_cum = self._fill_ts, self._fill_qty_cum
         cum = qty_cum[-1]
         for f in fills:
@@ -190,8 +202,23 @@ class MarketSession:
             self._record_fills(result.fills)
         return result
 
-    def cancel_orders(self, order_ids) -> int:
-        return self.book.cancel_orders(order_ids)
+    def requote(self, agent_id: int, order_ids, quotes_at, ts: int) -> list[int]:
+        """Cancel ``order_ids``, then ``submit_limits(agent_id, quotes_at(bid,
+        ask), ts)`` with (bid, ask) the touch the cancels leave, in one book
+        call (``OrderBook.requote``); the new order ids."""
+        first = self._next_order_id
+        ids = range(first, first)
+
+        def numbered(bid, ask):
+            nonlocal ids
+            quotes = quotes_at(bid, ask)
+            ids = range(first, first + len(quotes))
+            self._next_order_id = ids.stop  # spent, as submit_limits spends them
+            return quotes
+
+        fills, _ = self.book.requote(order_ids, agent_id, numbered, first, ts)
+        self._record_fills(fills)
+        return list(ids)
 
     # -- event loop --------------------------------------------------------
 
@@ -207,13 +234,14 @@ class MarketSession:
         heapq.heappush(self._queue, (ts, self._event_seq, payload))
 
     def _take_snapshot(self, ts: int) -> None:
-        snap = self.book.snapshot(self.config.depth, ts)
         fund = self._fundamental.value(ts)
-        self.log.snapshots.append((ts, snap, fund))
-        bids, asks = snap.bids, snap.asks
-        if bids and asks:
-            # float(snap.mid): int true division is correctly rounded too
-            self._mid_history.append((bids[0][0] + asks[0][0]) / 2)
+        book = self.book
+        if self.log is not None:
+            self.log.snapshots.append((ts, book.snapshot(self.config.depth, ts), fund))
+        bid, ask = book.best_bid(), book.best_ask()
+        if bid is not None and ask is not None:
+            # float(snapshot.mid): int true division is correctly rounded too
+            self._mid_history.append((bid + ask) / 2)
 
     def run_until(self, t: int) -> None:
         """Process every event with ts <= t, then set the clock to t."""
@@ -248,6 +276,6 @@ class MarketSession:
 
 def kernel_run(config: MarketConfig, seed: int, hooks: dict | None = None) -> SessionLog:
     """Run a full background-only session and return its log."""
-    session = MarketSession(config, seed, hooks)
+    session = MarketSession(config, seed, hooks, log=SessionLog())
     session.run_until(session.session_end)
     return session.log

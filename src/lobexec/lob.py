@@ -91,8 +91,8 @@ class BookSnapshot:
 
 
 class _Quote(Order):
-    """An order the book built from a quote. No caller holds it, so once it
-    is cancelled the book may re-stamp it for a new quote."""
+    """An order the book built from a quote. No caller holds it, so once
+    ``requote`` cancels it the book may re-stamp it for a new quote."""
     __slots__ = ()
 
 
@@ -108,25 +108,31 @@ class OrderBook:
     ask first) and a dict from price to level; a level is one deque of
     orders with its total qty. Opening or dropping a level is a dict entry
     plus an O(levels) list insert or removal; each fill at the best level is
-    O(1) and a cancel scans its queue. No read ever sees an empty level.
-
-    A cancel that empties a level takes it off the ladder at once, but keeps
-    the level object, still holding the cancelled order, as a spare for its
-    side and price. The spares last until the start of the next
-    ``cancel_orders`` call. When a limit order opens a level at a spare's
-    price, the book reuses that spare instead of allocating one, and a quote
-    that lands there re-stamps the cancelled order if the book built it (it
-    never re-stamps an ``Order`` a caller passed in). So a market maker that
-    cancels and re-posts its ladder at unchanged prices allocates nothing.
+    O(1) and a cancel scans its queue. Between calls no level is empty.
 
     ``submit_limits`` (caller-built ``Order``s), ``submit_quotes`` ((side,
     price, qty) tuples, for which the book builds the orders) and
-    ``cancel_orders`` take a whole batch, such as a market maker's requote,
-    in one call; ``submit_limit`` and ``cancel`` are the one-order case of
-    the same loops, so a batch gives exactly the ids, seq numbers, fills,
-    queue positions and log lines of the single-order calls in the same
-    order. ``imbalances`` reads the top-k imbalance features in one pass;
-    ``total_depth`` and ``volume_imbalance`` are the exact definitions.
+    ``cancel_orders`` take a whole batch in one call; ``submit_limit`` and
+    ``cancel`` are the one-order case of the same loops, so a batch gives
+    exactly the ids, seq numbers, fills, queue positions and log lines of
+    the single-order calls in the same order. ``imbalances`` reads the
+    top-k imbalance features in one pass; ``total_depth`` and
+    ``volume_imbalance`` are the exact definitions.
+
+    ``requote`` is a market maker's cancel-and-re-post in one call: the
+    cancels of ``cancel_orders``, then the quotes of ``submit_quotes``,
+    which a builder makes from the touch the cancels leave. Inside that
+    call, a cancelled order that the book built and that is still the last
+    order of its level stays there as a stale entry: it has left the order
+    map and its level's total, so no count or fill sees it. A quote at the
+    same side and price re-stamps it in place (id, agent, qty, ts, seq)
+    rather than dropping and reopening the level; since the stale entry is
+    last in its queue, that is exactly a fresh order appended there. The
+    book never re-stamps an ``Order`` a caller passed in, nor an order with
+    another order queued behind it. All stale entries are purged before a
+    quote that could cross, and at the end of the call, also when a quote
+    is invalid; so fills, queues, seq numbers and log lines are those of
+    ``cancel_orders`` followed by ``submit_quotes``.
 
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
@@ -137,9 +143,6 @@ class OrderBook:
         self._ask_prices: list[int] = []  # ascending; best ask = first
         self._bids: dict[int, _Level] = {}
         self._asks: dict[int, _Level] = {}
-        # levels the last cancel_orders call emptied, off the ladder
-        self._bid_spares: dict[int, _Level] = {}
-        self._ask_spares: dict[int, _Level] = {}
         self._orders: dict[int, Order] = {}  # resting only
         self._seq = 0
         self.event_log = event_log
@@ -293,13 +296,58 @@ class OrderBook:
         the orders, so no caller holds them."""
         return self._submit(quotes, agent_id, first_id, ts)
 
-    def _submit(self, items, agent_id: Optional[int], oid: int,
+    def requote(self, order_ids, agent_id: int, quotes_at, first_id: int,
                 ts: int) -> tuple[list[Fill], int]:
+        """``cancel_orders(order_ids)``, then ``submit_quotes(agent_id,
+        quotes_at(bid, ask), first_id, ts)``, in one call (see the class doc).
+
+        ``bid`` and ``ask`` are the best prices the cancels leave (None for
+        an empty side); ``quotes_at`` reads the touch from them, not from the
+        book. Returns what ``submit_quotes`` returns. An invalid quote raises
+        with the book as the two calls would leave it.
+        """
+        bid_stale: dict[int, Order] = {}
+        ask_stale: dict[int, Order] = {}
+        self._cancel(order_ids, bid_stale, ask_stale)
+        try:
+            # a level left with only its stale entry has a zero total
+            bids, asks = self._bids, self._asks
+            bid = ask = None
+            for price in reversed(self._bid_prices):
+                if bids[price].total_qty:
+                    bid = price
+                    break
+            for price in self._ask_prices:
+                if asks[price].total_qty:
+                    ask = price
+                    break
+            return self._submit(quotes_at(bid, ask), agent_id, first_id, ts,
+                                bid_stale, ask_stale)
+        finally:
+            if bid_stale or ask_stale:
+                self._purge(bid_stale, ask_stale)
+
+    def _purge(self, bid_stale: dict, ask_stale: dict) -> None:
+        """Drop the stale entries ``requote`` left; each is its level's last."""
+        for stale, ladder, prices in ((bid_stale, self._bids, self._bid_prices),
+                                      (ask_stale, self._asks, self._ask_prices)):
+            for price in stale:
+                level = ladder[price]
+                level.pop()
+                if not level:
+                    del ladder[price]
+                    prices.remove(price)
+            stale.clear()
+
+    def _submit(self, items, agent_id: Optional[int], oid: int, ts: int,
+                bid_stale: Optional[dict] = None,
+                ask_stale: Optional[dict] = None) -> tuple[list[Fill], int]:
         """The limit-order loop: ``items`` are caller-built orders when
-        ``agent_id`` is None, else quotes numbered from ``oid``."""
+        ``agent_id`` is None, else quotes numbered from ``oid``. A quote at a
+        price in its side's stale dict (``requote``) re-stamps that entry."""
         resting_map, log, bid_side = self._orders, self.event_log, _BID
-        bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
-        asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
+        bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
+                                              self._asks, self._ask_prices)
         fills: list[Fill] = []
         total = 0
         oid -= 1
@@ -326,10 +374,15 @@ class OrderBook:
                 self._log("submit", side, price, qty, oid, aid, ts)
             if side is bid_side:
                 crosses = ask_prices and ask_prices[0] <= price
-                ladder, prices, spares = bids, bid_prices, bid_spares
+                ladder, prices, stale = bids, bid_prices, bid_stale
             else:
                 crosses = bid_prices and bid_prices[-1] >= price
-                ladder, prices, spares = asks, ask_prices, ask_spares
+                ladder, prices, stale = asks, ask_prices, ask_stale
+            if crosses and (bid_stale or ask_stale):
+                # what it would cross may be stale: purge, then look again
+                self._purge(bid_stale, ask_stale)
+                crosses = (ask_prices and ask_prices[0] <= price if side is bid_side
+                           else bid_prices and bid_prices[-1] >= price)
             if crosses:
                 new_fills, qty, _, _ = self._match(side, qty, oid, aid, ts, price)
                 fills += new_fills
@@ -338,24 +391,22 @@ class OrderBook:
                 if not qty:
                     continue
             level = ladder.get(price)
-            if level is not None:
-                level.total_qty += qty
-            else:
-                level = spares.pop(price, None)
-                if level is None:
-                    level = _Level()
-                else:
-                    old = level.pop()  # the order the emptying cancel left in it
-                    if order is None and type(old) is _Quote:
-                        order = old
-                        order.id, order.agent_id, order.qty = oid, aid, qty
-                        order.ts, order.seq = ts, seq
+            if level is None:
+                level = ladder[price] = _Level()
                 level.total_qty = qty
-                ladder[price] = level
                 insort(prices, price)
-            if order is None:
-                order = _Quote(oid, aid, side, qty, price, ts, seq)
-            level.append(order)
+                old = None
+            else:
+                level.total_qty += qty
+                old = stale.pop(price, None) if stale else None
+            if old is not None:  # the level's last entry: re-stamp it in place
+                order = old
+                order.id, order.agent_id, order.qty, order.ts, order.seq = \
+                    oid, aid, qty, ts, seq
+            else:
+                if order is None:
+                    order = _Quote(oid, aid, side, qty, price, ts, seq)
+                level.append(order)
             resting_map[oid] = order
             total += qty
         return fills, total
@@ -380,13 +431,17 @@ class OrderBook:
 
     def cancel_orders(self, order_ids) -> int:
         """Cancel orders one after another, as many cancel calls; the number
-        removed. Unknown or already-gone ids are skipped. A level this call
-        empties becomes a spare until the next call (see the class doc)."""
+        removed. Unknown or already-gone ids are skipped."""
+        return self._cancel(order_ids, None, None)
+
+    def _cancel(self, order_ids, bid_stale: Optional[dict],
+                ask_stale: Optional[dict]) -> int:
+        """The cancel loop. With stale dicts (``requote``), a book-built
+        order that is the last in its level stays there, stale, filed under
+        its price in its side's dict."""
         orders, log, bid_side = self._orders, self.event_log, _BID
-        bids, bid_prices, bid_spares = self._bids, self._bid_prices, self._bid_spares
-        asks, ask_prices, ask_spares = self._asks, self._ask_prices, self._ask_spares
-        bid_spares.clear()
-        ask_spares.clear()
+        bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
+                                              self._asks, self._ask_prices)
         removed = 0
         for order_id in order_ids:
             order = orders.pop(order_id, None)
@@ -394,18 +449,20 @@ class OrderBook:
                 continue
             removed += 1
             if order.side is bid_side:
-                ladder, prices, spares = bids, bid_prices, bid_spares
+                ladder, prices, stale = bids, bid_prices, bid_stale
             else:
-                ladder, prices, spares = asks, ask_prices, ask_spares
+                ladder, prices, stale = asks, ask_prices, ask_stale
             price = order.price
             level = ladder[price]
-            if len(level) > 1:
+            if stale is not None and level[-1] is order and type(order) is _Quote:
+                level.total_qty -= order.qty
+                stale[price] = order
+            elif len(level) > 1:
                 level.remove(order)
                 level.total_qty -= order.qty
-            else:  # its only order: the level leaves the ladder, order and all
+            else:  # its only order: the level leaves the ladder
                 del ladder[price]
                 prices.remove(price)
-                spares[price] = level
             if log is not None:
                 self._log("cancel", order.side, price, order.qty, order.id,
                           order.agent_id, order.ts)

@@ -29,11 +29,11 @@ class ConstantMarket:
         self._requote()
 
     def _requote(self) -> None:
-        self.book.cancel_orders(self.book.order_ids())
         oid = self._next_id
         self._next_id += 2
-        self.book.submit_quotes(0, ((Side.BID, self.bid, DEPTH),
-                                    (Side.ASK, self.ask, DEPTH)), oid, self.now)
+        quotes = ((Side.BID, self.bid, DEPTH), (Side.ASK, self.ask, DEPTH))
+        self.book.requote(self.book.order_ids(), 0, lambda bid, ask: quotes,
+                          oid, self.now)
 
     def run_until(self, t: int) -> None:
         self.now = max(self.now, t)

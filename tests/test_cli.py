@@ -130,6 +130,16 @@ class TestExitCodes:
         # train exited 3 on an empty action grid
         ("exec", {"q_min": -20, "n_size_actions": -4}),
         ("exec", {"q_min": 20, "n_size_actions": 0}),
+        ("market.fundamental.mu", -5),          # exit 3 at the first quote
+        ("market.fundamental.mu", 0),           # exit 3 too
+        ("market.market_maker.n_ticks", 0),     # exit 0 with an empty ladder
+        ("market.market_maker.pov", -0.5),      # exit 0
+        ("market.market_maker.window_s", 0),    # exit 0
+        ("market.market_maker.max_window_s", -60),  # exit 0
+        ("market.value.obs_noise_std", -1),     # exit 0 without any noise
+        ("exec.alpha", -2),                     # exit 0, depth rewarded
+        ("exec.beta", -1),                      # exit 0
+        ("exec.over_exec_penalty", -5),         # exit 0
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml

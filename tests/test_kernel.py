@@ -194,7 +194,7 @@ def test_run_until_in_pieces_matches_one_call(piece_ns):
     for pieces in (False, True):
         keys = []
         session = MarketSession(cfg, seed=5, hooks={
-            "on_event": lambda ts, seq: keys.append((ts, seq))})
+            "on_event": lambda ts, seq: keys.append((ts, seq))}, log=SessionLog())
         if pieces:
             for t in range(piece_ns, session.session_end + piece_ns, piece_ns):
                 session.run_until(t)
@@ -254,8 +254,9 @@ class FakeExchange:
             ids.append(self._oid)
         return ids
 
-    def cancel_orders(self, oids):
-        return len(oids)
+    def requote(self, agent_id, oids, quotes_at, ts):
+        quotes = quotes_at(self.book.best_bid(), self.book.best_ask())
+        return self.submit_limits(agent_id, quotes, ts)
 
     def mid_history(self):
         return self._mids
@@ -452,7 +453,7 @@ def test_mid_ring_holds_what_momentum_agents_read():
     mids of the whole history, as it did over a longer ring."""
     params = MomentumAgentParams(short_window=30, long_window=10, mean_wake_s=2.0)
     session = MarketSession(small_config(n_momentum=3, momentum=params,
-                                         session_seconds=60.0), seed=3)
+                                         session_seconds=60.0), seed=3, log=SessionLog())
     momentum_ids = {a.agent_id for a in session.agents if isinstance(a, MomentumAgent)}
     for t in range(1, 61):
         session.run_until(t * NS_PER_SEC)
@@ -467,14 +468,15 @@ def test_mid_ring_holds_what_momentum_agents_read():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_session_batched_quotes_match_single_calls(seed):
-    """A MarketSession.submit_limits/cancel_orders batch gives the ids, fills,
-    volume record and book events of one call per order."""
+    """A MarketSession.requote gives the ids, fills, volume record and book
+    events of one call per cancel and per quote, and its builder gets the
+    touch the cancels leave."""
     import random
     rng = random.Random(seed)
     cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
     sessions, lines = [], []
     for _ in range(2):
-        session = MarketSession(cfg, seed=0)
+        session = MarketSession(cfg, seed=0, log=SessionLog())
         lines.append([])
         session.book.event_log = lines[-1].append
         sessions.append(session)
@@ -487,12 +489,19 @@ def test_session_batched_quotes_match_single_calls(seed):
             assert batched.submit_market(9, side, qty, ts) == \
                 single.submit_market(9, side, qty, ts)
         cancels = live + [10 ** 6]
-        assert batched.cancel_orders(cancels) == \
-            sum(single.cancel_orders((i,)) for i in cancels)
+        for i in cancels:
+            single.book.cancel(i)
         ref = rng.randint(95, 105)
         quotes = [(side, ref + sign * i, rng.randint(1, 20)) for i in range(1, 6)
                   for side, sign in ((Side.BID, -1), (Side.ASK, 1))]
-        live = batched.submit_limits(4, quotes, ts)
+        touches = []
+
+        def quotes_at(bid, ask):
+            touches.append((bid, ask))
+            return quotes
+
+        live = batched.requote(4, cancels, quotes_at, ts)
+        assert touches == [(single.book.best_bid(), single.book.best_ask())]
         assert live == list(range(live[0], live[0] + len(quotes)))
         assert live == [single.submit_limits(4, (quote,), ts)[0] for quote in quotes]
         assert batched.transacted_volume(ts, 10 ** 9) == \
@@ -505,6 +514,61 @@ def test_session_batched_quotes_match_single_calls(seed):
     quote = ((Side.BID, 1, 1),)
     assert batched.submit_limits(4, quote, 99) == \
         single.submit_limits(4, quote, 99) == [n_orders + 1]
+
+
+DESK = small_config(n_noise=100, n_value=10, n_momentum=2, session_seconds=90.0,
+                    value=ValueAgentParams(lambda_va=5.7e-12 * 20),
+                    market_maker=MarketMakerParams(pov=0.05, min_size=200))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_session_without_a_log_behaves_the_same(seed):
+    """A session without a log (the execution MDP's) processes the same
+    events and leaves the same state, second by second, as one with a log:
+    it draws the fundamental at each tick and keeps the mid ring all the
+    same."""
+    sessions, keys = [], []
+    for log in (SessionLog(), None):
+        keys.append([])
+        sessions.append(MarketSession(DESK, seed, {"on_event": (
+            lambda ts, seq, out=keys[-1]: out.append((ts, seq)))}, log=log))
+    logged, bare = sessions
+    assert bare.log is None
+    for t in range(1, 91):
+        for session in sessions:
+            session.run_until(t * NS_PER_SEC)
+        assert keys[0] == keys[1]
+        assert (bare._fill_ts, bare._fill_qty_cum) == \
+            (logged._fill_ts, logged._fill_qty_cum)
+        assert bare.last_trade_price() == logged.last_trade_price()
+        assert bare.mid_history() == logged.mid_history()
+        assert (bare._fundamental._last_ts, bare._fundamental._last_value) == \
+            (logged._fundamental._last_ts, logged._fundamental._last_value)
+        assert bare.book.snapshot(10) == logged.book.snapshot(10)
+    assert len(logged.log.snapshots) == 91 and len(logged.log.fills) > 100
+    assert len(logged.mid_history()) == DESK.momentum.long_window
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_execution_episode_without_a_log_is_the_same(seed):
+    from lobexec.execenv import ExecConfig, ExecutionEnv
+    cfg = ExecConfig(parent_size=2000, time_window_s=60, warmup_s=20)
+    episodes = []
+    for make_log in (SessionLog, lambda: None):
+        env = ExecutionEnv(cfg, lambda s: MarketSession(DESK, s, log=make_log()))
+        obs = [env.reset(seed)]
+        steps = []
+        rng = np.random.default_rng(seed)
+        while not env.done:
+            out = env.step(int(rng.integers(0, cfg.n_actions)))
+            steps.append((out.info, out.reward, out.done))
+            obs.append(out.observation)
+        episodes.append((steps, np.array(obs), env.episode_shortfall(),
+                         env.episode_penalty()))
+    (steps, obs, *rest), (bare_steps, bare_obs, *bare_rest) = episodes
+    assert bare_steps == steps and bare_rest == rest
+    assert np.array_equal(bare_obs, obs)
+    assert sum(info["filled"] for info, _, _ in steps) > 0
 
 
 class TestMarketMaker:

@@ -455,34 +455,39 @@ def resting_state(book):
 
 
 def run_requote_script(steps):
-    """Play a script on three books and the oracle.
+    """Play a script on four books and the oracle.
 
     ``("limit", oid, side, price, qty)`` and ``("market", oid, side, qty)``
     are background orders from agent 1. ``("cancel", ids)`` and ``("quotes",
     [(oid, side, price, qty), ...])`` are agent 2's batches, with consecutive
     ids and the first id as their ts. The batched book takes each batch in
     one call of caller-built orders, the quoted book in one ``submit_quotes``
-    call, and the single book as one call per order. Returns (batches that
-    crossed, cancels of submitted ids that missed, the quoted book).
+    call, and the single book as one call per order. The requoted book plays
+    a cancel step and the quotes step after it as one ``requote`` call, whose
+    builder must get the touch the single book shows between the two; it
+    meets the others after every step it has caught up with. Returns
+    (batches that crossed, cancels of submitted ids that missed, the quoted
+    book).
     """
-    logs = {name: [] for name in ("batched", "quoted", "single")}
-    batched, quoted, single = books = [OrderBook(event_log=log.append)
-                                       for log in logs.values()]
+    logs = {name: [] for name in ("batched", "quoted", "single", "requoted")}
+    batched, quoted, single, requoted = books = [OrderBook(event_log=log.append)
+                                                 for log in logs.values()]
     ref = BruteForceBook()
     submitted = set()
     crossing_batches = filled_misses = 0
-    for step in steps:
+    pending = ()  # the cancel ids the requoted book plays with the next quotes
+    for n, step in enumerate(steps):
         if step[0] == "limit":
             _, oid, side, price, qty = step
             results = [book.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
                        for book in books]
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1] == results[2] == results[3]
             ref.submit_limit(oid, 1, side, price, qty)
             submitted.add(oid)
         elif step[0] == "market":
             _, oid, side, qty = step
             results = [book.submit_market(side, qty, 1, oid, oid) for book in books]
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1] == results[2] == results[3]
             ref.submit_market(oid, 1, side, qty)
         elif step[0] == "cancel":
             _, cancel_ids = step
@@ -491,9 +496,22 @@ def run_requote_script(steps):
                 sum(single.cancel(i) for i in cancel_ids) == \
                 sum(ref.cancel(i) for i in cancel_ids)
             filled_misses += sum(i in submitted for i in cancel_ids) - n_cancelled
+            if n + 1 < len(steps) and steps[n + 1][0] == "quotes":
+                pending = cancel_ids
+            else:
+                assert requoted.cancel_orders(cancel_ids) == n_cancelled
         else:
             _, quotes = step
             first = quotes[0][0]
+            touches = []
+
+            def quotes_at(bid, ask):
+                touches.append((bid, ask))
+                return [q[1:] for q in quotes]
+
+            requoted_result = requoted.requote(pending, 2, quotes_at, first, first)
+            assert touches == [(single.best_bid(), single.best_ask())]
+            pending = ()
             assert [q[0] for q in quotes] == list(range(first, first + len(quotes)))
             submitted.update(q[0] for q in quotes)
             a_orders = [mk(o, s, p, q, agent=2, ts=first) for o, s, p, q in quotes]
@@ -508,19 +526,21 @@ def run_requote_script(steps):
                 single_resting += r
                 ref_fills += ref.submit_limit(o, 2, s, p, q)[0]
             assert fills == single_fills
+            assert requoted_result == (fills, resting)
             assert [(f.taker_order_id, f.maker_order_id, f.price, f.qty)
                     for f in fills] == ref_fills
             assert resting == single_resting
             assert [(o.seq, o.qty) for o in a_orders] == \
                 [(o.seq, o.qty) for o in b_orders]
             crossing_batches += bool(fills)
-        for book in books:
+        for book in books if not pending else books[:3]:
             assert book.snapshot(50) == single.snapshot(50)
             assert book.order_ids() == single.order_ids()
             assert resting_state(book) == resting_state(single)
+            assert book._seq == single._seq
         assert single.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
         assert single.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
-    assert logs["batched"] == logs["quoted"] == logs["single"]
+    assert logs["batched"] == logs["quoted"] == logs["single"] == logs["requoted"]
     return crossing_batches, filled_misses, quoted
 
 
@@ -553,7 +573,7 @@ class TestBatchedRequote:
         crossing, _, _ = run_requote_script(steps)
         assert crossing == 1
 
-    # -- the spare levels a cancel leaves --------------------------------
+    # -- the stale entries a requote re-stamps ---------------------------
 
     def test_requote_at_unchanged_prices_reuses_levels_and_quotes(self):
         book = OrderBook()
@@ -561,9 +581,14 @@ class TestBatchedRequote:
         levels = {p: book._bids.get(p) or book._asks[p] for p in range(97, 104)
                   if p != 100}
         orders = [book._orders[oid] for oid in range(1, 7)]
-        assert book.cancel_orders(range(1, 7)) == 6
-        assert book.snapshot(10) == BookSnapshot(0, (), ())
-        book.submit_quotes(2, [q[1:] for q in ladder(7, 100, 3, 8)], 7, 5)
+        touches = []
+
+        def quotes_at(bid, ask):
+            touches.append((bid, ask))
+            return [q[1:] for q in ladder(7, 100, 3, 8)]
+
+        assert book.requote(range(1, 7), 2, quotes_at, 7, 5) == ([], 48)
+        assert touches == [(None, None)]  # the cancels emptied the book
         for p, level in levels.items():
             assert (book._bids.get(p) or book._asks[p]) is level
         assert [book._orders[oid] for oid in range(7, 13)] == orders  # identity
@@ -587,23 +612,38 @@ class TestBatchedRequote:
         assert book.order_ids() == [1, 6, 7, 8, 9, 10]
         assert book.snapshot(2).bids == ((99, 10), (98, 6))
 
-    def test_cancel_of_a_shared_level_makes_no_spare(self):
+    def test_cancel_on_a_shared_level_re_stamps_its_last_order(self):
         book = OrderBook()
         book.submit_limit(mk(1, Side.BID, 99, 4))
         book.submit_quotes(2, [(Side.BID, 99, 5), (Side.BID, 98, 5)], 2, 0)
-        assert book.cancel_orders([2, 3]) == 2
-        assert list(book._bid_spares) == [98]
-        assert book.snapshot(5).bids == ((99, 4),)
+        level, quote = book._bids[99], book._orders[2]
+        touches = []
 
-    def test_spares_last_until_the_next_cancel_call(self):
+        def quotes_at(bid, ask):
+            touches.append((bid, ask, book._bids[99].total_qty))
+            return [(Side.BID, 99, 6)]
+
+        book.requote([2, 3], 2, quotes_at, 4, 1)
+        assert touches == [(99, None, 4)]  # the stale quote is not counted
+        assert book._bids[99] is level and book._orders[4] is quote
+        assert book.order_ids() == [1, 4]
+        assert book.snapshot(5).bids == ((99, 10),)  # the stale 98 is purged
+        assert list(book._bid_prices) == [99]
+
+    def test_stale_entries_end_with_the_call(self):
         book = OrderBook()
         book.submit_quotes(2, [q[1:] for q in ladder(1, 100, 2, 5)], 1, 0)
-        book.cancel_orders([1, 2])
-        assert (list(book._bid_spares), list(book._ask_spares)) == ([99], [101])
-        book.cancel_orders([3, 10 ** 9])
-        assert (list(book._bid_spares), list(book._ask_spares)) == ([98], [])
-        book.cancel_orders([])
-        assert not book._bid_spares and not book._ask_spares
+        old = [book._orders[oid] for oid in range(1, 5)]
+        book.requote([1, 2, 3], 2, lambda bid, ask: [], 5, 1)
+        assert book.snapshot(5) == BookSnapshot(0, (), ((102, 5),))
+        assert (book._bid_prices, list(book._bids)) == ([], [])
+        assert (book._ask_prices, list(book._asks)) == ([102], [102])
+        # a later call builds a fresh order at a price the requote emptied
+        book.submit_quotes(2, [(Side.BID, 99, 7)], 5, 2)
+        assert all(book._orders[5] is not o for o in old)
+        book.requote([4, 5], 2, lambda bid, ask: [(Side.ASK, 103, 1)], 6, 3)
+        assert resting_state(book) == [(6, 2, Side.ASK, 103, 1, 3, 6)]
+        assert book._orders[6] is not old[3]  # 102 is not 103: no re-stamp
 
     def test_crossing_residual_rests_at_a_spare_price(self):
         steps = [("limit", 1, Side.ASK, 104, 5), ("quotes", ladder(2, 100, 2, 5)),
@@ -729,6 +769,184 @@ class TestBatchedRequote:
         book = OrderBook()
         assert book.submit_limits([]) == ([], 0)
         assert book.cancel_orders([]) == 0
+        assert book.requote([], 2, lambda bid, ask: [], 1, 0) == ([], 0)
+        assert book.snapshot(5) == BookSnapshot(0, (), ())
+
+    # -- one requote call against cancel_orders then submit_quotes ------
+
+    @staticmethod
+    def sequential_and_requoted(setup, cancel_ids, quotes, first, ts=9):
+        """Two books built by ``setup``: one takes ``cancel_orders`` then
+        ``submit_quotes``, the other one ``requote``. Returns both books,
+        their results, log lines and the touch the builder got."""
+        out = []
+        for one_call in (False, True):
+            log = []
+            book = OrderBook(event_log=log.append)
+            setup(book)
+            touches = []
+
+            def quotes_at(bid, ask):
+                touches.append((bid, ask))
+                return quotes
+
+            if one_call:
+                result = book.requote(cancel_ids, 2, quotes_at, first, ts)
+            else:
+                book.cancel_orders(cancel_ids)
+                result = book.submit_quotes(
+                    2, quotes_at(book.best_bid(), book.best_ask()), first, ts)
+            out.append((book, result, log, touches))
+        (seq_book, *seq), (one_book, *one) = out
+        assert one == seq
+        for book in (seq_book, one_book):
+            book.submit_limit(mk(99, Side.BID, 1, 1))  # seq continues alike
+        assert one_book.snapshot(50) == seq_book.snapshot(50)
+        assert resting_state(one_book) == resting_state(seq_book)
+        return seq_book, one_book, one[0], one[2]
+
+    def test_re_stamps_its_own_orders_by_identity(self):
+        def setup(book):
+            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.BID, 98, 5),
+                                   (Side.ASK, 101, 5)], 1, 0)
+        quotes = [(Side.ASK, 101, 3), (Side.BID, 99, 6), (Side.BID, 97, 2)]
+        self.sequential_and_requoted(setup, [1, 2, 3], quotes, 4)
+        book2 = OrderBook()
+        setup(book2)
+        bid99, ask101 = book2._orders[1], book2._orders[3]
+        book2.requote([1, 2, 3], 2, lambda bid, ask: quotes, 4, 9)
+        assert book2._orders[4] is ask101 and book2._orders[5] is bid99
+        assert (ask101.id, ask101.qty, ask101.ts, ask101.seq) == (4, 3, 9, 4)
+        assert (bid99.id, bid99.qty, bid99.ts, bid99.seq) == (5, 6, 9, 5)
+        assert book2._orders[6] not in (bid99, ask101)
+        assert book2.snapshot(5).bids == ((99, 6), (97, 2))  # 98 purged
+
+    def test_a_cancelled_order_moves_behind_a_later_order(self):
+        def setup(book):
+            book.submit_quotes(2, [(Side.BID, 99, 5)], 1, 0)
+            book.submit_limit(mk(2, Side.BID, 99, 4, agent=1))
+        seq_book, book, _, touches = self.sequential_and_requoted(
+            setup, [1], [(Side.BID, 99, 6)], 3)
+        assert touches == [(99, None)]
+        assert list(book._bids[99]) and [o.id for o in book._bids[99]] == [2, 3]
+        assert book.order_ids() == seq_book.order_ids() == [2, 3, 99]
+        # agent 1's order is first in the queue
+        fills = book.submit_market(Side.ASK, 5, 7, 10).fills
+        assert [(f.maker_order_id, f.qty) for f in fills] == [(2, 4), (3, 1)]
+
+    def test_a_new_bid_never_fills_against_the_cancelled_ask(self):
+        def setup(book):
+            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
+                                   (Side.BID, 98, 5), (Side.ASK, 102, 5)], 1, 0)
+            book.submit_limit(mk(5, Side.ASK, 106, 3, agent=1))
+        # the reference moved up: the new bids sit at and above the old asks
+        quotes = [(Side.BID, 103, 4), (Side.ASK, 105, 4), (Side.BID, 102, 4),
+                  (Side.ASK, 107, 4)]
+        _, book, (fills, resting), touches = self.sequential_and_requoted(
+            setup, [1, 2, 3, 4], quotes, 6)
+        assert touches == [(None, 106)]
+        assert fills == [] and resting == 16
+        assert book.snapshot(5).bids == ((103, 4), (102, 4), (1, 1))
+        assert book.snapshot(5).asks == ((105, 4), (106, 3), (107, 4))
+
+    def test_a_crossing_quote_fills_only_live_orders(self):
+        def setup(book):
+            book.submit_quotes(2, [(Side.ASK, 101, 5), (Side.ASK, 102, 5),
+                                   (Side.BID, 95, 5)], 1, 0)
+            book.submit_limit(mk(4, Side.ASK, 102, 2, agent=1))
+        _, book, (fills, resting), touches = self.sequential_and_requoted(
+            setup, [1, 2, 3], [(Side.ASK, 101, 1), (Side.BID, 103, 4)], 5)
+        assert touches == [(None, 102)]
+        # the re-stamped ask at 101 is live again, so the bid takes it first;
+        # the bid at 95 stays stale until this crossing quote purges it
+        assert [(f.maker_order_id, f.price, f.qty) for f in fills] == \
+            [(5, 101, 1), (4, 102, 2)]
+        assert resting == 2 and book.snapshot(5).bids == ((103, 1), (1, 1))
+
+    @pytest.mark.parametrize("crossed", [True, False])
+    @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
+                                     "zero_price", "resting_id"])
+    def test_an_invalid_quote_mid_call_leaves_the_sequential_book(self, bad, crossed):
+        quotes = {"zero_qty": (Side.BID, 99, 0), "negative_qty": (Side.ASK, 101, -3),
+                  "no_price": (Side.BID, None, 5), "zero_price": (Side.BID, 0, 5),
+                  "resting_id": (Side.BID, 96, 5)}
+        # the first quote re-stamps the stale bid at 100; the second crosses,
+        # which purges the other stale entries before the invalid quote, or
+        # rests, so that they are still stale when it raises
+        batch = [(Side.BID, 100, 4), (Side.BID, 103 if crossed else 99, 4),
+                 quotes[bad], (Side.ASK, 105, 2)]
+        first = 20 if bad == "resting_id" else 30  # the third id, 22, is resting
+        states, logs, errors = [], [], []
+        for one_call in (False, True):
+            log = []
+            book = OrderBook(event_log=log.append)
+            book.submit_quotes(2, [(Side.BID, 100, 3), (Side.ASK, 101, 3),
+                                   (Side.BID, 97, 2)], 1, 0)
+            for order in (mk(10, Side.ASK, 102, 3), mk(11, Side.ASK, 103, 10),
+                          mk(22, Side.BID, 90, 1)):
+                book.submit_limit(order)
+            with pytest.raises(ValueError) as exc:
+                if one_call:
+                    book.requote([1, 2, 3], 2, lambda bid, ask: batch, first, 5)
+                else:
+                    book.cancel_orders([1, 2, 3])
+                    book.submit_quotes(2, batch, first, 5)
+            book.submit_limit(mk(40, Side.BID, 91, 1))  # seq continues alike
+            states.append((book.snapshot(10), book.order_ids(), resting_state(book),
+                           book._bid_prices, book._ask_prices))
+            logs.append(log)
+            errors.append((type(exc.value), str(exc.value)))
+        assert states[0] == states[1]
+        assert logs[0] == logs[1]
+        assert errors[0] == errors[1]
+        assert states[0][0].bids[0] == (100, 4)
+
+    def test_a_builder_that_raises_leaves_the_cancelled_book(self):
+        book = OrderBook()
+        book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
+
+        def quotes_at(bid, ask):
+            raise RuntimeError("no quotes")
+
+        with pytest.raises(RuntimeError):
+            book.requote([1, 2], 2, quotes_at, 3, 1)
+        assert book.snapshot(5) == BookSnapshot(0, (), ())
+        assert (book._bids, book._asks, book._orders) == ({}, {}, {})
+
+    def test_the_builder_gets_the_touch_without_the_cancelled_orders(self):
+        def setup(book):
+            book.submit_limit(mk(1, Side.BID, 97, 3, agent=1))
+            book.submit_limit(mk(2, Side.ASK, 104, 3, agent=1))
+            # agent 2's ladder is the touch; at 99 it queues behind agent 1
+            book.submit_limit(mk(3, Side.BID, 99, 2, agent=1))
+            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
+                                   (Side.BID, 98, 5), (Side.ASK, 102, 5)], 4, 0)
+        before = OrderBook()
+        setup(before)
+        assert (before.best_bid(), before.best_ask()) == (99, 101)
+        _, _, _, touches = self.sequential_and_requoted(
+            setup, [4, 5, 6, 7], [(Side.BID, 98, 1), (Side.ASK, 103, 1)], 8)
+        assert touches == [(99, 104)]  # agent 1's bid at 99 is still there
+        _, _, _, touches = self.sequential_and_requoted(
+            setup, [3, 4, 5, 6, 7], [], 8)
+        assert touches == [(97, 104)]
+
+    def test_a_caller_order_is_never_re_stamped_by_a_requote(self):
+        book = OrderBook()
+        order = mk(1, Side.BID, 99, 5, agent=3, ts=7)
+        book.submit_limit(order)
+        before = astuple(order)
+        book.requote([1], 2, lambda bid, ask: [(Side.BID, 99, 8)], 2, 20)
+        assert astuple(order) == before
+        assert book._orders[2] is not order
+        assert resting_state(book) == [(2, 2, Side.BID, 99, 8, 20, 2)]
+        # nor is the book's own quote re-stamped by a caller's order
+        quote = book._orders[2]
+        mine = mk(3, Side.BID, 99, 6, agent=4, ts=21)
+        book.cancel_orders([2])
+        book.submit_limits([mine])
+        assert book._orders[3] is mine and quote.id == 2
+        assert resting_state(book) == [(3, 4, Side.BID, 99, 6, 21, 3)]
 
 
 class TestImbalances:
