@@ -72,9 +72,14 @@ class RunConfig:
             raise ConfigError("eval.episodes must be >= 2")
         if self.eval.bins < 1:
             raise ConfigError("eval.bins must be >= 1")
-        for name in self.eval.policies:
+        policies = self.eval.policies
+        if not policies:
+            raise ConfigError("eval.policies must name at least one policy")
+        for i, name in enumerate(policies):
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")
+            if name in policies[:i]:
+                raise ConfigError(f"duplicate policy in eval.policies: {name!r}")
         for cell in self.eval.grid:
             if not (isinstance(cell, list) and len(cell) == 2
                     and all(type(n) is int for n in cell)):

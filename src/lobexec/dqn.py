@@ -156,6 +156,8 @@ class QNetwork:
             if value.shape != net.params[name].shape:
                 raise ValueError(f"checkpoint param {name} has shape {value.shape}, "
                                  f"expected {net.params[name].shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"checkpoint param {name} has non-finite values")
             net.params[name][...] = value
         return net, payload.get("meta", {})
 

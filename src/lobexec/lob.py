@@ -42,7 +42,7 @@ class Order:
     agent_id: int
     side: Side
     qty: int
-    price: Optional[int] = None  # None for market orders
+    price: Optional[int] = None  # limit price; the book rejects None
     ts: int = 0
     seq: int = 0
 
@@ -90,12 +90,6 @@ class BookSnapshot:
         return None
 
 
-class _Quote(Order):
-    """An order the book built from a quote. No caller holds it, so once
-    ``requote`` cancels it the book may re-stamp it for a new quote."""
-    __slots__ = ()
-
-
 class _Level(deque):
     """The FIFO queue of the orders resting at one price, and their total."""
     __slots__ = ("total_qty",)
@@ -110,29 +104,27 @@ class OrderBook:
     plus an O(levels) list insert or removal; each fill at the best level is
     O(1) and a cancel scans its queue. Between calls no level is empty.
 
-    ``submit_limits`` (caller-built ``Order``s), ``submit_quotes`` ((side,
-    price, qty) tuples, for which the book builds the orders) and
-    ``cancel_orders`` take a whole batch in one call; ``submit_limit`` and
-    ``cancel`` are the one-order case of the same loops, so a batch gives
-    exactly the ids, seq numbers, fills, queue positions and log lines of
-    the single-order calls in the same order. ``imbalances`` reads the
-    top-k imbalance features in one pass; ``total_depth`` and
+    The book builds every order it rests. ``submit_quotes`` takes a batch
+    of (side, price, qty) tuples from one agent and gives exactly the ids,
+    seq numbers, fills, queue positions and log lines of one
+    ``submit_limit`` per quote; ``submit_limit`` rests a copy of the
+    caller's ``Order``, so no caller holds a resting order. ``imbalances``
+    reads the top-k imbalance features in one pass; ``total_depth`` and
     ``volume_imbalance`` are the exact definitions.
 
     ``requote`` is a market maker's cancel-and-re-post in one call: the
-    cancels of ``cancel_orders``, then the quotes of ``submit_quotes``,
-    which a builder makes from the touch the cancels leave. Inside that
-    call, a cancelled order that the book built and that is still the last
-    order of its level stays there as a stale entry: it has left the order
-    map and its level's total, so no count or fill sees it. A quote at the
-    same side and price re-stamps it in place (id, agent, qty, ts, seq)
-    rather than dropping and reopening the level; since the stale entry is
-    last in its queue, that is exactly a fresh order appended there. The
-    book never re-stamps an ``Order`` a caller passed in, nor an order with
-    another order queued behind it. All stale entries are purged before a
-    quote that could cross, and at the end of the call, also when a quote
-    is invalid; so fills, queues, seq numbers and log lines are those of
-    ``cancel_orders`` followed by ``submit_quotes``.
+    ``cancel`` of each id, then the quotes of ``submit_quotes``, which a
+    builder makes from the touch the cancels leave. Inside that call, a
+    cancelled order that is still the last order of its level stays there
+    as a stale entry: it has left the order map and its level's total, so
+    no count or fill sees it. A quote at the same side and price re-stamps
+    it in place (id, agent, qty, ts, seq) rather than dropping and
+    reopening the level; since the stale entry is last in its queue, that
+    is exactly a fresh order appended there. An order with another order
+    queued behind it is never re-stamped. All stale entries are purged
+    before a quote that could cross, and at the end of the call, also when
+    a quote is invalid; so fills, queues, seq numbers and log lines are
+    those of the cancels followed by ``submit_quotes``.
 
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
@@ -274,37 +266,34 @@ class OrderBook:
     def submit_limit(self, order: Order) -> tuple[list[Fill], int]:
         """Match a limit order against the book; rest any residual.
 
-        Returns (fills, resting_qty). The book is never crossed afterward.
+        The book rests its own copy of ``order``, then writes the copy's
+        ``seq`` and resting ``qty`` back into ``order``. Returns (fills,
+        resting_qty). The book is never crossed afterward.
         """
-        return self.submit_limits((order,))
-
-    def submit_limits(self, orders) -> tuple[list[Fill], int]:
-        """Submit limit orders one after another, as many submit_limit calls.
-
-        Each order is validated, matched and any residual rests, in turn; an
-        order that cannot cross skips matching. Each order's ``qty`` is left
-        at its resting quantity. Returns (the fills of all orders in submit
-        order, total resting qty). An invalid order raises with the orders
-        before it applied.
-        """
-        return self._submit(orders, None, 0, 0)
+        fills, order.qty = self._submit(((order.side, order.price, order.qty),),
+                                        order.agent_id, order.id, order.ts)
+        order.seq = self._seq
+        return fills, order.qty
 
     def submit_quotes(self, agent_id: int, quotes, first_id: int,
                       ts: int) -> tuple[list[Fill], int]:
-        """``submit_limits`` of ``(side, price, qty)`` quotes from one agent at
-        ``ts``, with ids ``first_id``, ``first_id + 1``, ...; the book builds
-        the orders, so no caller holds them."""
+        """Submit ``(side, price, qty)`` quotes from one agent at ``ts``, with
+        ids ``first_id``, ``first_id + 1``, ..., as many ``submit_limit``
+        calls: each is validated, matched and any residual rests, in turn.
+        Returns (the fills of all quotes in order, total resting qty). An
+        invalid quote raises with the quotes before it applied.
+        """
         return self._submit(quotes, agent_id, first_id, ts)
 
     def requote(self, order_ids, agent_id: int, quotes_at, first_id: int,
                 ts: int) -> tuple[list[Fill], int]:
-        """``cancel_orders(order_ids)``, then ``submit_quotes(agent_id,
+        """``cancel`` each of ``order_ids``, then ``submit_quotes(agent_id,
         quotes_at(bid, ask), first_id, ts)``, in one call (see the class doc).
 
         ``bid`` and ``ask`` are the best prices the cancels leave (None for
         an empty side); ``quotes_at`` reads the touch from them, not from the
         book. Returns what ``submit_quotes`` returns. An invalid quote raises
-        with the book as the two calls would leave it.
+        with the book as the two steps would leave it.
         """
         bid_stale: dict[int, Order] = {}
         ask_stale: dict[int, Order] = {}
@@ -339,28 +328,19 @@ class OrderBook:
                     prices.remove(price)
             stale.clear()
 
-    def _submit(self, items, agent_id: Optional[int], oid: int, ts: int,
+    def _submit(self, quotes, aid: int, oid: int, ts: int,
                 bid_stale: Optional[dict] = None,
                 ask_stale: Optional[dict] = None) -> tuple[list[Fill], int]:
-        """The limit-order loop: ``items`` are caller-built orders when
-        ``agent_id`` is None, else quotes numbered from ``oid``. A quote at a
-        price in its side's stale dict (``requote``) re-stamps that entry."""
+        """The limit-order loop over quotes numbered from ``oid``. A quote at
+        a price in its side's stale dict (``requote``) re-stamps that entry."""
         resting_map, log, bid_side = self._orders, self.event_log, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
         fills: list[Fill] = []
         total = 0
         oid -= 1
-        for item in items:
-            if agent_id is None:
-                order = item
-                side, price, qty = order.side, order.price, order.qty
-                oid, aid, ts = order.id, order.agent_id, order.ts
-            else:
-                order = None
-                side, price, qty = item
-                aid = agent_id
-                oid += 1
+        for side, price, qty in quotes:
+            oid += 1
             if qty <= 0:
                 raise ValueError("limit order qty must be positive")
             if price is None or price <= 0:
@@ -368,8 +348,6 @@ class OrderBook:
             if oid in resting_map:
                 raise DuplicateOrderError(f"order id {oid} already resting")
             seq = self._seq = self._seq + 1
-            if order is not None:
-                order.seq = seq
             if log is not None:
                 self._log("submit", side, price, qty, oid, aid, ts)
             if side is bid_side:
@@ -386,8 +364,6 @@ class OrderBook:
             if crosses:
                 new_fills, qty, _, _ = self._match(side, qty, oid, aid, ts, price)
                 fills += new_fills
-                if order is not None:
-                    order.qty = qty
                 if not qty:
                     continue
             level = ladder.get(price)
@@ -395,18 +371,16 @@ class OrderBook:
                 level = ladder[price] = _Level()
                 level.total_qty = qty
                 insort(prices, price)
-                old = None
+                order = None
             else:
                 level.total_qty += qty
-                old = stale.pop(price, None) if stale else None
-            if old is not None:  # the level's last entry: re-stamp it in place
-                order = old
+                order = stale.pop(price, None) if stale else None
+            if order is None:
+                order = Order(oid, aid, side, qty, price, ts, seq)
+                level.append(order)
+            else:  # the level's last entry: re-stamp it in place
                 order.id, order.agent_id, order.qty, order.ts, order.seq = \
                     oid, aid, qty, ts, seq
-            else:
-                if order is None:
-                    order = _Quote(oid, aid, side, qty, price, ts, seq)
-                level.append(order)
             resting_map[oid] = order
             total += qty
         return fills, total
@@ -427,18 +401,14 @@ class OrderBook:
 
     def cancel(self, order_id: int) -> bool:
         """Remove a resting order; False if unknown or already gone."""
-        return self.cancel_orders((order_id,)) == 1
-
-    def cancel_orders(self, order_ids) -> int:
-        """Cancel orders one after another, as many cancel calls; the number
-        removed. Unknown or already-gone ids are skipped."""
-        return self._cancel(order_ids, None, None)
+        return self._cancel((order_id,), None, None) == 1
 
     def _cancel(self, order_ids, bid_stale: Optional[dict],
                 ask_stale: Optional[dict]) -> int:
-        """The cancel loop. With stale dicts (``requote``), a book-built
-        order that is the last in its level stays there, stale, filed under
-        its price in its side's dict."""
+        """Cancel orders one after another, as many ``cancel`` calls; the
+        number removed. Unknown or already-gone ids are skipped. With stale
+        dicts (``requote``), an order that is the last in its level stays
+        there, stale, filed under its price in its side's dict."""
         orders, log, bid_side = self._orders, self.event_log, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
@@ -454,7 +424,7 @@ class OrderBook:
                 ladder, prices, stale = asks, ask_prices, ask_stale
             price = order.price
             level = ladder[price]
-            if stale is not None and level[-1] is order and type(order) is _Quote:
+            if stale is not None and level[-1] is order:
                 level.total_qty -= order.qty
                 stale[price] = order
             elif len(level) > 1:

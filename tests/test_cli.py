@@ -140,6 +140,9 @@ class TestExitCodes:
         ("exec.alpha", -2),                     # exit 0, depth rewarded
         ("exec.beta", -1),                      # exit 0
         ("exec.over_exec_penalty", -5),         # exit 0
+        # pooled the duplicate's episodes into the top-level metrics.csv
+        ("eval.policies", ["twap", "random", "random"]),
+        ("eval.policies", []),                  # exit 0, header-only CSVs
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml

@@ -506,7 +506,7 @@ class TestFlatParams:
         with pytest.raises(TrainingDivergedError, match="parameter b2 became non-finite"):
             net.check_finite()
 
-    @pytest.mark.parametrize("edit", ["missing", "extra", "shape"])
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "nan", "inf"])
     def test_load_rejects_mismatched_params(self, tmp_path, edit):
         path = tmp_path / "c.json"
         QNetwork((6, 5, 4, 3), np.random.default_rng(8)).save(path)
@@ -515,10 +515,15 @@ class TestFlatParams:
             del payload["params"]["b3"]
         elif edit == "extra":
             payload["params"]["w4"] = [[0.0]]
-        else:
+        elif edit == "shape":
             payload["params"]["w2"] = payload["params"]["w2"][1:]
+        elif edit == "nan":
+            payload["params"]["b3"][1] = float("nan")
+        else:
+            payload["params"]["w3"][0][2] = float("-inf")
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        named = {"nan": "b3", "inf": "w3"}.get(edit, "")
+        with pytest.raises(ValueError, match=f"checkpoint param.* {named}"):
             QNetwork.load(path)
 
 

@@ -455,23 +455,23 @@ def resting_state(book):
 
 
 def run_requote_script(steps):
-    """Play a script on four books and the oracle.
+    """Play a script on three books and the oracle.
 
     ``("limit", oid, side, price, qty)`` and ``("market", oid, side, qty)``
     are background orders from agent 1. ``("cancel", ids)`` and ``("quotes",
     [(oid, side, price, qty), ...])`` are agent 2's batches, with consecutive
-    ids and the first id as their ts. The batched book takes each batch in
-    one call of caller-built orders, the quoted book in one ``submit_quotes``
-    call, and the single book as one call per order. The requoted book plays
-    a cancel step and the quotes step after it as one ``requote`` call, whose
-    builder must get the touch the single book shows between the two; it
-    meets the others after every step it has caught up with. Returns
-    (batches that crossed, cancels of submitted ids that missed, the quoted
-    book).
+    ids and the first id as their ts. The quoted book takes each quotes
+    batch in one ``submit_quotes`` call, and the single book as one
+    ``submit_limit`` per order; both cancel one id at a time. The requoted
+    book plays a cancel step and the quotes step after it as one
+    ``requote`` call, whose builder must get the touch the single book
+    shows between the two; it meets the others after every step it has
+    caught up with. Returns (batches that crossed, cancels of submitted ids
+    that missed, the quoted book).
     """
-    logs = {name: [] for name in ("batched", "quoted", "single", "requoted")}
-    batched, quoted, single, requoted = books = [OrderBook(event_log=log.append)
-                                                 for log in logs.values()]
+    logs = {name: [] for name in ("quoted", "single", "requoted")}
+    quoted, single, requoted = books = [OrderBook(event_log=log.append)
+                                        for log in logs.values()]
     ref = BruteForceBook()
     submitted = set()
     crossing_batches = filled_misses = 0
@@ -481,25 +481,24 @@ def run_requote_script(steps):
             _, oid, side, price, qty = step
             results = [book.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
                        for book in books]
-            assert results[0] == results[1] == results[2] == results[3]
+            assert results[0] == results[1] == results[2]
             ref.submit_limit(oid, 1, side, price, qty)
             submitted.add(oid)
         elif step[0] == "market":
             _, oid, side, qty = step
             results = [book.submit_market(side, qty, 1, oid, oid) for book in books]
-            assert results[0] == results[1] == results[2] == results[3]
+            assert results[0] == results[1] == results[2]
             ref.submit_market(oid, 1, side, qty)
         elif step[0] == "cancel":
             _, cancel_ids = step
-            n_cancelled = batched.cancel_orders(cancel_ids)
-            assert n_cancelled == quoted.cancel_orders(cancel_ids) == \
-                sum(single.cancel(i) for i in cancel_ids) == \
+            n_cancelled = sum(quoted.cancel(i) for i in cancel_ids)
+            assert n_cancelled == sum(single.cancel(i) for i in cancel_ids) == \
                 sum(ref.cancel(i) for i in cancel_ids)
             filled_misses += sum(i in submitted for i in cancel_ids) - n_cancelled
             if n + 1 < len(steps) and steps[n + 1][0] == "quotes":
                 pending = cancel_ids
             else:
-                assert requoted.cancel_orders(cancel_ids) == n_cancelled
+                assert sum(requoted.cancel(i) for i in cancel_ids) == n_cancelled
         else:
             _, quotes = step
             first = quotes[0][0]
@@ -514,14 +513,13 @@ def run_requote_script(steps):
             pending = ()
             assert [q[0] for q in quotes] == list(range(first, first + len(quotes)))
             submitted.update(q[0] for q in quotes)
-            a_orders = [mk(o, s, p, q, agent=2, ts=first) for o, s, p, q in quotes]
-            b_orders = [mk(o, s, p, q, agent=2, ts=first) for o, s, p, q in quotes]
-            fills, resting = batched.submit_limits(a_orders)
-            assert quoted.submit_quotes(2, [q[1:] for q in quotes], first, first) == \
-                (fills, resting)
+            fills, resting = quoted.submit_quotes(2, [q[1:] for q in quotes], first,
+                                                  first)
             single_fills, single_resting, ref_fills = [], 0, []
-            for order, (o, s, p, q) in zip(b_orders, quotes):
+            for o, s, p, q in quotes:
+                order = mk(o, s, p, q, agent=2, ts=first)
                 fs, r = single.submit_limit(order)
+                assert (order.seq, order.qty) == (single._seq, r)  # written back
                 single_fills += fs
                 single_resting += r
                 ref_fills += ref.submit_limit(o, 2, s, p, q)[0]
@@ -530,17 +528,15 @@ def run_requote_script(steps):
             assert [(f.taker_order_id, f.maker_order_id, f.price, f.qty)
                     for f in fills] == ref_fills
             assert resting == single_resting
-            assert [(o.seq, o.qty) for o in a_orders] == \
-                [(o.seq, o.qty) for o in b_orders]
             crossing_batches += bool(fills)
-        for book in books if not pending else books[:3]:
+        for book in books if not pending else books[:2]:
             assert book.snapshot(50) == single.snapshot(50)
             assert book.order_ids() == single.order_ids()
             assert resting_state(book) == resting_state(single)
             assert book._seq == single._seq
         assert single.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
         assert single.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
-    assert logs["batched"] == logs["quoted"] == logs["single"] == logs["requoted"]
+    assert logs["quoted"] == logs["single"] == logs["requoted"]
     return crossing_batches, filled_misses, quoted
 
 
@@ -685,30 +681,26 @@ class TestBatchedRequote:
         batch = [(Side.BID, 100, 4), (Side.BID, 103, 4), quotes[bad], (Side.ASK, 105, 2)]
         first = 7 if bad == "resting_id" else 11  # the third id, 9, is resting
         states, logs, errors = [], [], []
-        for how in ("batched", "quoted", "single"):
+        for how in ("quoted", "single"):
             log = []
             book = OrderBook(event_log=log.append)
             for order in (mk(1, Side.ASK, 102, 3), mk(2, Side.BID, 100, 3),
                           mk(3, Side.ASK, 103, 10), mk(9, Side.BID, 90, 1)):
                 book.submit_limit(order)
-            assert book.cancel_orders([2, 4]) == 1
-            built = [mk(first + i, s, p, q, agent=2, ts=5)
-                     for i, (s, p, q) in enumerate(batch)]
+            assert book.cancel(2) and not book.cancel(4)
             with pytest.raises(ValueError) as exc:
-                if how == "batched":
-                    book.submit_limits(built)
-                elif how == "quoted":
+                if how == "quoted":
                     book.submit_quotes(2, batch, first, 5)
                 else:
-                    for order in built:
-                        book.submit_limit(order)
+                    for i, (s, p, q) in enumerate(batch):
+                        book.submit_limit(mk(first + i, s, p, q, agent=2, ts=5))
             book.submit_limit(mk(20, Side.BID, 91, 1))  # seq continues alike
             states.append((book.snapshot(10), book.order_ids(), resting_state(book)))
             logs.append(log)
             errors.append((type(exc.value), str(exc.value)))
-        assert states[0] == states[1] == states[2]
-        assert logs[0] == logs[1] == logs[2]
-        assert errors[0] == errors[1] == errors[2]
+        assert states[0] == states[1]
+        assert logs[0] == logs[1]
+        assert errors[0] == errors[1]
         assert states[0][0].bids[0] == (100, 4)
 
     def test_caller_order_is_never_re_stamped(self):
@@ -717,66 +709,31 @@ class TestBatchedRequote:
         book.submit_limit(order)
         assert order.seq == 1
         before = astuple(order)
-        assert book.cancel_orders([1]) == 1  # its level becomes a spare
+        resting = book._orders[1]
+        assert resting is not order and astuple(resting) == before
+        assert book.cancel(1)
         book.submit_quotes(2, [(Side.BID, 99, 8)], 2, 20)
         assert astuple(order) == before
-        assert book._orders[2] is not order
         assert resting_state(book) == [(2, 2, Side.BID, 99, 8, 20, 2)]
-        # and a caller's order on a spare that holds a book-built quote rests as is
-        book.cancel_orders([2])
+        # a caller's order on a level a quote left rests as a copy too
+        book.cancel(2)
         mine = mk(3, Side.BID, 99, 6, agent=4, ts=21)
-        book.submit_limits([mine])
-        assert book._orders[3] is mine
+        book.submit_limit(mine)
+        assert book._orders[3] is not mine
+        assert astuple(book._orders[3]) == astuple(mine)
         assert resting_state(book) == [(3, 4, Side.BID, 99, 6, 21, 3)]
-
-    @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
-                                     "zero_price", "resting_id", "batch_id"])
-    def test_invalid_order_mid_batch_matches_single_calls(self, bad):
-        orders = {"zero_qty": (7, Side.BID, 99, 0), "negative_qty": (7, Side.ASK, 101, -3),
-                  "no_price": (7, Side.BID, None, 5), "zero_price": (7, Side.BID, 0, 5),
-                  "resting_id": (3, Side.BID, 97, 5), "batch_id": (5, Side.ASK, 106, 5)}
-        # the second quote crosses: it takes order 1 and part of order 3
-        quotes = [(5, Side.ASK, 104, 3), (6, Side.BID, 103, 4), orders[bad],
-                  (8, Side.ASK, 105, 2)]
-        books, logs, errors = [], [], []
-        for batched in (True, False):
-            log = []
-            book = OrderBook(event_log=log.append)
-            book.submit_limit(mk(1, Side.ASK, 102, 3))
-            book.submit_limit(mk(2, Side.BID, 100, 3))
-            book.submit_limit(mk(3, Side.ASK, 103, 10))
-            if batched:
-                assert book.cancel_orders([2, 4]) == 1
-            else:
-                assert book.cancel(2) and not book.cancel(4)
-            built = [mk(*q) for q in quotes]
-            with pytest.raises(ValueError) as exc:
-                if batched:
-                    book.submit_limits(built)
-                else:
-                    for order in built:
-                        book.submit_limit(order)
-            book.submit_limit(mk(9, Side.BID, 90, 1))  # seq continues alike
-            books.append((book.snapshot(10), book.order_ids(),
-                          [(o.seq, o.qty) for o in built]))
-            logs.append(log)
-            errors.append((type(exc.value), str(exc.value)))
-        assert books[0] == books[1]
-        assert logs[0] == logs[1]
-        assert errors[0] == errors[1]
 
     def test_empty_batches(self):
         book = OrderBook()
-        assert book.submit_limits([]) == ([], 0)
-        assert book.cancel_orders([]) == 0
+        assert book.submit_quotes(2, [], 1, 0) == ([], 0)
         assert book.requote([], 2, lambda bid, ask: [], 1, 0) == ([], 0)
         assert book.snapshot(5) == BookSnapshot(0, (), ())
 
-    # -- one requote call against cancel_orders then submit_quotes ------
+    # -- one requote call against cancels then submit_quotes -----------
 
     @staticmethod
     def sequential_and_requoted(setup, cancel_ids, quotes, first, ts=9):
-        """Two books built by ``setup``: one takes ``cancel_orders`` then
+        """Two books built by ``setup``: one takes a ``cancel`` per id then
         ``submit_quotes``, the other one ``requote``. Returns both books,
         their results, log lines and the touch the builder got."""
         out = []
@@ -793,7 +750,8 @@ class TestBatchedRequote:
             if one_call:
                 result = book.requote(cancel_ids, 2, quotes_at, first, ts)
             else:
-                book.cancel_orders(cancel_ids)
+                for oid in cancel_ids:
+                    book.cancel(oid)
                 result = book.submit_quotes(
                     2, quotes_at(book.best_bid(), book.best_ask()), first, ts)
             out.append((book, result, log, touches))
@@ -820,6 +778,22 @@ class TestBatchedRequote:
         assert (bid99.id, bid99.qty, bid99.ts, bid99.seq) == (5, 6, 9, 5)
         assert book2._orders[6] not in (bid99, ask101)
         assert book2.snapshot(5).bids == ((99, 6), (97, 2))  # 98 purged
+
+    def test_re_stamps_an_order_submit_limit_rested(self):
+        callers = []
+
+        def setup(book):
+            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
+            order = mk(3, Side.BID, 99, 4, agent=1, ts=1)
+            book.submit_limit(order)  # last in the level at 99
+            callers.append((order, astuple(order), book._orders[3]))
+        quotes = [(Side.BID, 99, 6), (Side.ASK, 102, 2)]
+        _, book, _, touches = self.sequential_and_requoted(setup, [1, 3], quotes, 4)
+        assert touches == [(None, 101)]
+        (_, _, seq_resting), (_, before, resting) = callers
+        assert before == (3, 1, Side.BID, 4, 99, 1, 3)
+        assert book._orders[4] is resting and seq_resting.id == 3
+        assert all(astuple(order) == before for order, before, _ in callers)
 
     def test_a_cancelled_order_moves_behind_a_later_order(self):
         def setup(book):
@@ -889,7 +863,8 @@ class TestBatchedRequote:
                 if one_call:
                     book.requote([1, 2, 3], 2, lambda bid, ask: batch, first, 5)
                 else:
-                    book.cancel_orders([1, 2, 3])
+                    for oid in (1, 2, 3):
+                        book.cancel(oid)
                     book.submit_quotes(2, batch, first, 5)
             book.submit_limit(mk(40, Side.BID, 91, 1))  # seq continues alike
             states.append((book.snapshot(10), book.order_ids(), resting_state(book),
@@ -936,16 +911,18 @@ class TestBatchedRequote:
         order = mk(1, Side.BID, 99, 5, agent=3, ts=7)
         book.submit_limit(order)
         before = astuple(order)
+        resting = book._orders[1]
+        assert resting is not order and astuple(resting) == before
+        # the requote re-stamps the book's copy, never the caller's order
         book.requote([1], 2, lambda bid, ask: [(Side.BID, 99, 8)], 2, 20)
+        assert book._orders[2] is resting
         assert astuple(order) == before
-        assert book._orders[2] is not order
         assert resting_state(book) == [(2, 2, Side.BID, 99, 8, 20, 2)]
-        # nor is the book's own quote re-stamped by a caller's order
-        quote = book._orders[2]
         mine = mk(3, Side.BID, 99, 6, agent=4, ts=21)
-        book.cancel_orders([2])
-        book.submit_limits([mine])
-        assert book._orders[3] is mine and quote.id == 2
+        book.cancel(2)
+        book.submit_limit(mine)
+        assert book._orders[3] is not mine and resting.id == 2
+        assert astuple(book._orders[3]) == astuple(mine)
         assert resting_state(book) == [(3, 4, Side.BID, 99, 6, 21, 3)]
 
 
