@@ -1,9 +1,9 @@
 """Background agent population: noise, value, momentum and market maker.
 
-Each agent is woken by the event kernel, reads the exchange state and
-submits orders through it, then returns the delay (ns) until its next
-wake-up, or None to go silent. All randomness comes from the per-agent
-generator handed in at construction.
+Each agent is woken by the event kernel, reads what the exchange reports
+(never its book) and posts orders through it, then returns the delay (ns)
+until its next wake-up, or None to go silent. All randomness comes from
+the per-agent generator handed in at construction.
 """
 
 from __future__ import annotations
@@ -163,21 +163,23 @@ class ValueAgent(Agent):
 
     def wakeup(self, now, exchange):
         obs = exchange.oracle_observe(self.agent_id, now, self.params.obs_noise_std)
-        bid, ask = exchange.book.best_bid(), exchange.book.best_ask()
-        if bid is None or ask is None:
-            # no two-sided market: quote the missing side at the observed value
-            quote = (_ASK if ask is None else _BID, max(1, round(obs)))
-        elif obs > ask:
-            quote = (_BID, ask)
-        elif obs < bid:
-            quote = (_ASK, bid)
-        elif ask - bid > 1 and obs > (bid + ask) / 2:
-            quote = (_BID, bid + 1)
-        elif ask - bid > 1 and obs < (bid + ask) / 2:
-            quote = (_ASK, ask - 1)
-        else:
-            return self._delay()  # obs at the mid, or no tick inside: no order
-        exchange.submit_limits(self.agent_id, ((*quote, self.params.size),), now)
+        size = self.params.size
+
+        def quotes_at(bid, ask):
+            if bid is None or ask is None:
+                # no two-sided market: quote the missing side at the observed value
+                return ((_ASK if ask is None else _BID, max(1, round(obs)), size),)
+            if obs > ask:
+                return ((_BID, ask, size),)
+            if obs < bid:
+                return ((_ASK, bid, size),)
+            if ask - bid > 1 and obs > (bid + ask) / 2:
+                return ((_BID, bid + 1, size),)
+            if ask - bid > 1 and obs < (bid + ask) / 2:
+                return ((_ASK, ask - 1, size),)
+            return ()  # obs at the mid, or no tick inside: no order
+
+        exchange.requote(self.agent_id, (), quotes_at, now)
         return self._delay()
 
 
@@ -209,7 +211,7 @@ class MarketMakerAgent(Agent):
     def __init__(self, agent_id, rng, params: MarketMakerParams):
         super().__init__(agent_id, rng, params)
         self._window_ns = int(params.window_s * NS_PER_SEC)
-        self._live_orders: list[int] = []
+        self._live_orders: range = range(0)
 
     def first_wakeup(self) -> int:
         return 0  # seeds the book at session open

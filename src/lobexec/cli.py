@@ -212,10 +212,14 @@ def _experiment_setup(args, config: RunConfig, policies, sub: str):
         raise UsageError("--checkpoint is required for the rl policy")
     if args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
+    net = None
+    if "rl" in policies:
+        # before the output dir, so a rejected checkpoint leaves no files
+        net = QNetwork.load(args.checkpoint)[0]
+        check_sizes(net, (config.exec.obs_dim, *config.dqn.hidden, config.exec.n_actions))
     out = _out_dir(args, config, sub)
     dump_config(config, out / "config_used.yaml")
     seeds = list(range(config.seed, config.seed + config.eval.episodes))
-    net = QNetwork.load(args.checkpoint)[0] if "rl" in policies else None
     return out, hash_comment(config), seeds, net
 
 

@@ -80,6 +80,8 @@ class RunConfig:
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")
             if name in policies[:i]:
                 raise ConfigError(f"duplicate policy in eval.policies: {name!r}")
+        if not self.eval.grid:
+            raise ConfigError("eval.grid must hold at least one cell")
         for cell in self.eval.grid:
             if not (isinstance(cell, list) and len(cell) == 2
                     and all(type(n) is int for n in cell)):

@@ -179,20 +179,6 @@ class MarketSession:
             qty_cum.append(cum)
         self._last_trade = fills[-1].price
 
-    def submit_limits(self, agent_id: int, quotes, ts: int) -> list[int]:
-        """Submit a sequence of (side, price, qty) limit orders in order; their
-        order ids. The book builds the orders (``OrderBook.submit_quotes``).
-
-        An invalid quote raises with the book as one ``OrderBook.submit_limit``
-        call per quote would leave it; the batch's ids are then all spent and its
-        fills are not recorded.
-        """
-        first = self._next_order_id
-        end = self._next_order_id = first + len(quotes)
-        fills, _ = self.book.submit_quotes(agent_id, quotes, first, ts)
-        self._record_fills(fills)
-        return list(range(first, end))
-
     def submit_market(self, agent_id: int, side: Side, qty: int,
                       ts: int) -> MarketOrderResult:
         oid = self._next_order_id
@@ -202,23 +188,15 @@ class MarketSession:
             self._record_fills(result.fills)
         return result
 
-    def requote(self, agent_id: int, order_ids, quotes_at, ts: int) -> list[int]:
-        """Cancel ``order_ids``, then ``submit_limits(agent_id, quotes_at(bid,
-        ask), ts)`` with (bid, ask) the touch the cancels leave, in one book
-        call (``OrderBook.requote``); the new order ids."""
-        first = self._next_order_id
-        ids = range(first, first)
-
-        def numbered(bid, ask):
-            nonlocal ids
-            quotes = quotes_at(bid, ask)
-            ids = range(first, first + len(quotes))
-            self._next_order_id = ids.stop  # spent, as submit_limits spends them
-            return quotes
-
-        fills, _ = self.book.requote(order_ids, agent_id, numbered, first, ts)
+    def requote(self, agent_id: int, order_ids, quotes_at, ts: int) -> range:
+        """``OrderBook.requote`` numbered from the session's next id; the
+        range of the new ids. A call that raises reserves no ids, so no
+        session is used after one (``run_until`` aborts mid-event)."""
+        fills, ids = self.book.requote(order_ids, agent_id, quotes_at,
+                                       self._next_order_id, ts)
+        self._next_order_id = ids.stop
         self._record_fills(fills)
-        return list(ids)
+        return ids
 
     # -- event loop --------------------------------------------------------
 

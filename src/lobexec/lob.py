@@ -104,27 +104,27 @@ class OrderBook:
     plus an O(levels) list insert or removal; each fill at the best level is
     O(1) and a cancel scans its queue. Between calls no level is empty.
 
-    The book builds every order it rests. ``submit_quotes`` takes a batch
-    of (side, price, qty) tuples from one agent and gives exactly the ids,
-    seq numbers, fills, queue positions and log lines of one
-    ``submit_limit`` per quote; ``submit_limit`` rests a copy of the
-    caller's ``Order``, so no caller holds a resting order. ``imbalances``
-    reads the top-k imbalance features in one pass; ``total_depth`` and
-    ``volume_imbalance`` are the exact definitions.
+    The book builds every order it rests: ``submit_limit`` rests a copy of
+    the caller's ``Order``, so no caller holds a resting order.
+    ``imbalances`` reads the top-k imbalance features in one pass;
+    ``total_depth`` and ``volume_imbalance`` are the exact definitions.
 
-    ``requote`` is a market maker's cancel-and-re-post in one call: the
-    ``cancel`` of each id, then the quotes of ``submit_quotes``, which a
-    builder makes from the touch the cancels leave. Inside that call, a
-    cancelled order that is still the last order of its level stays there
-    as a stale entry: it has left the order map and its level's total, so
-    no count or fill sees it. A quote at the same side and price re-stamps
-    it in place (id, agent, qty, ts, seq) rather than dropping and
-    reopening the level; since the stale entry is last in its queue, that
-    is exactly a fresh order appended there. An order with another order
-    queued behind it is never re-stamped. All stale entries are purged
-    before a quote that could cross, and at the end of the call, also when
-    a quote is invalid; so fills, queues, seq numbers and log lines are
-    those of the cancels followed by ``submit_quotes``.
+    ``requote`` is how an agent posts quotes: the ``cancel`` of each of its
+    ids, then the (side, price, qty) quotes a builder makes from the touch
+    the cancels leave, with exactly the ids, seq numbers, fills, queue
+    positions and log lines of one ``submit_limit`` per quote. A value
+    agent cancels nothing and posts at most one quote; a market maker
+    cancels its ladder and posts a new one. Inside that call, a cancelled
+    order that is still the last order of its level stays there as a stale
+    entry: it has left the order map and its level's total, so no count or
+    fill sees it. A quote at the same side and price re-stamps it in place
+    (id, agent, qty, ts, seq) rather than dropping and reopening the level;
+    since the stale entry is last in its queue, that is exactly a fresh
+    order appended there. An order with another order queued behind it is
+    never re-stamped. All stale entries are purged before a quote that
+    could cross, and at the end of the call, also when a quote is invalid;
+    so fills, queues, seq numbers and log lines are those of the cancels
+    followed by one ``submit_limit`` per quote.
 
     Single-threaded mutable structure. ``event_log`` receives one CSV line
     per submit/cancel/fill when set.
@@ -270,31 +270,22 @@ class OrderBook:
         ``seq`` and resting ``qty`` back into ``order``. Returns (fills,
         resting_qty). The book is never crossed afterward.
         """
-        fills, order.qty = self._submit(((order.side, order.price, order.qty),),
-                                        order.agent_id, order.id, order.ts)
+        fills = self._submit(((order.side, order.price, order.qty),),
+                             order.agent_id, order.id, order.ts)
+        rested = self._orders.get(order.id)
+        order.qty = rested.qty if rested is not None else 0
         order.seq = self._seq
         return fills, order.qty
 
-    def submit_quotes(self, agent_id: int, quotes, first_id: int,
-                      ts: int) -> tuple[list[Fill], int]:
-        """Submit ``(side, price, qty)`` quotes from one agent at ``ts``, with
-        ids ``first_id``, ``first_id + 1``, ..., as many ``submit_limit``
-        calls: each is validated, matched and any residual rests, in turn.
-        Returns (the fills of all quotes in order, total resting qty). An
-        invalid quote raises with the quotes before it applied.
-        """
-        return self._submit(quotes, agent_id, first_id, ts)
-
     def requote(self, order_ids, agent_id: int, quotes_at, first_id: int,
-                ts: int) -> tuple[list[Fill], int]:
-        """``cancel`` each of ``order_ids``, then ``submit_quotes(agent_id,
-        quotes_at(bid, ask), first_id, ts)``, in one call (see the class doc).
-
-        ``bid`` and ``ask`` are the best prices the cancels leave (None for
-        an empty side); ``quotes_at`` reads the touch from them, not from the
-        book. Returns what ``submit_quotes`` returns. An invalid quote raises
-        with the book as the two steps would leave it.
-        """
+                ts: int) -> tuple[list[Fill], range]:
+        """``cancel`` each of ``order_ids``, then rest the ``(side, price,
+        qty)`` quotes of ``quotes_at(bid, ask)``, with (bid, ask) the touch the
+        cancels leave (None for an empty side), as ``agent_id``'s at ``ts``
+        with ids from ``first_id`` (see the class doc). Returns (the fills of
+        all quotes in order, the range of their ids). An invalid quote raises
+        with the book as the cancels and the ``submit_limit`` calls before it
+        would leave it."""
         bid_stale: dict[int, Order] = {}
         ask_stale: dict[int, Order] = {}
         self._cancel(order_ids, bid_stale, ask_stale)
@@ -310,8 +301,9 @@ class OrderBook:
                 if asks[price].total_qty:
                     ask = price
                     break
-            return self._submit(quotes_at(bid, ask), agent_id, first_id, ts,
-                                bid_stale, ask_stale)
+            quotes = quotes_at(bid, ask)
+            return (self._submit(quotes, agent_id, first_id, ts, bid_stale, ask_stale),
+                    range(first_id, first_id + len(quotes)))
         finally:
             if bid_stale or ask_stale:
                 self._purge(bid_stale, ask_stale)
@@ -330,14 +322,14 @@ class OrderBook:
 
     def _submit(self, quotes, aid: int, oid: int, ts: int,
                 bid_stale: Optional[dict] = None,
-                ask_stale: Optional[dict] = None) -> tuple[list[Fill], int]:
-        """The limit-order loop over quotes numbered from ``oid``. A quote at
-        a price in its side's stale dict (``requote``) re-stamps that entry."""
+                ask_stale: Optional[dict] = None) -> list[Fill]:
+        """The limit-order loop over quotes numbered from ``oid``; their fills.
+        A quote at a price in its side's stale dict (``requote``) re-stamps
+        that entry."""
         resting_map, log, bid_side = self._orders, self.event_log, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
         fills: list[Fill] = []
-        total = 0
         oid -= 1
         for side, price, qty in quotes:
             oid += 1
@@ -382,8 +374,7 @@ class OrderBook:
                 order.id, order.agent_id, order.qty, order.ts, order.seq = \
                     oid, aid, qty, ts, seq
             resting_map[oid] = order
-            total += qty
-        return fills, total
+        return fills
 
     def submit_market(self, side: Side, qty: int, agent_id: int, ts: int = 0,
                       order_id: Optional[int] = None) -> MarketOrderResult:

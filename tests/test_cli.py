@@ -143,6 +143,7 @@ class TestExitCodes:
         # pooled the duplicate's episodes into the top-level metrics.csv
         ("eval.policies", ["twap", "random", "random"]),
         ("eval.policies", []),                  # exit 0, header-only CSVs
+        ("eval.grid", []),                      # benchmark exit 0, no CSV
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, key, value):
         import yaml
@@ -202,6 +203,29 @@ class TestExitCodes:
     def test_rl_without_checkpoint_is_usage_error(self, lite_cfg, tmp_path, capsys):
         assert main(["evaluate", "--policy", "rl", "--config", str(lite_cfg),
                      "--out", str(tmp_path / "o")]) == 1
+
+    # a checkpoint the config cannot use: another action count, other hidden
+    # sizes, a NaN weight
+    @pytest.mark.parametrize("sizes, nan", [((36, 50, 20, 3), False),
+                                            ((36, 7, 9, 5), False),
+                                            ((36, 50, 20, 5), True)],
+                             ids=["n_actions", "hidden", "nan"])
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "rl"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_bad_checkpoint_fails_before_any_output(self, tmp_path, capsys, argv,
+                                                    sizes, nan):
+        ckpt = tmp_path / "net.json"
+        net = QNetwork(sizes, np.random.default_rng(0))
+        if nan:
+            net.params["w1"][0, 0] = np.nan
+        net.save(ckpt)
+        cfg = grid_cfg(tmp_path, "[[20, 1]]", policies="[rl, twap]")
+        out = tmp_path / "o"
+        assert main([*argv, "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("non-finite" if nan else "config expects [36, 50, 20, 5]") in err
+        assert not (out / argv[0]).exists()
 
     # only worker counts that start no process
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -227,36 +227,34 @@ def test_seed_paths_share_scale():
 
 
 class FakeExchange:
+    """The agent interface of ``MarketSession`` over a private book, with no
+    ``book`` attribute: agents reach the market only through these calls."""
+
     def __init__(self, bid=None, ask=None):
         from lobexec.lob import OrderBook, Order
-        self.book = OrderBook()
+        self._book = OrderBook()
         self.orders = []
         self._oid = 0
         if bid:
-            self.book.submit_limit(Order(id=9991, agent_id=0, side=Side.BID,
-                                         qty=bid[1], price=bid[0]))
+            self._book.submit_limit(Order(id=9991, agent_id=0, side=Side.BID,
+                                          qty=bid[1], price=bid[0]))
         if ask:
-            self.book.submit_limit(Order(id=9992, agent_id=0, side=Side.ASK,
-                                         qty=ask[1], price=ask[0]))
+            self._book.submit_limit(Order(id=9992, agent_id=0, side=Side.ASK,
+                                          qty=ask[1], price=ask[0]))
         self._mids = []
         self._volume = 0
         self._obs = 0.0
 
     def submit_market(self, agent_id, side, qty, ts):
         self.orders.append(("market", side, qty))
-        return self.book.submit_market(side, qty, agent_id, ts)
-
-    def submit_limits(self, agent_id, quotes, ts):
-        ids = []
-        for side, price, qty in quotes:
-            self.orders.append(("limit", side, price, qty))
-            self._oid += 1
-            ids.append(self._oid)
-        return ids
+        return self._book.submit_market(side, qty, agent_id, ts)
 
     def requote(self, agent_id, oids, quotes_at, ts):
-        quotes = quotes_at(self.book.best_bid(), self.book.best_ask())
-        return self.submit_limits(agent_id, quotes, ts)
+        first = self._oid + 1
+        for side, price, qty in quotes_at(self._book.best_bid(), self._book.best_ask()):
+            self.orders.append(("limit", side, price, qty))
+            self._oid += 1
+        return range(first, self._oid + 1)
 
     def mid_history(self):
         return self._mids
@@ -269,6 +267,22 @@ class FakeExchange:
 
     def oracle_observe(self, agent_id, ts, noise_std=0.0):
         return self._obs
+
+
+@pytest.mark.parametrize("cls,params", [
+    (NoiseAgent, NoiseAgentParams()),
+    (ValueAgent, ValueAgentParams(obs_noise_std=0.0)),
+    (MomentumAgent, MomentumAgentParams()),
+    (MarketMakerAgent, MarketMakerParams()),
+])
+def test_agents_never_read_the_exchange_book(cls, params):
+    ex = FakeExchange(bid=(99, 10 ** 6), ask=(102, 10 ** 6))
+    assert not hasattr(ex, "book")
+    ex._obs, ex._mids = 105.0, list(range(100, 160))
+    agent = cls(1, np.random.default_rng(0), params)
+    for t in range(3):
+        assert agent.wakeup(t, ex) >= 1
+    assert len(ex.orders) >= 3
 
 
 class TestNoiseAgent:
@@ -296,8 +310,8 @@ class TestNoiseAgent:
         agent = NoiseAgent(1, rng, NoiseAgentParams())
         ex = FakeExchange()
         agent.wakeup(0, ex)
-        assert ex.book.snapshot(10) == ex.book.snapshot(10)  # book unchanged/empty
-        assert ex.book.best_bid() is None and ex.book.best_ask() is None
+        assert ex._book.snapshot(10) == ex._book.snapshot(10)  # book unchanged/empty
+        assert ex._book.best_bid() is None and ex._book.best_ask() is None
 
 
 class Recorder:
@@ -469,8 +483,8 @@ def test_mid_ring_holds_what_momentum_agents_read():
 @pytest.mark.parametrize("seed", range(5))
 def test_session_batched_quotes_match_single_calls(seed):
     """A MarketSession.requote gives the ids, fills, volume record and book
-    events of one call per cancel and per quote, and its builder gets the
-    touch the cancels leave."""
+    events of one call per cancel and one requote with no cancels per quote,
+    and its builder gets the touch the cancels leave."""
     import random
     rng = random.Random(seed)
     cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
@@ -481,14 +495,14 @@ def test_session_batched_quotes_match_single_calls(seed):
         session.book.event_log = lines[-1].append
         sessions.append(session)
     batched, single = sessions
-    live = []
+    live = range(0)
     for ts in range(1, 40):
         if rng.random() < 0.5:
             side = Side.BID if rng.random() < 0.5 else Side.ASK
             qty = rng.randint(1, 30)
             assert batched.submit_market(9, side, qty, ts) == \
                 single.submit_market(9, side, qty, ts)
-        cancels = live + [10 ** 6]
+        cancels = [*live, 10 ** 6]
         for i in cancels:
             single.book.cancel(i)
         ref = rng.randint(95, 105)
@@ -502,8 +516,9 @@ def test_session_batched_quotes_match_single_calls(seed):
 
         live = batched.requote(4, cancels, quotes_at, ts)
         assert touches == [(single.book.best_bid(), single.book.best_ask())]
-        assert live == list(range(live[0], live[0] + len(quotes)))
-        assert live == [single.submit_limits(4, (quote,), ts)[0] for quote in quotes]
+        assert type(live) is range and len(live) == len(quotes)
+        assert list(live) == [i for quote in quotes
+                              for i in single.requote(4, (), lambda b, a: (quote,), ts)]
         assert batched.transacted_volume(ts, 10 ** 9) == \
             single.transacted_volume(ts, 10 ** 9)
         assert batched.last_trade_price() == single.last_trade_price()
@@ -512,8 +527,24 @@ def test_session_batched_quotes_match_single_calls(seed):
     # ids are consecutive over every order the session took, from 1
     n_orders = sum(line.split(",")[1] == "submit" for line in lines[0])
     quote = ((Side.BID, 1, 1),)
-    assert batched.submit_limits(4, quote, 99) == \
-        single.submit_limits(4, quote, 99) == [n_orders + 1]
+    assert batched.requote(4, (), lambda bid, ask: quote, 99) == \
+        single.requote(4, (), lambda bid, ask: quote, 99) == range(n_orders + 1,
+                                                                     n_orders + 2)
+
+
+def test_session_requote_that_raises_reserves_no_ids():
+    """An invalid quote raises out of ``requote`` before the session moves its
+    next id, so the quotes rested before it hold ids the next call hands out
+    again; no session is used after a raise (``run_until`` aborts mid-event)."""
+    from lobexec.lob import DuplicateOrderError
+    session = MarketSession(small_config(n_noise=0, n_value=0, n_momentum=0,
+                                         n_market_maker=0), seed=0)
+    with pytest.raises(ValueError, match="qty must be positive"):
+        session.requote(4, (), lambda bid, ask: [(Side.BID, 99, 5), (Side.BID, 98, 0)], 1)
+    assert session.book.order_ids() == [1]  # the quote before the bad one rests
+    assert session.requote(4, (), lambda bid, ask: (), 2) == range(1, 1)
+    with pytest.raises(DuplicateOrderError):
+        session.requote(4, (), lambda bid, ask: [(Side.ASK, 101, 5)], 3)
 
 
 DESK = small_config(n_noise=100, n_value=10, n_momentum=2, session_seconds=90.0,

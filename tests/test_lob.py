@@ -420,11 +420,13 @@ def test_fill_and_result_records_are_immutable_with_named_fields():
 # -- batched requote and one-pass features ------------------------------------
 
 def requote_script(rng, n_steps):
-    """Background orders interleaved with maker-style requotes.
+    """Background orders interleaved with maker-style requotes and value-style
+    single quotes.
 
     A requote cancels the maker's previous ids (some already filled, so the
     cancel misses) plus an id that never existed, then posts a ladder around
-    a reference that may sit away from the book, so some quotes cross.
+    a reference that may sit away from the book, so some quotes cross. A
+    value-style step cancels nothing and posts one quote.
     """
     steps, oid, maker_ids = [], 0, []
     for _ in range(n_steps):
@@ -436,6 +438,12 @@ def requote_script(rng, n_steps):
                 steps.append(("market", oid, side, qty))
             else:
                 steps.append(("limit", oid, side, rng.randint(92, 108), qty))
+            continue
+        if rng.random() < 0.3:
+            oid += 1
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            steps += [("cancel", []),
+                      ("quotes", [(oid, side, rng.randint(92, 108), rng.randint(1, 40))])]
             continue
         ref, size = rng.randint(90, 110), rng.randint(1, 20)
         quotes = []
@@ -455,23 +463,22 @@ def resting_state(book):
 
 
 def run_requote_script(steps):
-    """Play a script on three books and the oracle.
+    """Play a script on two books and the oracle.
 
     ``("limit", oid, side, price, qty)`` and ``("market", oid, side, qty)``
     are background orders from agent 1. ``("cancel", ids)`` and ``("quotes",
     [(oid, side, price, qty), ...])`` are agent 2's batches, with consecutive
-    ids and the first id as their ts. The quoted book takes each quotes
-    batch in one ``submit_quotes`` call, and the single book as one
-    ``submit_limit`` per order; both cancel one id at a time. The requoted
-    book plays a cancel step and the quotes step after it as one
-    ``requote`` call, whose builder must get the touch the single book
-    shows between the two; it meets the others after every step it has
-    caught up with. Returns (batches that crossed, cancels of submitted ids
-    that missed, the quoted book).
+    ids and the first id as their ts. The single book cancels one id at a
+    time and takes one ``submit_limit`` per quote. The requoted book plays a
+    cancel step and the quotes step after it as one ``requote`` call, whose
+    builder must get the touch the single book shows between the two (an
+    empty cancel list is a value agent's call); it meets the single book
+    after every step it has caught up with. Returns (batches that crossed,
+    cancels of submitted ids that missed, the requoted book).
     """
-    logs = {name: [] for name in ("quoted", "single", "requoted")}
-    quoted, single, requoted = books = [OrderBook(event_log=log.append)
-                                        for log in logs.values()]
+    logs = {name: [] for name in ("single", "requoted")}
+    single, requoted = books = [OrderBook(event_log=log.append)
+                                for log in logs.values()]
     ref = BruteForceBook()
     submitted = set()
     crossing_batches = filled_misses = 0
@@ -481,19 +488,18 @@ def run_requote_script(steps):
             _, oid, side, price, qty = step
             results = [book.submit_limit(mk(oid, side, price, qty, agent=1, ts=oid))
                        for book in books]
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1]
             ref.submit_limit(oid, 1, side, price, qty)
             submitted.add(oid)
         elif step[0] == "market":
             _, oid, side, qty = step
             results = [book.submit_market(side, qty, 1, oid, oid) for book in books]
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1]
             ref.submit_market(oid, 1, side, qty)
         elif step[0] == "cancel":
             _, cancel_ids = step
-            n_cancelled = sum(quoted.cancel(i) for i in cancel_ids)
-            assert n_cancelled == sum(single.cancel(i) for i in cancel_ids) == \
-                sum(ref.cancel(i) for i in cancel_ids)
+            n_cancelled = sum(single.cancel(i) for i in cancel_ids)
+            assert n_cancelled == sum(ref.cancel(i) for i in cancel_ids)
             filled_misses += sum(i in submitted for i in cancel_ids) - n_cancelled
             if n + 1 < len(steps) and steps[n + 1][0] == "quotes":
                 pending = cancel_ids
@@ -513,31 +519,32 @@ def run_requote_script(steps):
             pending = ()
             assert [q[0] for q in quotes] == list(range(first, first + len(quotes)))
             submitted.update(q[0] for q in quotes)
-            fills, resting = quoted.submit_quotes(2, [q[1:] for q in quotes], first,
-                                                  first)
-            single_fills, single_resting, ref_fills = [], 0, []
+            fills, ref_fills = [], []
             for o, s, p, q in quotes:
                 order = mk(o, s, p, q, agent=2, ts=first)
                 fs, r = single.submit_limit(order)
                 assert (order.seq, order.qty) == (single._seq, r)  # written back
-                single_fills += fs
-                single_resting += r
+                fills += fs
                 ref_fills += ref.submit_limit(o, 2, s, p, q)[0]
-            assert fills == single_fills
-            assert requoted_result == (fills, resting)
+            assert requoted_result == (fills, range(first, first + len(quotes)))
             assert [(f.taker_order_id, f.maker_order_id, f.price, f.qty)
                     for f in fills] == ref_fills
-            assert resting == single_resting
             crossing_batches += bool(fills)
-        for book in books if not pending else books[:2]:
-            assert book.snapshot(50) == single.snapshot(50)
-            assert book.order_ids() == single.order_ids()
-            assert resting_state(book) == resting_state(single)
-            assert book._seq == single._seq
+        if not pending:
+            assert requoted.snapshot(50) == single.snapshot(50)
+            assert requoted.order_ids() == single.order_ids()
+            assert resting_state(requoted) == resting_state(single)
+            assert requoted._seq == single._seq
         assert single.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
         assert single.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
-    assert logs["quoted"] == logs["single"] == logs["requoted"]
-    return crossing_batches, filled_misses, quoted
+    assert logs["single"] == logs["requoted"]
+    return crossing_batches, filled_misses, requoted
+
+
+def post(book, quotes, first, ts, agent=2):
+    """Rest ``(side, price, qty)`` quotes through a ``requote`` that cancels
+    nothing (a value agent's call); its result."""
+    return book.requote((), agent, lambda bid, ask: quotes, first, ts)
 
 
 def ladder(first, ref, n, size):
@@ -553,10 +560,12 @@ class TestBatchedRequote:
         run_requote_script(requote_script(random.Random(seed), 60))
 
     def test_scripts_cross_and_cancel_filled_quotes(self):
-        counts = [run_requote_script(requote_script(random.Random(s), 60))
-                  for s in range(20)]
+        scripts = [requote_script(random.Random(s), 60) for s in range(20)]
+        counts = [run_requote_script(steps) for steps in scripts]
         assert sum(crossing for crossing, _, _ in counts) > 0
         assert sum(misses for _, misses, _ in counts) > 0
+        # value-style calls: nothing to cancel, one quote
+        assert sum(step == ("cancel", []) for steps in scripts for step in steps) > 20
 
     def test_quotes_cross_when_one_side_is_empty(self):
         # asks only, all below the maker's reference: its bids take them
@@ -573,7 +582,7 @@ class TestBatchedRequote:
 
     def test_requote_at_unchanged_prices_reuses_levels_and_quotes(self):
         book = OrderBook()
-        book.submit_quotes(2, [q[1:] for q in ladder(1, 100, 3, 5)], 1, 0)
+        post(book, [q[1:] for q in ladder(1, 100, 3, 5)], 1, 0)
         levels = {p: book._bids.get(p) or book._asks[p] for p in range(97, 104)
                   if p != 100}
         orders = [book._orders[oid] for oid in range(1, 7)]
@@ -583,7 +592,8 @@ class TestBatchedRequote:
             touches.append((bid, ask))
             return [q[1:] for q in ladder(7, 100, 3, 8)]
 
-        assert book.requote(range(1, 7), 2, quotes_at, 7, 5) == ([], 48)
+        assert book.requote(range(1, 7), 2, quotes_at, 7, 5) == ([], range(7, 13))
+        assert book.total_depth(Side.BID, 3) + book.total_depth(Side.ASK, 3) == 48
         assert touches == [(None, None)]  # the cancels emptied the book
         for p, level in levels.items():
             assert (book._bids.get(p) or book._asks[p]) is level
@@ -611,7 +621,7 @@ class TestBatchedRequote:
     def test_cancel_on_a_shared_level_re_stamps_its_last_order(self):
         book = OrderBook()
         book.submit_limit(mk(1, Side.BID, 99, 4))
-        book.submit_quotes(2, [(Side.BID, 99, 5), (Side.BID, 98, 5)], 2, 0)
+        post(book, [(Side.BID, 99, 5), (Side.BID, 98, 5)], 2, 0)
         level, quote = book._bids[99], book._orders[2]
         touches = []
 
@@ -628,14 +638,14 @@ class TestBatchedRequote:
 
     def test_stale_entries_end_with_the_call(self):
         book = OrderBook()
-        book.submit_quotes(2, [q[1:] for q in ladder(1, 100, 2, 5)], 1, 0)
+        post(book, [q[1:] for q in ladder(1, 100, 2, 5)], 1, 0)
         old = [book._orders[oid] for oid in range(1, 5)]
         book.requote([1, 2, 3], 2, lambda bid, ask: [], 5, 1)
         assert book.snapshot(5) == BookSnapshot(0, (), ((102, 5),))
         assert (book._bid_prices, list(book._bids)) == ([], [])
         assert (book._ask_prices, list(book._asks)) == ([102], [102])
         # a later call builds a fresh order at a price the requote emptied
-        book.submit_quotes(2, [(Side.BID, 99, 7)], 5, 2)
+        post(book, [(Side.BID, 99, 7)], 5, 2)
         assert all(book._orders[5] is not o for o in old)
         book.requote([4, 5], 2, lambda bid, ask: [(Side.ASK, 103, 1)], 6, 3)
         assert resting_state(book) == [(6, 2, Side.ASK, 103, 1, 3, 6)]
@@ -681,7 +691,7 @@ class TestBatchedRequote:
         batch = [(Side.BID, 100, 4), (Side.BID, 103, 4), quotes[bad], (Side.ASK, 105, 2)]
         first = 7 if bad == "resting_id" else 11  # the third id, 9, is resting
         states, logs, errors = [], [], []
-        for how in ("quoted", "single"):
+        for how in ("requoted", "single"):
             log = []
             book = OrderBook(event_log=log.append)
             for order in (mk(1, Side.ASK, 102, 3), mk(2, Side.BID, 100, 3),
@@ -689,8 +699,8 @@ class TestBatchedRequote:
                 book.submit_limit(order)
             assert book.cancel(2) and not book.cancel(4)
             with pytest.raises(ValueError) as exc:
-                if how == "quoted":
-                    book.submit_quotes(2, batch, first, 5)
+                if how == "requoted":
+                    post(book, batch, first, 5)
                 else:
                     for i, (s, p, q) in enumerate(batch):
                         book.submit_limit(mk(first + i, s, p, q, agent=2, ts=5))
@@ -712,7 +722,7 @@ class TestBatchedRequote:
         resting = book._orders[1]
         assert resting is not order and astuple(resting) == before
         assert book.cancel(1)
-        book.submit_quotes(2, [(Side.BID, 99, 8)], 2, 20)
+        post(book, [(Side.BID, 99, 8)], 2, 20)
         assert astuple(order) == before
         assert resting_state(book) == [(2, 2, Side.BID, 99, 8, 20, 2)]
         # a caller's order on a level a quote left rests as a copy too
@@ -725,17 +735,18 @@ class TestBatchedRequote:
 
     def test_empty_batches(self):
         book = OrderBook()
-        assert book.submit_quotes(2, [], 1, 0) == ([], 0)
-        assert book.requote([], 2, lambda bid, ask: [], 1, 0) == ([], 0)
+        assert post(book, [], 1, 0) == ([], range(1, 1))
+        assert book.requote([7], 2, lambda bid, ask: [], 1, 0) == ([], range(1, 1))
         assert book.snapshot(5) == BookSnapshot(0, (), ())
+        assert book._seq == 0  # an empty batch spends no seq
 
-    # -- one requote call against cancels then submit_quotes -----------
+    # -- one requote call against cancels then one submit_limit per quote --
 
     @staticmethod
     def sequential_and_requoted(setup, cancel_ids, quotes, first, ts=9):
-        """Two books built by ``setup``: one takes a ``cancel`` per id then
-        ``submit_quotes``, the other one ``requote``. Returns both books,
-        their results, log lines and the touch the builder got."""
+        """Two books built by ``setup``: one takes a ``cancel`` per id then a
+        ``submit_limit`` per quote, the other one ``requote``. Returns both
+        books, their results, log lines and the touch the builder got."""
         out = []
         for one_call in (False, True):
             log = []
@@ -752,8 +763,11 @@ class TestBatchedRequote:
             else:
                 for oid in cancel_ids:
                     book.cancel(oid)
-                result = book.submit_quotes(
-                    2, quotes_at(book.best_bid(), book.best_ask()), first, ts)
+                fills = []
+                for i, (s, p, q) in enumerate(
+                        quotes_at(book.best_bid(), book.best_ask())):
+                    fills += book.submit_limit(mk(first + i, s, p, q, agent=2, ts=ts))[0]
+                result = (fills, range(first, first + len(quotes)))
             out.append((book, result, log, touches))
         (seq_book, *seq), (one_book, *one) = out
         assert one == seq
@@ -765,8 +779,8 @@ class TestBatchedRequote:
 
     def test_re_stamps_its_own_orders_by_identity(self):
         def setup(book):
-            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.BID, 98, 5),
-                                   (Side.ASK, 101, 5)], 1, 0)
+            post(book, [(Side.BID, 99, 5), (Side.BID, 98, 5),
+                        (Side.ASK, 101, 5)], 1, 0)
         quotes = [(Side.ASK, 101, 3), (Side.BID, 99, 6), (Side.BID, 97, 2)]
         self.sequential_and_requoted(setup, [1, 2, 3], quotes, 4)
         book2 = OrderBook()
@@ -783,7 +797,7 @@ class TestBatchedRequote:
         callers = []
 
         def setup(book):
-            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
+            post(book, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
             order = mk(3, Side.BID, 99, 4, agent=1, ts=1)
             book.submit_limit(order)  # last in the level at 99
             callers.append((order, astuple(order), book._orders[3]))
@@ -797,7 +811,7 @@ class TestBatchedRequote:
 
     def test_a_cancelled_order_moves_behind_a_later_order(self):
         def setup(book):
-            book.submit_quotes(2, [(Side.BID, 99, 5)], 1, 0)
+            post(book, [(Side.BID, 99, 5)], 1, 0)
             book.submit_limit(mk(2, Side.BID, 99, 4, agent=1))
         seq_book, book, _, touches = self.sequential_and_requoted(
             setup, [1], [(Side.BID, 99, 6)], 3)
@@ -810,32 +824,32 @@ class TestBatchedRequote:
 
     def test_a_new_bid_never_fills_against_the_cancelled_ask(self):
         def setup(book):
-            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
-                                   (Side.BID, 98, 5), (Side.ASK, 102, 5)], 1, 0)
+            post(book, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
+                        (Side.BID, 98, 5), (Side.ASK, 102, 5)], 1, 0)
             book.submit_limit(mk(5, Side.ASK, 106, 3, agent=1))
         # the reference moved up: the new bids sit at and above the old asks
         quotes = [(Side.BID, 103, 4), (Side.ASK, 105, 4), (Side.BID, 102, 4),
                   (Side.ASK, 107, 4)]
-        _, book, (fills, resting), touches = self.sequential_and_requoted(
+        _, book, (fills, ids), touches = self.sequential_and_requoted(
             setup, [1, 2, 3, 4], quotes, 6)
         assert touches == [(None, 106)]
-        assert fills == [] and resting == 16
+        assert fills == [] and ids == range(6, 10)
         assert book.snapshot(5).bids == ((103, 4), (102, 4), (1, 1))
         assert book.snapshot(5).asks == ((105, 4), (106, 3), (107, 4))
 
     def test_a_crossing_quote_fills_only_live_orders(self):
         def setup(book):
-            book.submit_quotes(2, [(Side.ASK, 101, 5), (Side.ASK, 102, 5),
-                                   (Side.BID, 95, 5)], 1, 0)
+            post(book, [(Side.ASK, 101, 5), (Side.ASK, 102, 5),
+                        (Side.BID, 95, 5)], 1, 0)
             book.submit_limit(mk(4, Side.ASK, 102, 2, agent=1))
-        _, book, (fills, resting), touches = self.sequential_and_requoted(
+        _, book, (fills, ids), touches = self.sequential_and_requoted(
             setup, [1, 2, 3], [(Side.ASK, 101, 1), (Side.BID, 103, 4)], 5)
         assert touches == [(None, 102)]
         # the re-stamped ask at 101 is live again, so the bid takes it first;
         # the bid at 95 stays stale until this crossing quote purges it
         assert [(f.maker_order_id, f.price, f.qty) for f in fills] == \
             [(5, 101, 1), (4, 102, 2)]
-        assert resting == 2 and book.snapshot(5).bids == ((103, 1), (1, 1))
+        assert ids == range(5, 7) and book.snapshot(5).bids == ((103, 1), (1, 1))
 
     @pytest.mark.parametrize("crossed", [True, False])
     @pytest.mark.parametrize("bad", ["zero_qty", "negative_qty", "no_price",
@@ -854,8 +868,8 @@ class TestBatchedRequote:
         for one_call in (False, True):
             log = []
             book = OrderBook(event_log=log.append)
-            book.submit_quotes(2, [(Side.BID, 100, 3), (Side.ASK, 101, 3),
-                                   (Side.BID, 97, 2)], 1, 0)
+            post(book, [(Side.BID, 100, 3), (Side.ASK, 101, 3),
+                        (Side.BID, 97, 2)], 1, 0)
             for order in (mk(10, Side.ASK, 102, 3), mk(11, Side.ASK, 103, 10),
                           mk(22, Side.BID, 90, 1)):
                 book.submit_limit(order)
@@ -865,7 +879,8 @@ class TestBatchedRequote:
                 else:
                     for oid in (1, 2, 3):
                         book.cancel(oid)
-                    book.submit_quotes(2, batch, first, 5)
+                    for i, (s, p, q) in enumerate(batch):
+                        book.submit_limit(mk(first + i, s, p, q, agent=2, ts=5))
             book.submit_limit(mk(40, Side.BID, 91, 1))  # seq continues alike
             states.append((book.snapshot(10), book.order_ids(), resting_state(book),
                            book._bid_prices, book._ask_prices))
@@ -878,7 +893,7 @@ class TestBatchedRequote:
 
     def test_a_builder_that_raises_leaves_the_cancelled_book(self):
         book = OrderBook()
-        book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
+        post(book, [(Side.BID, 99, 5), (Side.ASK, 101, 5)], 1, 0)
 
         def quotes_at(bid, ask):
             raise RuntimeError("no quotes")
@@ -894,8 +909,8 @@ class TestBatchedRequote:
             book.submit_limit(mk(2, Side.ASK, 104, 3, agent=1))
             # agent 2's ladder is the touch; at 99 it queues behind agent 1
             book.submit_limit(mk(3, Side.BID, 99, 2, agent=1))
-            book.submit_quotes(2, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
-                                   (Side.BID, 98, 5), (Side.ASK, 102, 5)], 4, 0)
+            post(book, [(Side.BID, 99, 5), (Side.ASK, 101, 5),
+                        (Side.BID, 98, 5), (Side.ASK, 102, 5)], 4, 0)
         before = OrderBook()
         setup(before)
         assert (before.best_bid(), before.best_ask()) == (99, 101)
