@@ -1,5 +1,6 @@
 """Every random stream of a run: `generator` for one spawn key, `episode_seed`,
-and `spawn_generators` for the market agents, one generator each. For them
+`spawn_generators` for the market agents, one generator each, and
+`copy_generator` for a forked session's copy of a stream. For the agents
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(key, i)))``
 costs tens of microseconds per generator, most of it in ``SeedSequence``'s
 Python-level hashing. `spawn_states` runs numpy's own algorithm (the
@@ -82,6 +83,9 @@ def spawn_states(seed: int, key: int, ids) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+_DUMMY_ROW = np.zeros(4, np.uint64)  # any row: `copy_generator` overwrites it
+
+
 class _State:
     """One precomputed ``generate_state(4, np.uint64)`` row, for PCG64, which
     takes it once `spawn_generators` has registered it as an ``ISeedSequence``."""
@@ -106,6 +110,22 @@ def spawn_generators(seed: int, key: int, ids) -> list[np.random.Generator]:
     ISeedSequence.register(_State)
     return [np.random.Generator(np.random.PCG64(_State(row)))
             for row in spawn_states(seed, key, ids)]
+
+
+def copy_generator(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator that draws exactly what ``rng`` would draw next.
+
+    The copy's bit generator is seeded from a dummy precomputed row, which
+    skips ``SeedSequence``, then takes ``rng``'s bit-generator state, the
+    buffered 32-bit half included: about 6 µs against ``deepcopy``'s 35 µs
+    (2-vCPU Xeon VM, numpy 2.4).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_State)
+    bit_gen = rng.bit_generator
+    twin = type(bit_gen)(_State(_DUMMY_ROW))
+    twin.state = bit_gen.state
+    return np.random.Generator(twin)
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import copy_generator
 from .fundamental import NS_PER_SEC
 from .lob import Side
 
@@ -103,6 +104,15 @@ class Agent:
     def wakeup(self, now: int, exchange) -> int | None:
         raise NotImplementedError
 
+    def fork(self) -> "Agent":
+        """An independent copy: the same params and a copy of the generator.
+        Subclasses copy their own fields after these, in ``__init__``'s order."""
+        clone = self.__class__.__new__(self.__class__)
+        clone.agent_id = self.agent_id
+        clone.rng = copy_generator(self.rng)
+        clone.params = self.params
+        return clone
+
 
 class NoiseAgent(Agent):
     """Submits an equally likely buy/sell market order of uniform size.
@@ -123,6 +133,13 @@ class NoiseAgent(Agent):
         self._raw = rng.bit_generator.random_raw
         self._high: int | None = None  # buffered upper half of the last raw output
         self._exp = rng.standard_exponential
+
+    def fork(self):
+        clone = super().fork()
+        clone._raw = clone.rng.bit_generator.random_raw
+        clone._high = self._high
+        clone._exp = clone.rng.standard_exponential
+        return clone
 
     def _next_uint32(self) -> int:
         high = self._high
@@ -212,6 +229,12 @@ class MarketMakerAgent(Agent):
         super().__init__(agent_id, rng, params)
         self._window_ns = int(params.window_s * NS_PER_SEC)
         self._live_orders: range = range(0)
+
+    def fork(self):
+        clone = super().fork()
+        clone._window_ns = self._window_ns
+        clone._live_orders = self._live_orders
+        return clone
 
     def first_wakeup(self) -> int:
         return 0  # seeds the book at session open

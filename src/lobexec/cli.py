@@ -25,6 +25,7 @@ from .dqn import (
     train,
 )
 from .evaluation import (
+    EpisodeError,
     aggregate,
     episodes_csv,
     export_distributions,
@@ -228,19 +229,19 @@ def cmd_evaluate(args) -> int:
     policies = list(config.eval.policies) if args.policy == "all" else [args.policy]
     out, comment, seeds, net = _experiment_setup(args, config, policies, "evaluate")
 
-    all_results = []
     with _episode_map(args.parallel) as map_fn:
-        for policy in policies:
-            results = run_experiment(policy, config.exec, config.market, seeds,
-                                     net, map_fn)
-            all_results.extend(results)
-            pdir = out / policy
-            pdir.mkdir(exist_ok=True)
-            _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
-            _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
-            for name, text in export_distributions(results, config.eval.bins).items():
-                _write_csv(pdir / name, comment, text)
-            print(f"evaluate: {policy} done over {len(seeds)} seeds")
+        by_policy = run_experiment(policies, config.exec, config.market, seeds,
+                                   net, map_fn)
+    all_results = []
+    for policy, results in by_policy.items():
+        all_results.extend(results)
+        pdir = out / policy
+        pdir.mkdir(exist_ok=True)
+        _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
+        _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
+        for name, text in export_distributions(results, config.eval.bins).items():
+            _write_csv(pdir / name, comment, text)
+        print(f"evaluate: {policy} done over {len(seeds)} seeds")
     tests = rl_vs_baselines(all_results)
     if tests:
         _write_csv(out / "ttests.csv", comment, ttests_csv(tests))
@@ -261,13 +262,12 @@ def cmd_benchmark(args) -> int:
             cdir.mkdir(exist_ok=True)
             try:
                 market = dataclasses.replace(config.market, **cell)
-                results = []
-                for policy in policies:
-                    results += run_experiment(policy, config.exec, market, seeds,
-                                              net, map_fn)
+                by_policy = run_experiment(policies, config.exec, market, seeds,
+                                           net, map_fn)
+                results = [r for group in by_policy.values() for r in group]
                 rows, tests = aggregate(results), rl_vs_baselines(results)
             except Exception as exc:  # keep running the remaining cells
-                error = f"{type(exc).__name__}: {exc}"
+                error = _describe(exc)
                 write_text_atomic(cdir / "error.txt", error + "\n")
                 print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
                 failures += 1
@@ -276,6 +276,14 @@ def cmd_benchmark(args) -> int:
             _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
             print(f"benchmark: {cdir.name} done")
     return 3 if failures else 0
+
+
+def _describe(exc: Exception) -> str:
+    """An error as the CLI reports it: ``Type: message``, or for a failed
+    episode its own message, which names the seed, the policy and the cause."""
+    if isinstance(exc, EpisodeError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def main(argv=None) -> int:
@@ -292,7 +300,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 3
 
 

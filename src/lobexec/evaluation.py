@@ -1,9 +1,14 @@
 """Experiment runner and statistics: per-episode execution metrics,
 aggregate tables, histogram exports and one-sided pooled-variance t-tests.
 
-Episodes are independent and seed-deterministic, so the caller may run
-them through any ``map``, such as a process pool's; results are always
-ordered by seed, making parallel and serial runs byte-identical downstream.
+A seed is the unit of work. Every policy plays the same seeded market, so
+`run_seed` builds the seed's session and runs its warm-up once, to the
+instant `ExecutionEnv` itself warms to, and plays each policy from a
+``MarketSession.fork`` of it; the last policy takes the original. An
+episode on a fork is the episode on a fresh session, byte for byte.
+Seeds are independent and deterministic, so the caller may run them
+through any ``map``, such as a process pool's; results are always ordered
+by seed, making parallel and serial runs byte-identical downstream.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from ._csv import csv_text
 from .dqn import QNetwork
 from .execenv import ExecConfig, ExecutionEnv
 from .kernel import MarketConfig, MarketSession
-from .strategies import make_policy
+from .strategies import Policy, make_policy
 
 
 @dataclass
@@ -149,13 +154,17 @@ def pooled_t_test(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
 
 # -- episode running ---------------------------------------------------------
 
-def run_episode(policy_name: str, exec_config: ExecConfig,
-                market_config: MarketConfig, seed: int,
-                net: QNetwork | None = None) -> EpisodeResult:
-    """Play one full execution window with the given policy."""
-    policy = make_policy(policy_name, exec_config, net)
+class EpisodeError(RuntimeError):
+    """An episode raised; the message names its seed and policy, then the
+    error, as in ``seed 3, policy twap: RuntimeError: ...``."""
+
+
+def run_episode(policy: Policy, exec_config: ExecConfig, market: MarketSession,
+                seed: int) -> EpisodeResult:
+    """Play one full execution window of ``policy`` on ``market``, the
+    session of ``seed``, built fresh or already run through the warm-up."""
     policy.reset(seed)
-    env = ExecutionEnv(exec_config, lambda s: MarketSession(market_config, s))
+    env = ExecutionEnv(exec_config, lambda s: market)
     obs = env.reset(seed)
     spreads: list[int] = []
     imbalances: list[float] = []
@@ -169,23 +178,54 @@ def run_episode(policy_name: str, exec_config: ExecConfig,
                 spreads.append(pre_spread)
             imbalances.append(pre_imb)
         obs = out.observation
-    return EpisodeResult(policy=policy_name, seed=seed,
+    return EpisodeResult(policy=policy.name, seed=seed,
                          is_norm=env.episode_shortfall(),
                          pen_norm=env.episode_penalty(),
                          t_frac=env.completion_fraction(),
                          spreads=spreads, imbalances=imbalances)
 
 
-def run_experiment(policy_name: str, exec_config: ExecConfig,
+def run_seed(policy_names, exec_config: ExecConfig, market_config: MarketConfig,
+             net: QNetwork | None, seed: int) -> list[EpisodeResult]:
+    """Each policy's episode on ``seed``'s market, in ``policy_names`` order.
+
+    The session is built and warmed once; every policy but the last plays a
+    fork of it, the last the original. An error in the warm-up or an
+    episode raises ``EpisodeError``, charged to the policy about to play;
+    a policy that cannot be built (``rl`` without a network) raises
+    ``make_policy``'s ``ValueError`` before the market is built.
+    """
+    policies = [make_policy(name, exec_config, net) for name in policy_names]
+    results = []
+    policy = policies[0]
+    try:
+        warm = MarketSession(market_config, seed)
+        warm.run_until(exec_config.start_ns)
+        for policy in policies:
+            market = warm if policy is policies[-1] else warm.fork()
+            results.append(run_episode(policy, exec_config, market, seed))
+    except Exception as exc:
+        raise EpisodeError(f"seed {seed}, policy {policy.name}: "
+                           f"{type(exc).__name__}: {exc}") from exc
+    return results
+
+
+def run_experiment(policy_names, exec_config: ExecConfig,
                    market_config: MarketConfig, seeds,
                    net: QNetwork | None = None,
-                   map_fn=map) -> list[EpisodeResult]:
-    """One EpisodeResult per seed, ordered by seed whatever ``map_fn`` is
-    (the builtin ``map`` or an executor's)."""
+                   map_fn=map) -> dict[str, list[EpisodeResult]]:
+    """Each policy's EpisodeResults, one per seed and ordered by seed
+    whatever ``map_fn`` is (the builtin ``map`` or an executor's), keyed by
+    policy in ``policy_names`` order. ``map_fn`` maps over seeds."""
+    names = list(policy_names)
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"policy names must be nonempty and distinct, got {names}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    return list(map_fn(run_episode, repeat(policy_name), repeat(exec_config),
-                       repeat(market_config), sorted(seeds), repeat(net)))
+    per_seed = list(map_fn(run_seed, repeat(names), repeat(exec_config),
+                           repeat(market_config), repeat(net), sorted(seeds)))
+    return {name: [results[i] for results in per_seed]
+            for i, name in enumerate(names)}
 
 
 def aggregate(results: list[EpisodeResult]) -> list[MetricsRow]:

@@ -53,6 +53,11 @@ class ExecConfig:
         return self.time_window_s // self.step_s
 
     @property
+    def start_ns(self) -> int:
+        """The market instant an episode starts at: the end of the warm-up."""
+        return self.warmup_s * NS_PER_SEC
+
+    @property
     def n_actions(self) -> int:
         return self.n_size_actions + 1
 
@@ -124,7 +129,7 @@ class ExecutionEnv:
     def reset(self, seed: int) -> np.ndarray:
         cfg = self.config
         self._market = self._market_factory(seed)
-        self._start_ns = cfg.warmup_s * NS_PER_SEC
+        self._start_ns = cfg.start_ns
         self._market.run_until(self._start_ns)
         mid = self._market.book.mid_price()
         if mid is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import generator
+from ._seeding import copy_generator, generator
 
 NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
 
@@ -91,6 +91,15 @@ class FundamentalPath:
         self._last_ts = ts
         return self._last_value
 
+    def fork(self) -> "FundamentalPath":
+        """An independent copy that continues the same path."""
+        clone = FundamentalPath.__new__(FundamentalPath)
+        clone.params = self.params
+        clone._rng = copy_generator(self._rng)
+        clone._last_ts = self._last_ts
+        clone._last_value = self._last_value
+        return clone
+
 
 class Oracle:
     """Noisy per-agent view of the fundamental.
@@ -111,3 +120,11 @@ class Oracle:
                 self._rngs[agent_id] = generator(self._seed, 7, agent_id)
             value += noise_std * self._rngs[agent_id].standard_normal()
         return value
+
+    def fork(self, path: FundamentalPath) -> "Oracle":
+        """An independent copy that reads ``path``, a fork of this one's."""
+        clone = Oracle.__new__(Oracle)
+        clone.path = path
+        clone._seed = self._seed
+        clone._rngs = {aid: copy_generator(rng) for aid, rng in self._rngs.items()}
+        return clone

@@ -151,6 +151,45 @@ class MarketSession:
             self._schedule(agent.first_wakeup(), agent)
         self._schedule(0, _SNAPSHOT)
 
+    def fork(self) -> "MarketSession":
+        """An independent copy of the session as it stands, which replays
+        exactly what this one would from here: a new book of new orders in
+        the same queues, new agents, fundamental path and oracle drawing
+        copies of their generators, and the event queue pointing at the new
+        agents. The config, the agents' params and the hooks are shared. A
+        session that keeps a ``SessionLog`` does not fork, since both would
+        write to it.
+
+        Every clone is built with ``__new__`` and attribute assignment in
+        ``__init__``'s order, not ``copy.copy``: a ``copy.copy`` clone runs
+        slower than a fresh session."""
+        if self.log is not None:
+            raise ValueError("a session that keeps a SessionLog cannot be forked")
+        agents = [agent.fork() for agent in self.agents]
+        twin = dict(zip(self.agents, agents))
+        clone = MarketSession.__new__(MarketSession)
+        clone.config = self.config
+        clone.hooks = self.hooks
+        clone.now = self.now
+        clone.session_end = self.session_end
+        clone._fundamental = self._fundamental.fork()
+        clone._oracle = self._oracle.fork(clone._fundamental)
+        clone.book = self.book.fork()
+        clone.log = None
+        clone._next_order_id = self._next_order_id
+        clone._event_seq = self._event_seq
+        # the same (ts, seq) keys in the same list order: still a heap
+        clone._queue = [(ts, seq, twin.get(payload, payload))
+                        for ts, seq, payload in self._queue]
+        clone._mid_history = self._mid_history.copy()
+        clone._fill_ts = self._fill_ts.copy()
+        clone._fill_qty_cum = self._fill_qty_cum.copy()
+        clone._last_trade = self._last_trade
+        clone._last_event_key = self._last_event_key
+        clone.agents = agents
+        clone._snapshot_interval = self._snapshot_interval
+        return clone
+
     # -- exchange interface used by agents --------------------------------
 
     def oracle_observe(self, agent_id: int, ts: int, noise_std: float = 0.0) -> float:

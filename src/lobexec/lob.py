@@ -214,6 +214,35 @@ class OrderBook:
             return list(self._orders)
         return [oid for oid, o in self._orders.items() if o.agent_id == agent_id]
 
+    def fork(self) -> "OrderBook":
+        """An independent copy: the same queues of new ``Order``s. A book
+        with an event log does not fork, since both would write to it."""
+        if self.event_log is not None:
+            raise ValueError("a book with an event log cannot be forked")
+        orders: dict[int, Order] = {}
+
+        def ladder(levels: dict[int, _Level]) -> dict[int, _Level]:
+            out = {}
+            for price, level in levels.items():
+                twin = out[price] = _Level(
+                    [Order(o.id, o.agent_id, o.side, o.qty, o.price, o.ts, o.seq)
+                     for o in level])
+                twin.total_qty = level.total_qty
+                for o in twin:
+                    orders[o.id] = o
+            return out
+
+        # attributes in __init__'s order, so the copy has a fresh book's layout
+        clone = OrderBook.__new__(OrderBook)
+        clone._bid_prices = self._bid_prices.copy()
+        clone._ask_prices = self._ask_prices.copy()
+        clone._bids = ladder(self._bids)
+        clone._asks = ladder(self._asks)
+        clone._orders = {oid: orders[oid] for oid in self._orders}
+        clone._seq = self._seq
+        clone.event_log = None
+        return clone
+
     # -- mutation --------------------------------------------------------
 
     def _log(self, kind: str, side: Side, price, qty: int, oid: int, aid: int, ts: int):

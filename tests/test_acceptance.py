@@ -252,12 +252,11 @@ def test_criterion_07_toy_learning_sanity():
 def test_criterion_08_desk_scale_benchmark(desk_checkpoint):
     seeds = list(range(10000, 10050))  # held out from training
     net, _ = QNetwork.load(desk_checkpoint)
-    results = []
+    policies = ("rl", "twap", "passive", "random")
     with ProcessPoolExecutor(max_workers=4) as pool:
-        for policy in ("rl", "twap", "passive", "random"):
-            results += run_experiment(
-                policy, DESK_EXEC, DESK_MARKET, seeds,
-                net if policy == "rl" else None, pool.map)
+        by_policy = run_experiment(policies, DESK_EXEC, DESK_MARKET, seeds, net,
+                                   pool.map)
+    results = [r for policy in policies for r in by_policy[policy]]
     rows = {r.policy: r for r in aggregate(results)}
     tests = rl_vs_baselines(results)
     assert set(tests) == {"rl_vs_twap", "rl_vs_passive", "rl_vs_random"}

@@ -200,6 +200,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_episode_names_its_seed_and_policy(self, tmp_path, capsys,
+                                                       workers):
+        # no maker and no value agent: the book is empty at the episode start
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(LITE_YAML.replace("n_value: 5", "n_value: 0")
+                       .replace("market_maker:", "n_market_maker: 0\n  market_maker:"))
+        assert main(["evaluate", "--policy", "all", "--config", str(cfg),
+                     "--parallel", workers, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: seed 0, policy twap: RuntimeError: book one-sided at episode "
+            "start; no arrival price\n")
+
     def test_rl_without_checkpoint_is_usage_error(self, lite_cfg, tmp_path, capsys):
         assert main(["evaluate", "--policy", "rl", "--config", str(lite_cfg),
                      "--out", str(tmp_path / "o")]) == 1
@@ -507,7 +520,8 @@ class TestBenchmark:
             assert main(["benchmark", "--config", str(cfg), "--episodes", "2",
                          "--parallel", workers, "--out", str(out)]) == 3
             trees.append(read_tree(out))
-        assert "benchmark/cell_-5N_1M/error.txt" in trees[1]
+        assert trees[1]["benchmark/cell_-5N_1M/error.txt"] == (
+            b"seed 0, policy twap: ValueError: n_noise must be >= 0\n")
         assert "benchmark/cell_20N_1M/metrics.csv" in trees[1]
         assert trees[0] == trees[1]
 
@@ -516,9 +530,9 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(lite_cfg), "--episodes", "2",
                      "--out", str(out)]) == 0
         config = load_config(lite_cfg)
-        results = []
-        for policy in config.eval.policies:
-            results += run_experiment(policy, config.exec, config.market, [0, 1])
+        by_policy = run_experiment(config.eval.policies, config.exec, config.market,
+                                   [0, 1])
+        results = [r for policy in config.eval.policies for r in by_policy[policy]]
         cell = {"n_noise": 20, "n_momentum": 1}
         written = (out / "benchmark" / "cell_20N_1M" / "metrics.csv").read_text()
         assert written.split("\n", 1)[1] == metrics_csv(aggregate(results),

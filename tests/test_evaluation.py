@@ -141,28 +141,53 @@ class TestHistograms:
 
 class TestRunExperiment:
     def test_one_result_per_seed(self):
-        results = run_experiment("random", lite_exec(), lite_market(), [3, 1, 2])
-        assert [r.seed for r in results] == [1, 2, 3]
+        results = run_experiment(["random"], lite_exec(), lite_market(), [3, 1, 2])
+        assert [r.seed for r in results["random"]] == [1, 2, 3]
 
     def test_deterministic(self):
-        a = run_experiment("twap", lite_exec(), lite_market(), [0, 1])
-        b = run_experiment("twap", lite_exec(), lite_market(), [0, 1])
-        assert episodes_csv(a) == episodes_csv(b)
+        a = run_experiment(["twap"], lite_exec(), lite_market(), [0, 1])
+        b = run_experiment(["twap"], lite_exec(), lite_market(), [0, 1])
+        assert episodes_csv(a["twap"]) == episodes_csv(b["twap"])
 
     def test_parallel_equals_serial(self):
-        serial = run_experiment("random", lite_exec(), lite_market(), [0, 1, 2, 3])
+        serial = run_experiment(["random"], lite_exec(), lite_market(), [0, 1, 2, 3])
         with ProcessPoolExecutor(max_workers=4) as pool:
-            parallel = run_experiment("random", lite_exec(), lite_market(),
+            parallel = run_experiment(["random"], lite_exec(), lite_market(),
                                       [0, 1, 2, 3], map_fn=pool.map)
-        assert episodes_csv(serial) == episodes_csv(parallel)
+        assert episodes_csv(serial["random"]) == episodes_csv(parallel["random"])
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
+    def test_each_policy_as_if_run_alone(self, workers):
+        # every policy but the last plays a fork of the seed's warmed session
+        policies = ["twap", "passive", "random"]
+        seeds = [4, 0, 2]
+
+        def run(names):
+            if not workers:
+                return run_experiment(names, lite_exec(), lite_market(), seeds)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return run_experiment(names, lite_exec(), lite_market(), seeds,
+                                      map_fn=pool.map)
+
+        together = run(policies)
+        assert list(together) == policies
+        for policy in policies:
+            alone = run([policy])[policy]
+            assert [r.seed for r in alone] == sorted(seeds)
+            assert together[policy] == alone
 
     def test_missing_checkpoint_is_startup_error(self):
         with pytest.raises(ValueError):
-            run_experiment("rl", lite_exec(), lite_market(), [0, 1])
+            run_experiment(["rl"], lite_exec(), lite_market(), [0, 1])
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("twap", lite_exec(), lite_market(), [])
+            run_experiment(["twap"], lite_exec(), lite_market(), [])
+
+    @pytest.mark.parametrize("names", [[], ["twap", "twap"]], ids=["none", "twice"])
+    def test_policy_list_must_be_nonempty_and_distinct(self, names):
+        with pytest.raises(ValueError):
+            run_experiment(names, lite_exec(), lite_market(), [0, 1])
 
 
 class TestTTestMatrix:

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import types
+from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -600,6 +603,134 @@ def test_execution_episode_without_a_log_is_the_same(seed):
     assert bare_steps == steps and bare_rest == rest
     assert np.array_equal(bare_obs, obs)
     assert sum(info["filled"] for info, _, _ in steps) > 0
+
+
+LITE = MarketConfig(n_noise=20, n_value=5, n_momentum=1, session_seconds=90.0,
+                    market_maker=MarketMakerParams(pov=0.02, min_size=50))
+FORK_CASES = [(config, warm_s, seed) for config, warm_s in ((DESK, 30), (LITE, 10))
+              for seed in (0, 2, 7)]
+FORK_IDS = [f"{name}-{seed}" for name in ("desk", "lite") for seed in (0, 2, 7)]
+
+
+def warmed(config, seed, warm_s):
+    session = MarketSession(config, seed)
+    session.run_until(warm_s * NS_PER_SEC)
+    return session
+
+
+def drive(session, seed):
+    """Play an execution agent's market orders, one a second, from the
+    session's clock to its end; per second, the order's result, the book, the
+    fundamental (read at a tick, so no extra draw) and the next order id."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    for t in range(session.now // NS_PER_SEC + 1,
+                   session.session_end // NS_PER_SEC + 1):
+        side = Side.BID if rng.random() < 0.5 else Side.ASK
+        result = session.submit_market(-1, side, int(rng.integers(1, 200)),
+                                       session.now)
+        ts = t * NS_PER_SEC
+        session.run_until(ts)
+        trace.append((result, session.book.snapshot(10, ts),
+                      session.oracle_observe(0, ts), session._next_order_id))
+    return trace
+
+
+@pytest.mark.parametrize("config, warm_s, seed", FORK_CASES, ids=FORK_IDS)
+def test_fork_replays_a_fresh_session(config, warm_s, seed):
+    template = warmed(config, seed, warm_s)
+    fork = template.fork()
+    fresh = drive(warmed(config, seed, warm_s), seed)
+    assert drive(fork, seed) == fresh
+    assert sum(len(result.fills) for result, *_ in fresh) > 10
+    # the fork shares nothing the template moves on
+    assert drive(template, seed) == fresh
+
+
+def _is_value(x):
+    """Immutable, so sharing it cannot couple a fork to its template."""
+    if isinstance(x, tuple):
+        return all(_is_value(item) for item in x)
+    return x is None or isinstance(x, (bool, int, float, str, range, Side))
+
+
+def assert_twins(a, b, shared, seen, path):
+    """``b`` mirrors ``a``: equal values, and a new object wherever ``a`` is
+    mutable, unless ``a`` is shared by design. ``seen`` maps each visited
+    object of ``a`` to its twin, so aliases in ``a`` stay aliases in ``b``."""
+    if id(a) in seen:
+        assert seen[id(a)] is b, f"{path}: aliasing differs"
+        return
+    if any(a is s for s in shared):
+        assert b is a, f"{path}: should be shared"
+        return
+    if _is_value(a):
+        assert type(b) is type(a) and b == a, path
+        return
+    assert b is not a, f"{path}: shared with the template"
+    assert type(b) is type(a), path
+    seen[id(a)] = b
+    if isinstance(a, np.random.Generator):
+        assert_twins(a.bit_generator, b.bit_generator, shared, seen,
+                     f"{path}.bit_generator")
+        return
+    if isinstance(a, np.random.BitGenerator):
+        assert b.state == a.state, path
+        return
+    if isinstance(a, (types.MethodType, types.BuiltinMethodType)):  # bound method
+        assert b.__func__ is a.__func__ if hasattr(a, "__func__") else \
+            b.__name__ == a.__name__, path
+        assert_twins(a.__self__, b.__self__, shared, seen, f"{path}.__self__")
+        return
+    if isinstance(a, dict):
+        assert list(b) == list(a), path
+        for key in a:
+            assert_twins(a[key], b[key], shared, seen, f"{path}[{key!r}]")
+    elif isinstance(a, (tuple, list, deque)):
+        assert len(b) == len(a), path
+        if isinstance(a, deque):
+            assert b.maxlen == a.maxlen, path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_twins(x, y, shared, seen, f"{path}[{i}]")
+    if type(a) in (tuple, list, dict, deque):
+        return
+    slots = [n for cls in type(a).__mro__ for n in getattr(cls, "__slots__", ())]
+    names = [*getattr(a, "__dict__", {}), *slots]
+    assert names, f"{path}: no fields to compare ({type(a).__name__})"
+    if hasattr(a, "__dict__"):  # same fields in the same order: a fresh layout
+        assert list(vars(b)) == list(vars(a)), path
+    for name in names:
+        assert_twins(getattr(a, name), getattr(b, name), shared, seen,
+                     f"{path}.{name}")
+
+
+@pytest.mark.parametrize("config, warm_s", [(DESK, 30), (LITE, 10)],
+                         ids=["desk", "lite"])
+def test_fork_copies_every_field_but_the_shared_ones(config, warm_s):
+    """Every attribute of the session, its book and orders, agents, path and
+    oracle is a new object, an immutable value, or shared by design: the
+    config and its parts, the agents' params and the hooks. A field that
+    ``fork`` does not handle fails here."""
+    template = warmed(config, 5, warm_s)
+    template.oracle_observe(3, template.now, 1.0)  # an oracle generator exists
+    shared = [template.config, template.hooks,
+              *(getattr(template.config, f.name) for f in fields(template.config)),
+              *(agent.params for agent in template.agents)]
+    fork = template.fork()
+    assert_twins(template, fork, shared, {}, "session")
+    assert fork._oracle.path is fork._fundamental
+    assert {type(p) for _, _, p in fork._queue} >= {NoiseAgent, MarketMakerAgent}
+    assert len(fork.book.order_ids()) > 0 and fork._oracle._rngs
+
+
+def test_fork_refuses_a_session_with_a_log():
+    session = MarketSession(LITE, 0, log=SessionLog())
+    with pytest.raises(ValueError, match="SessionLog"):
+        session.fork()
+    session = MarketSession(LITE, 0)
+    session.book.event_log = [].append
+    with pytest.raises(ValueError, match="event log"):
+        session.fork()
 
 
 class TestMarketMaker:
