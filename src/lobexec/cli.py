@@ -232,20 +232,19 @@ def cmd_evaluate(args) -> int:
     with _episode_map(args.parallel) as map_fn:
         by_policy = run_experiment(policies, config.exec, config.market, seeds,
                                    net, map_fn)
-    all_results = []
     for policy, results in by_policy.items():
-        all_results.extend(results)
         pdir = out / policy
         pdir.mkdir(exist_ok=True)
         _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
-        _write_csv(pdir / "metrics.csv", comment, metrics_csv(aggregate(results)))
+        _write_csv(pdir / "metrics.csv", comment,
+                   metrics_csv(aggregate({policy: results})))
         for name, text in export_distributions(results, config.eval.bins).items():
             _write_csv(pdir / name, comment, text)
         print(f"evaluate: {policy} done over {len(seeds)} seeds")
-    tests = rl_vs_baselines(all_results)
+    tests = rl_vs_baselines(by_policy)
     if tests:
         _write_csv(out / "ttests.csv", comment, ttests_csv(tests))
-    _write_csv(out / "metrics.csv", comment, metrics_csv(aggregate(all_results)))
+    _write_csv(out / "metrics.csv", comment, metrics_csv(aggregate(by_policy)))
     return 0
 
 
@@ -264,8 +263,7 @@ def cmd_benchmark(args) -> int:
                 market = dataclasses.replace(config.market, **cell)
                 by_policy = run_experiment(policies, config.exec, market, seeds,
                                            net, map_fn)
-                results = [r for group in by_policy.values() for r in group]
-                rows, tests = aggregate(results), rl_vs_baselines(results)
+                rows, tests = aggregate(by_policy), rl_vs_baselines(by_policy)
             except Exception as exc:  # keep running the remaining cells
                 error = _describe(exc)
                 write_text_atomic(cdir / "error.txt", error + "\n")

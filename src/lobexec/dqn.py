@@ -232,7 +232,7 @@ class ReplayMemory:
                 self.s_next[idx], self.done[idx])
 
 
-def td_targets(batch, net: QNetwork, target_net: QNetwork, gamma: float) -> np.ndarray:
+def td_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """y = r + gamma * max_a Q(s', a) on the target net; y = r when done."""
     _, _, r, s_next, done = batch
     q_next = target_net.forward(s_next).max(axis=1)
@@ -240,11 +240,12 @@ def td_targets(batch, net: QNetwork, target_net: QNetwork, gamma: float) -> np.n
 
 
 class Optimizer:
-    """Adam over the network's flat parameter vector, updated in place."""
+    """Adam over the network's flat parameter vector, updated in place, with
+    the fixed moment decays and epsilon of Kingma & Ba (arXiv:1412.6980)."""
 
-    def __init__(self, net: QNetwork, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, net: QNetwork):
         self.t = 0
         n = net.theta.size
         self.m, self.v = np.zeros(n), np.zeros(n)
@@ -377,7 +378,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
             done = out.done
             if replay.size >= max(schedules.learn_start, schedules.batch_size):
                 batch = replay.sample(schedules.batch_size, rng)
-                y = td_targets(batch, net, target, schedules.gamma)
+                y = td_targets(batch, target, schedules.gamma)
                 gradient_step(net, batch, y, schedules.lr(grad_steps), optimizer)
                 grad_steps += 1
                 if schedules.target_sync > 0 and grad_steps % schedules.target_sync == 0:

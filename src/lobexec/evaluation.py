@@ -49,7 +49,7 @@ class MetricsRow:
 class TTestResult:
     t: float
     df: int
-    critical: float   # one-sided 5% critical value
+    critical: float   # one-sided critical value at ALPHA
     reject: bool
 
 
@@ -133,7 +133,10 @@ def t_ppf(p: float, df: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def pooled_t_test(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
+ALPHA = 0.05  # the one-sided significance level of every test
+
+
+def pooled_t_test(sample_a, sample_b) -> TTestResult:
     """One-sided two-sample test of mean(a) > mean(b), pooled variance."""
     na, nb = len(sample_a), len(sample_b)
     if na < 2 or nb < 2:
@@ -144,7 +147,7 @@ def pooled_t_test(sample_a, sample_b, alpha: float = 0.05) -> TTestResult:
     vb = sum((x - mb) ** 2 for x in sample_b) / (nb - 1)
     df = na + nb - 2
     sp2 = ((na - 1) * va + (nb - 1) * vb) / df
-    critical = t_ppf(1.0 - alpha, df)
+    critical = t_ppf(1.0 - ALPHA, df)
     if sp2 == 0.0:
         t = 0.0 if ma == mb else math.copysign(math.inf, ma - mb)
     else:
@@ -169,9 +172,9 @@ def run_episode(policy: Policy, exec_config: ExecConfig, market: MarketSession,
     spreads: list[int] = []
     imbalances: list[float] = []
     while not env.done:
-        action = policy.act(env.t, obs, env)
-        pre_spread = env.book.spread()
-        pre_imb = env.book.imbalances(env.side, 1)[0]
+        action = policy.act(env.t, obs)
+        pre_spread = market.book.spread()
+        pre_imb = market.book.imbalances(env.side, 1)[0]
         out = env.step(action)
         if out.info["filled"] > 0:
             if pre_spread is not None:
@@ -228,11 +231,9 @@ def run_experiment(policy_names, exec_config: ExecConfig,
             for i, name in enumerate(names)}
 
 
-def aggregate(results: list[EpisodeResult]) -> list[MetricsRow]:
-    """Table-style aggregates per policy: E(IS), E(Pen), E(T), var(IS)."""
-    by_policy: dict[str, list[EpisodeResult]] = {}
-    for r in results:
-        by_policy.setdefault(r.policy, []).append(r)
+def aggregate(by_policy: dict[str, list[EpisodeResult]]) -> list[MetricsRow]:
+    """Table-style aggregates per policy of ``{policy: results}`` (as
+    ``run_experiment`` returns): E(IS), E(Pen), E(T), var(IS)."""
     rows = []
     for policy, group in by_policy.items():
         n = len(group)
@@ -307,13 +308,11 @@ def ttests_csv(tests: dict[str, TTestResult], extra_cols: dict | None = None) ->
                      for name, res in tests.items()))
 
 
-def rl_vs_baselines(results: list[EpisodeResult]) -> dict[str, TTestResult]:
-    """One-sided tests: is RL's mean IS greater than each baseline's?"""
-    by_policy: dict[str, list[float]] = {}
-    for r in results:
-        by_policy.setdefault(r.policy, []).append(r.is_norm)
+def rl_vs_baselines(by_policy: dict[str, list[EpisodeResult]]) -> dict[str, TTestResult]:
+    """One-sided tests over ``{policy: results}``: is RL's mean IS greater
+    than each baseline's?"""
     if "rl" not in by_policy:
         return {}
-    rl = by_policy["rl"]
-    return {f"rl_vs_{name}": pooled_t_test(rl, sample)
-            for name, sample in by_policy.items() if name != "rl"}
+    rl = [r.is_norm for r in by_policy["rl"]]
+    return {f"rl_vs_{name}": pooled_t_test(rl, [r.is_norm for r in group])
+            for name, group in by_policy.items() if name != "rl"}

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .fundamental import NS_PER_SEC
-from .lob import OrderBook, Side
+from .lob import Side
 
 FRAME_FEATURES = 9
 HISTORY = 4
@@ -109,21 +108,6 @@ class ExecutionEnv:
     def side(self) -> Side:
         return Side.BID if self.config.direction == "buy" else Side.ASK
 
-    @property
-    def book(self) -> OrderBook:
-        """The market's order book, for reading pre-step features."""
-        return self._market.book
-
-    @property
-    def arrival_price(self) -> Fraction:
-        """The mid at episode start (P0); the quote features read its float."""
-        return self._arrival_price
-
-    @arrival_price.setter
-    def arrival_price(self, value) -> None:
-        self._arrival_price = value
-        self._arrival_float = float(value)
-
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int) -> np.ndarray:
@@ -134,7 +118,7 @@ class ExecutionEnv:
         mid = self._market.book.mid_price()
         if mid is None:
             raise RuntimeError("book one-sided at episode start; no arrival price")
-        self.arrival_price = mid
+        self.arrival_price = mid  # P0, an exact Fraction
         self.t = 0
         self.executed = 0
         self.completion_step: Optional[int] = None
@@ -159,7 +143,7 @@ class ExecutionEnv:
         holdings = min(1.0, max(0.0, 1.0 - self.executed / self.config.parent_size))
         time_rem = 1.0 - self.t / self.config.n_steps
         imb = book.imbalances(self.side, 5)
-        p0 = self._arrival_float
+        p0 = float(self.arrival_price)
         return np.array(
             [holdings, time_rem, *imb,
              (self._last_bid - p0) / p0, (self._last_ask - p0) / p0],

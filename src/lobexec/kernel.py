@@ -291,8 +291,8 @@ class MarketSession:
         self.now = max(self.now, t)
 
 
-def kernel_run(config: MarketConfig, seed: int, hooks: dict | None = None) -> SessionLog:
+def kernel_run(config: MarketConfig, seed: int) -> SessionLog:
     """Run a full background-only session and return its log."""
-    session = MarketSession(config, seed, hooks, log=SessionLog())
+    session = MarketSession(config, seed, log=SessionLog())
     session.run_until(session.session_end)
     return session.log

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 class Side(Enum):
@@ -111,33 +111,30 @@ class OrderBook:
 
     ``requote`` is how an agent posts quotes: the ``cancel`` of each of its
     ids, then the (side, price, qty) quotes a builder makes from the touch
-    the cancels leave, with exactly the ids, seq numbers, fills, queue
-    positions and log lines of one ``submit_limit`` per quote. A value
-    agent cancels nothing and posts at most one quote; a market maker
-    cancels its ladder and posts a new one. Inside that call, a cancelled
-    order that is still the last order of its level stays there as a stale
-    entry: it has left the order map and its level's total, so no count or
-    fill sees it. A quote at the same side and price re-stamps it in place
+    the cancels leave, with exactly the ids, seq numbers, fills and queue
+    positions of one ``submit_limit`` per quote. A value agent cancels
+    nothing and posts at most one quote; a market maker cancels its ladder
+    and posts a new one. Inside that call, a cancelled order that is still
+    the last order of its level stays there as a stale entry: it has left
+    the order map and its level's total, so no count or fill sees it. A quote at the same side and price re-stamps it in place
     (id, agent, qty, ts, seq) rather than dropping and reopening the level;
     since the stale entry is last in its queue, that is exactly a fresh
     order appended there. An order with another order queued behind it is
     never re-stamped. All stale entries are purged before a quote that
     could cross, and at the end of the call, also when a quote is invalid;
-    so fills, queues, seq numbers and log lines are those of the cancels
-    followed by one ``submit_limit`` per quote.
+    so fills, queues and seq numbers are those of the cancels followed by
+    one ``submit_limit`` per quote.
 
-    Single-threaded mutable structure. ``event_log`` receives one CSV line
-    per submit/cancel/fill when set.
+    Single-threaded mutable structure.
     """
 
-    def __init__(self, event_log: Optional[Callable[[str], None]] = None):
+    def __init__(self):
         self._bid_prices: list[int] = []  # ascending; best bid = last
         self._ask_prices: list[int] = []  # ascending; best ask = first
         self._bids: dict[int, _Level] = {}
         self._asks: dict[int, _Level] = {}
         self._orders: dict[int, Order] = {}  # resting only
         self._seq = 0
-        self.event_log = event_log
 
     # -- queries ---------------------------------------------------------
 
@@ -209,16 +206,11 @@ class OrderBook:
                             bids=tuple([(p, bids[p].total_qty) for p in bid_prices]),
                             asks=tuple([(p, asks[p].total_qty) for p in ask_prices]))
 
-    def order_ids(self, agent_id: Optional[int] = None) -> list[int]:
-        if agent_id is None:
-            return list(self._orders)
-        return [oid for oid, o in self._orders.items() if o.agent_id == agent_id]
+    def order_ids(self) -> list[int]:
+        return list(self._orders)
 
     def fork(self) -> "OrderBook":
-        """An independent copy: the same queues of new ``Order``s. A book
-        with an event log does not fork, since both would write to it."""
-        if self.event_log is not None:
-            raise ValueError("a book with an event log cannot be forked")
+        """An independent copy: the same queues of new ``Order``s."""
         orders: dict[int, Order] = {}
 
         def ladder(levels: dict[int, _Level]) -> dict[int, _Level]:
@@ -240,14 +232,9 @@ class OrderBook:
         clone._asks = ladder(self._asks)
         clone._orders = {oid: orders[oid] for oid in self._orders}
         clone._seq = self._seq
-        clone.event_log = None
         return clone
 
     # -- mutation --------------------------------------------------------
-
-    def _log(self, kind: str, side: Side, price, qty: int, oid: int, aid: int, ts: int):
-        p = "" if price is None else price
-        self.event_log(f"{ts},{kind},{side.value},{p},{qty},{oid},{aid}")
 
     def _match(self, side: Side, qty: int, oid: int, aid: int, ts: int,
                limit_price: Optional[int]) -> tuple[list[Fill], int, int, int]:
@@ -260,7 +247,7 @@ class OrderBook:
             prices, ladder, best = self._ask_prices, self._asks, 0
         else:
             prices, ladder, best = self._bid_prices, self._bids, -1
-        orders, log = self._orders, self.event_log
+        orders = self._orders
         fills: list[Fill] = []
         notional = levels = 0
         while qty and prices:
@@ -276,8 +263,6 @@ class OrderBook:
                 traded = qty if qty < maker.qty else maker.qty
                 fills.append(_new(Fill, (oid, maker.id, aid, maker.agent_id, side, price,
                                          traded, ts)))
-                if log is not None:
-                    self._log("fill", side, price, traded, oid, aid, ts)
                 qty -= traded
                 taken += traded
                 maker.qty -= traded
@@ -355,7 +340,7 @@ class OrderBook:
         """The limit-order loop over quotes numbered from ``oid``; their fills.
         A quote at a price in its side's stale dict (``requote``) re-stamps
         that entry."""
-        resting_map, log, bid_side = self._orders, self.event_log, _BID
+        resting_map, bid_side = self._orders, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
         fills: list[Fill] = []
@@ -369,8 +354,6 @@ class OrderBook:
             if oid in resting_map:
                 raise DuplicateOrderError(f"order id {oid} already resting")
             seq = self._seq = self._seq + 1
-            if log is not None:
-                self._log("submit", side, price, qty, oid, aid, ts)
             if side is bid_side:
                 crosses = ask_prices and ask_prices[0] <= price
                 ladder, prices, stale = bids, bid_prices, bid_stale
@@ -412,8 +395,6 @@ class OrderBook:
             raise ValueError("market order qty must be positive")
         self._seq += 1
         oid = order_id if order_id is not None else -self._seq
-        if self.event_log is not None:
-            self._log("submit", side, None, qty, oid, agent_id, ts)
         if not (self._ask_prices if side is _BID else self._bid_prices):
             return _new(MarketOrderResult, ((), 0, 0, qty))
         fills, unfilled, notional, levels = self._match(side, qty, oid, agent_id, ts, None)
@@ -429,7 +410,7 @@ class OrderBook:
         number removed. Unknown or already-gone ids are skipped. With stale
         dicts (``requote``), an order that is the last in its level stays
         there, stale, filed under its price in its side's dict."""
-        orders, log, bid_side = self._orders, self.event_log, _BID
+        orders, bid_side = self._orders, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
         removed = 0
@@ -453,7 +434,4 @@ class OrderBook:
             else:  # its only order: the level leaves the ladder
                 del ladder[price]
                 prices.remove(price)
-            if log is not None:
-                self._log("cancel", order.side, price, order.qty, order.id,
-                          order.agent_id, order.ts)
         return removed

@@ -23,7 +23,7 @@ class Policy:
     def reset(self, seed: int) -> None:  # noqa: ARG002 - deterministic policies
         pass
 
-    def act(self, t: int, obs: np.ndarray, env) -> int:
+    def act(self, t: int, obs: np.ndarray) -> int:
         raise NotImplementedError
 
 
@@ -53,7 +53,7 @@ class TwapPolicy(Policy):
         self.schedule = twap_schedule(config.parent_size, config.q_min,
                                       config.n_steps, config.n_size_actions)
 
-    def act(self, t, obs, env) -> int:
+    def act(self, t, obs) -> int:
         return self.schedule.get(t, 0)
 
 
@@ -78,7 +78,7 @@ class PassivePolicy(Policy):
     def reset(self, seed: int) -> None:
         self.rng = generator(seed, 11)
 
-    def act(self, t, obs, env) -> int:
+    def act(self, t, obs) -> int:
         return bisect_right(self._cdf, self.rng.random())
 
 
@@ -96,7 +96,7 @@ class RandomPolicy(Policy):
     def reset(self, seed: int) -> None:
         self.rng = generator(seed, 12)
 
-    def act(self, t, obs, env) -> int:
+    def act(self, t, obs) -> int:
         return bisect_right(self._cdf, self.rng.random())
 
 
@@ -108,7 +108,7 @@ class GreedyQPolicy(Policy):
     def __init__(self, net: QNetwork):
         self.net = net
 
-    def act(self, t, obs, env) -> int:
+    def act(self, t, obs) -> int:
         return int(np.argmax(self.net.forward(obs)))
 
 

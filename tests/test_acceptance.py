@@ -206,7 +206,7 @@ def test_criterion_06_twap_closed_form():
     obs = env.reset(0)
     children = 0
     for t in range(cfg.n_steps):
-        action = policy.act(t, obs, env)
+        action = policy.act(t, obs)
         children += action > 0
         obs = env.step(action).observation
         if env.completed:
@@ -256,9 +256,8 @@ def test_criterion_08_desk_scale_benchmark(desk_checkpoint):
     with ProcessPoolExecutor(max_workers=4) as pool:
         by_policy = run_experiment(policies, DESK_EXEC, DESK_MARKET, seeds, net,
                                    pool.map)
-    results = [r for policy in policies for r in by_policy[policy]]
-    rows = {r.policy: r for r in aggregate(results)}
-    tests = rl_vs_baselines(results)
+    rows = {r.policy: r for r in aggregate(by_policy)}
+    tests = rl_vs_baselines(by_policy)
     assert set(tests) == {"rl_vs_twap", "rl_vs_passive", "rl_vs_random"}
     for t in tests.values():
         assert t.df == 98

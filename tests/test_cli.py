@@ -532,10 +532,9 @@ class TestBenchmark:
         config = load_config(lite_cfg)
         by_policy = run_experiment(config.eval.policies, config.exec, config.market,
                                    [0, 1])
-        results = [r for policy in config.eval.policies for r in by_policy[policy]]
         cell = {"n_noise": 20, "n_momentum": 1}
         written = (out / "benchmark" / "cell_20N_1M" / "metrics.csv").read_text()
-        assert written.split("\n", 1)[1] == metrics_csv(aggregate(results),
+        assert written.split("\n", 1)[1] == metrics_csv(aggregate(by_policy),
                                                          extra_cols=cell)
 
     def test_unreadable_checkpoint_fails_before_any_cell(self, tmp_path, capsys):

@@ -1,0 +1,72 @@
+"""Design checks over the source tree itself."""
+
+import ast
+from pathlib import Path
+
+import lobexec
+
+SRC = Path(lobexec.__file__).parent
+
+# (file, function, parameter) unread on purpose, each with its reason.
+ALLOWED = {
+    # every policy's act(t, obs) is one interface; each reads what it needs
+    ("strategies.py", "act", "t"),
+    ("strategies.py", "act", "obs"),
+    # ConstantMarket takes a seeded market factory's seed (the benchmark's
+    # factory passes one); its constant quotes draw nothing
+    ("synthetic.py", "__init__", "seed"),
+}
+
+
+def _is_stub(body) -> bool:
+    """A body that only passes or raises, after any docstring."""
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]
+    return bool(body) and all(isinstance(s, (ast.Pass, ast.Raise)) for s in body)
+
+
+def unread_parameters(tree: ast.Module):
+    """(qualified name, parameter) for every parameter of every function or
+    method in ``tree`` that its body never reads; ``self``, ``cls`` and stub
+    bodies are skipped."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                if not _is_stub(child.body):
+                    a = child.args
+                    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              *filter(None, (a.vararg, a.kwarg)))]
+                    read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    found.extend((name, p) for p in params
+                                 if p not in ("self", "cls") and p not in read)
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    """A parameter that nothing reads is a setting that changes nothing."""
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, param in unread_parameters(tree):
+            if (path.name, qualname.rsplit(".", 1)[-1], param) not in ALLOWED:
+                unread.append(f"{path.name}: {qualname}({param})")
+    assert unread == []
+
+
+def test_the_scan_finds_an_unread_parameter():
+    tree = ast.parse("def f(a, b):\n    return a\n\n"
+                     "class C:\n    def g(self, x):\n        raise NotImplementedError\n"
+                     "    def h(self, y, z):\n        return lambda: z\n")
+    assert unread_parameters(tree) == [("f", "b"), ("C.h", "y")]

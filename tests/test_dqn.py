@@ -91,16 +91,16 @@ class TestTdTargets:
 
     def test_done_transition_returns_reward(self):
         net = QNetwork((36, 50, 20, 5), np.random.default_rng(0))
-        y = td_targets(self.batch(18.0, True), net, net, 0.9999)
+        y = td_targets(self.batch(18.0, True), net, 0.9999)
         assert np.allclose(y, 18.0)
 
     def test_gamma_zero(self):
         net = QNetwork((36, 50, 20, 5), np.random.default_rng(0))
-        y = td_targets(self.batch(3.0, False), net, net, 0.0)
+        y = td_targets(self.batch(3.0, False), net, 0.0)
         assert np.allclose(y, 3.0)
 
     def test_gamma_one_zero_net(self):
-        y = td_targets(self.batch(3.0, False), zero_net(), zero_net(), 1.0)
+        y = td_targets(self.batch(3.0, False), zero_net(), 1.0)
         assert np.allclose(y, 3.0)
 
 
@@ -307,18 +307,19 @@ class TestTargetSync:
     def recorded_calls(self, monkeypatch, target_sync):
         """(target is online, online params, target params) per td_targets call."""
         calls = []
+        net = QNetwork((36, 50, 20, 5), np.random.default_rng(0))  # the online net
 
-        def recorder(batch, net, target_net, gamma):
+        def recorder(batch, target_net, gamma):
             calls.append((target_net is net,
                           {k: v.copy() for k, v in net.params.items()},
                           {k: v.copy() for k, v in target_net.params.items()}))
-            return td_targets(batch, net, target_net, gamma)
+            return td_targets(batch, target_net, gamma)
 
         monkeypatch.setattr(dqn, "td_targets", recorder)
         sched = Schedules(lr_steps=2000, eps_steps=30, learn_start=16,
                           replay_capacity=1000, batch_size=16,
                           target_sync=target_sync)
-        train(toy_env_factory(parent_size=2000), sched, episodes=2, seed=0)
+        train(toy_env_factory(parent_size=2000), sched, episodes=2, seed=0, net=net)
         return calls
 
     @pytest.mark.parametrize("k", [1, 3, 7])

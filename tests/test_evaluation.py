@@ -92,8 +92,8 @@ class TestPooledTTest:
 
 class TestAggregate:
     def make(self, values, policy="twap"):
-        return [EpisodeResult(policy=policy, seed=i, is_norm=v, pen_norm=-0.1,
-                              t_frac=0.5) for i, v in enumerate(values)]
+        return {policy: [EpisodeResult(policy=policy, seed=i, is_norm=v, pen_norm=-0.1,
+                                       t_frac=0.5) for i, v in enumerate(values)]}
 
     def test_identical_results_zero_variance(self):
         rows = aggregate(self.make([2.0, 2.0, 2.0]))
@@ -192,10 +192,9 @@ class TestRunExperiment:
 
 class TestTTestMatrix:
     def test_rl_vs_each_baseline(self):
-        results = []
-        for policy, base in (("rl", 1.0), ("twap", 0.0), ("random", 0.5)):
-            results += [EpisodeResult(policy, i, base + 0.01 * i, 0, 0.5)
-                        for i in range(5)]
+        results = {policy: [EpisodeResult(policy, i, base + 0.01 * i, 0, 0.5)
+                            for i in range(5)]
+                   for policy, base in (("rl", 1.0), ("twap", 0.0), ("random", 0.5))}
         tests = rl_vs_baselines(results)
         assert set(tests) == {"rl_vs_twap", "rl_vs_random"}
         assert all(t.df == 8 for t in tests.values())
@@ -203,5 +202,5 @@ class TestTTestMatrix:
         assert text.splitlines()[0] == "comparison,t,df,critical,reject"
 
     def test_no_rl_no_tests(self):
-        results = [EpisodeResult("twap", i, 0.0, 0, 0.5) for i in range(3)]
+        results = {"twap": [EpisodeResult("twap", i, 0.0, 0, 0.5) for i in range(3)]}
         assert rl_vs_baselines(results) == {}

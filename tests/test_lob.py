@@ -271,17 +271,6 @@ class TestAgainstBruteForce:
         assert book1.snapshot(10) == book2.snapshot(10)
 
 
-def test_event_log_lines():
-    lines = []
-    book = OrderBook(event_log=lines.append)
-    book.submit_limit(mk(1, Side.ASK, 101, 5, agent=2, ts=10))
-    book.submit_market(Side.BID, 3, agent_id=3, ts=20, order_id=2)
-    book.cancel(1)
-    kinds = [line.split(",")[1] for line in lines]
-    assert kinds == ["submit", "submit", "fill", "cancel"]
-    assert lines[2] == "20,fill,bid,101,3,2,3"
-
-
 def reference_levels(ref, side, d):
     """Top-d (price, qty) levels of one side of a BruteForceBook, best first."""
     qty = {}
@@ -376,25 +365,30 @@ class TestResultsAgainstBruteForce:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_one_fill_line_per_fill(self, seed):
+        """One ``Fill`` per match of the reference, in its order, carrying
+        the taker's id, agent, side and ts and the maker's id and agent
+        (agent ids differ from order ids, so a swap shows)."""
         rng = random.Random(seed)
-        lines = []
-        book = OrderBook(event_log=lines.append)
-        fills = []
+        book, ref = OrderBook(), BruteForceBook()
+        fills, expected = [], []
         for op in random_ops(rng, 80):
             if op[0] == "limit":
                 _, oid, side, price, qty = op
-                fills += book.submit_limit(mk(oid, side, price, qty, agent=oid, ts=oid))[0]
+                fills += book.submit_limit(mk(oid, side, price, qty, agent=oid + 500,
+                                              ts=oid))[0]
+                ref_fills = ref.submit_limit(oid, oid + 500, side, price, qty)[0]
             elif op[0] == "market":
                 _, oid, side, qty = op
-                fills += book.submit_market(side, qty, agent_id=oid, ts=oid,
+                fills += book.submit_market(side, qty, agent_id=oid + 500, ts=oid,
                                             order_id=oid).fills
+                ref_fills = ref.submit_market(oid, oid + 500, side, qty)[0]
             else:
                 book.cancel(op[1])
-        assert fills
-        fill_lines = [line for line in lines if line.split(",")[1] == "fill"]
-        assert fill_lines == [
-            f"{f.ts},fill,{f.side.value},{f.price},{f.qty},"
-            f"{f.taker_order_id},{f.taker_agent_id}" for f in fills]
+                ref.cancel(op[1])
+                continue
+            expected += [Fill(taker, maker, taker + 500, maker + 500, side, p, q, oid)
+                         for taker, maker, p, q in ref_fills]
+        assert fills and fills == expected
 
 
 def test_fill_and_result_records_are_immutable_with_named_fields():
@@ -462,6 +456,17 @@ def resting_state(book):
             for o in book._orders.values()]
 
 
+def queues(book):
+    """(bids, asks): each side's levels best first, each as ``(price,
+    total_qty, [(id, agent, qty, ts, seq), ...])`` with its queue in FIFO
+    order, which ``resting_state`` does not show."""
+    return tuple([(p, ladder[p].total_qty,
+                   [(o.id, o.agent_id, o.qty, o.ts, o.seq) for o in ladder[p]])
+                  for p in prices]
+                 for ladder, prices in ((book._bids, book._bid_prices[::-1]),
+                                        (book._asks, book._ask_prices)))
+
+
 def run_requote_script(steps):
     """Play a script on two books and the oracle.
 
@@ -476,9 +481,7 @@ def run_requote_script(steps):
     after every step it has caught up with. Returns (batches that crossed,
     cancels of submitted ids that missed, the requoted book).
     """
-    logs = {name: [] for name in ("single", "requoted")}
-    single, requoted = books = [OrderBook(event_log=log.append)
-                                for log in logs.values()]
+    single, requoted = books = [OrderBook(), OrderBook()]
     ref = BruteForceBook()
     submitted = set()
     crossing_batches = filled_misses = 0
@@ -534,10 +537,10 @@ def run_requote_script(steps):
             assert requoted.snapshot(50) == single.snapshot(50)
             assert requoted.order_ids() == single.order_ids()
             assert resting_state(requoted) == resting_state(single)
+            assert queues(requoted) == queues(single)
             assert requoted._seq == single._seq
         assert single.snapshot(50).bids == reference_levels(ref, Side.BID, 50)
         assert single.snapshot(50).asks == reference_levels(ref, Side.ASK, 50)
-    assert logs["single"] == logs["requoted"]
     return crossing_batches, filled_misses, requoted
 
 
@@ -607,7 +610,7 @@ class TestBatchedRequote:
                  ("quotes", ladder(9, 100, 3, 6))]
         _, _, book = run_requote_script(steps)
         assert book.snapshot(3).bids == ((99, 6), (98, 10), (97, 6))
-        assert book.order_ids(1) == [7, 8]
+        assert [o.id for o in book._orders.values() if o.agent_id == 1] == [7, 8]
 
     def test_cancel_on_a_shared_level_keeps_it_on_the_ladder(self):
         steps = [("limit", 1, Side.BID, 99, 4), ("quotes", ladder(2, 100, 2, 5)),
@@ -690,10 +693,9 @@ class TestBatchedRequote:
         # the first quote reopens the spare bid level at 100, the second crosses
         batch = [(Side.BID, 100, 4), (Side.BID, 103, 4), quotes[bad], (Side.ASK, 105, 2)]
         first = 7 if bad == "resting_id" else 11  # the third id, 9, is resting
-        states, logs, errors = [], [], []
+        states, errors = [], []
         for how in ("requoted", "single"):
-            log = []
-            book = OrderBook(event_log=log.append)
+            book = OrderBook()
             for order in (mk(1, Side.ASK, 102, 3), mk(2, Side.BID, 100, 3),
                           mk(3, Side.ASK, 103, 10), mk(9, Side.BID, 90, 1)):
                 book.submit_limit(order)
@@ -705,11 +707,10 @@ class TestBatchedRequote:
                     for i, (s, p, q) in enumerate(batch):
                         book.submit_limit(mk(first + i, s, p, q, agent=2, ts=5))
             book.submit_limit(mk(20, Side.BID, 91, 1))  # seq continues alike
-            states.append((book.snapshot(10), book.order_ids(), resting_state(book)))
-            logs.append(log)
+            states.append((book.snapshot(10), book.order_ids(), resting_state(book),
+                           queues(book)))
             errors.append((type(exc.value), str(exc.value)))
         assert states[0] == states[1]
-        assert logs[0] == logs[1]
         assert errors[0] == errors[1]
         assert states[0][0].bids[0] == (100, 4)
 
@@ -745,12 +746,12 @@ class TestBatchedRequote:
     @staticmethod
     def sequential_and_requoted(setup, cancel_ids, quotes, first, ts=9):
         """Two books built by ``setup``: one takes a ``cancel`` per id then a
-        ``submit_limit`` per quote, the other one ``requote``. Returns both
-        books, their results, log lines and the touch the builder got."""
+        ``submit_limit`` per quote, the other one ``requote``. Checks that
+        their results, queues and the touch the builder got agree; returns
+        both books, the result and the touch."""
         out = []
         for one_call in (False, True):
-            log = []
-            book = OrderBook(event_log=log.append)
+            book = OrderBook()
             setup(book)
             touches = []
 
@@ -768,7 +769,7 @@ class TestBatchedRequote:
                         quotes_at(book.best_bid(), book.best_ask())):
                     fills += book.submit_limit(mk(first + i, s, p, q, agent=2, ts=ts))[0]
                 result = (fills, range(first, first + len(quotes)))
-            out.append((book, result, log, touches))
+            out.append((book, result, queues(book), touches))
         (seq_book, *seq), (one_book, *one) = out
         assert one == seq
         for book in (seq_book, one_book):
@@ -864,10 +865,9 @@ class TestBatchedRequote:
         batch = [(Side.BID, 100, 4), (Side.BID, 103 if crossed else 99, 4),
                  quotes[bad], (Side.ASK, 105, 2)]
         first = 20 if bad == "resting_id" else 30  # the third id, 22, is resting
-        states, logs, errors = [], [], []
+        states, errors = [], []
         for one_call in (False, True):
-            log = []
-            book = OrderBook(event_log=log.append)
+            book = OrderBook()
             post(book, [(Side.BID, 100, 3), (Side.ASK, 101, 3),
                         (Side.BID, 97, 2)], 1, 0)
             for order in (mk(10, Side.ASK, 102, 3), mk(11, Side.ASK, 103, 10),
@@ -883,11 +883,9 @@ class TestBatchedRequote:
                         book.submit_limit(mk(first + i, s, p, q, agent=2, ts=5))
             book.submit_limit(mk(40, Side.BID, 91, 1))  # seq continues alike
             states.append((book.snapshot(10), book.order_ids(), resting_state(book),
-                           book._bid_prices, book._ask_prices))
-            logs.append(log)
+                           queues(book), book._bid_prices, book._ask_prices))
             errors.append((type(exc.value), str(exc.value)))
         assert states[0] == states[1]
-        assert logs[0] == logs[1]
         assert errors[0] == errors[1]
         assert states[0][0].bids[0] == (100, 4)
 

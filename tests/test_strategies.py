@@ -48,7 +48,7 @@ class TestTwap:
         t = 0
         sent = 0
         while not env.done:
-            a = policy.act(t, obs, env)
+            a = policy.act(t, obs)
             sent += a > 0
             obs = env.step(a).observation
             t += 1
@@ -68,7 +68,7 @@ def empirical(policy, n, seed=0):
     policy.reset(seed)
     counts = np.zeros(5)
     for _ in range(n):
-        counts[policy.act(0, None, None)] += 1
+        counts[policy.act(0, None)] += 1
     return counts / n
 
 
@@ -114,7 +114,7 @@ def test_draws_equal_generator_choice(policy_cls, spawn_key, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(spawn_key,)))
     n = 20_000
-    actions = [policy.act(t, None, None) for t in range(n)]
+    actions = [policy.act(t, None) for t in range(n)]
     assert actions == [int(rng.choice(5, p=policy_cls.probs)) for _ in range(n)]
     assert all(type(a) is int for a in actions)
 
@@ -139,4 +139,4 @@ class TestFactory:
             policy = make_policy(name, cfg)
             policy.reset(3)
             for t in range(200):
-                assert 0 <= policy.act(t, None, None) <= 4
+                assert 0 <= policy.act(t, None) <= 4
