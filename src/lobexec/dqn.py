@@ -8,17 +8,19 @@ synced target network can be enabled via ``target_sync``.
 
 All parameters live in one contiguous float64 vector, ``QNetwork.theta``,
 laid out as ``w1, b1, w2, b2, w3, b3`` (row-major weights of shape
-(fan_in, fan_out), then biases); ``QNetwork.params`` maps each name to a
-view into it. The optimizer updates ``theta`` in place: Adam keeps its
-moments ``m`` and ``v`` as flat vectors of the same length and runs each
-step as a few in-place ufuncs over the whole vector, rounding in the same
-order as the per-array formula ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``.
+(fan_in, fan_out), then biases). ``QNetwork.views`` names the parts of any
+vector in that layout: ``params`` those of ``theta``, and ``loss_and_grads``
+those of the gradient vector that ``mlp_backward`` fills. Adam updates
+``theta`` in place with moments ``m`` and ``v`` in the same layout, as a few
+in-place ufuncs over the whole vector that round in the same order as the
+per-array formula ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,19 +45,16 @@ def mlp_forward(x, w1, b1, w2, b2, w3, b3):
     return q, h1, h2
 
 
-def mlp_backward(x, h1, h2, dq, w2, w3):
-    """Gradients of a scalar loss given dL/dq. Returns grads for all params."""
-    gw3 = h2.T @ dq
-    gb3 = dq.sum(axis=0)
-    dh2 = dq @ w3.T
-    dh2 = dh2 * (h2 > 0.0)
-    gw2 = h1.T @ dh2
-    gb2 = dh2.sum(axis=0)
-    dh1 = dh2 @ w2.T
-    dh1 = dh1 * (h1 > 0.0)
-    gw1 = x.T @ dh1
-    gb1 = dh1.sum(axis=0)
-    return gw1, gb1, gw2, gb2, gw3, gb3
+def mlp_backward(x, h1, h2, dq, w2, w3, gw1, gb1, gw2, gb2, gw3, gb3):
+    """Gradients of a scalar loss given dL/dq, written into ``gw1`` ... ``gb3``."""
+    np.matmul(h2.T, dq, out=gw3)
+    dq.sum(axis=0, out=gb3)
+    dh2 = (dq @ w3.T) * (h2 > 0.0)
+    np.matmul(h1.T, dh2, out=gw2)
+    dh2.sum(axis=0, out=gb2)
+    dh1 = (dh2 @ w2.T) * (h1 > 0.0)
+    np.matmul(x.T, dh1, out=gw1)
+    dh1.sum(axis=0, out=gb1)
 
 
 class QNetwork:
@@ -78,15 +77,18 @@ class QNetwork:
         if len(sizes) != 4:
             raise ValueError("QNetwork expects exactly two hidden layers")
         self.sizes = tuple(int(s) for s in sizes)
-        shapes = {}
+        self._layout, end = [], 0
         for i in (1, 2, 3):
-            shapes[f"w{i}"] = self.sizes[i - 1:i + 1]
-            shapes[f"b{i}"] = self.sizes[i:i + 1]
-        counts = [math.prod(shape) for shape in shapes.values()]
-        self.theta = np.zeros(sum(counts)) if theta is None else theta
-        parts = np.split(self.theta, np.cumsum(counts)[:-1])
-        self.params: dict[str, np.ndarray] = {
-            name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+            w, b = self.sizes[i - 1:i + 1], self.sizes[i:i + 1]
+            for name, shape in (f"w{i}", w), (f"b{i}", b):
+                start, end = end, end + math.prod(shape)
+                self._layout.append((name, slice(start, end), shape))
+        self.theta = np.zeros(end) if theta is None else theta
+        self.params = self.views(self.theta)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``vector``, laid out like ``theta``."""
+        return {name: vector[part].reshape(shape) for name, part, shape in self._layout}
 
     @classmethod
     def _from_theta(cls, sizes, theta: np.ndarray | None) -> "QNetwork":
@@ -109,9 +111,7 @@ class QNetwork:
             raise ValueError("non-finite observation")
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input dim {self.sizes[0]}, got {x.shape[1]}")
-        p = self.params
-        q, _, _ = mlp_forward(np.ascontiguousarray(x), p["w1"], p["b1"],
-                              p["w2"], p["b2"], p["w3"], p["b3"])
+        q, _, _ = mlp_forward(np.ascontiguousarray(x), *self.params.values())
         return q[0] if single else q
 
     def copy(self) -> "QNetwork":
@@ -147,7 +147,10 @@ class QNetwork:
         payload = json.loads(Path(path).read_text())
         if payload.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version: {payload.get('version')}")
-        net = cls._from_theta(tuple(payload["sizes"]), None)
+        sizes = payload["sizes"]
+        if type(sizes) is not list or list(map(type, sizes)) != [int] * 4 or min(sizes) < 1:
+            raise ValueError(f"checkpoint sizes {sizes!r} are not four positive ints")
+        net = cls._from_theta(sizes, None)
         if set(payload["params"]) != set(net.params):
             raise ValueError(f"checkpoint params {sorted(payload['params'])} "
                              f"do not match {sorted(net.params)}")
@@ -240,8 +243,8 @@ def td_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
 
 
 class Optimizer:
-    """Adam over the network's flat parameter vector, updated in place, with
-    the fixed moment decays and epsilon of Kingma & Ba (arXiv:1412.6980)."""
+    """Adam over flat parameter and gradient vectors, updating ``theta`` in place
+    with the fixed moment decays and epsilon of Kingma & Ba (arXiv:1412.6980)."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -251,10 +254,9 @@ class Optimizer:
         self.m, self.v = np.zeros(n), np.zeros(n)
         self._scratch = (np.empty(n), np.empty(n))
 
-    def update(self, net: QNetwork, grads: dict[str, np.ndarray], lr: float) -> None:
+    def update(self, net: QNetwork, g: np.ndarray, lr: float) -> None:
         if lr == 0.0:
             return
-        g = np.concatenate([grads[k].ravel() for k in net.params])
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -279,22 +281,22 @@ class Optimizer:
         net.theta -= a
 
 
-def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared TD error on the taken actions, plus its gradients."""
+def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, np.ndarray]:
+    """Mean squared TD error on the taken actions, plus a fresh gradient like ``theta``."""
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     a = np.asarray(a, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
     p = net.params
-    q, h1, h2 = mlp_forward(s, p["w1"], p["b1"], p["w2"], p["b2"], p["w3"], p["b3"])
+    q, h1, h2 = mlp_forward(s, *p.values())
     n = s.shape[0]
     q_taken = q[np.arange(n), a]
     err = q_taken - y
     loss = float(np.add.reduce(err * err) / n)
     dq = np.zeros_like(q)
     dq[np.arange(n), a] = 2.0 * err / n
-    gw1, gb1, gw2, gb2, gw3, gb3 = mlp_backward(s, h1, h2, dq, p["w2"], p["w3"])
-    grads = {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
-    return loss, grads
+    g = np.empty_like(net.theta)
+    mlp_backward(s, h1, h2, dq, p["w2"], p["w3"], *net.views(g).values())
+    return loss, g
 
 
 def gradient_step(net: QNetwork, batch, y: np.ndarray, lr: float,
@@ -303,10 +305,10 @@ def gradient_step(net: QNetwork, batch, y: np.ndarray, lr: float,
     if lr < 0:
         raise ValueError("lr must be >= 0")
     s, a, _, _, _ = batch
-    loss, grads = loss_and_grads(net, s, a, y)
+    loss, g = loss_and_grads(net, s, a, y)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss: {loss}")
-    optimizer.update(net, grads, lr)
+    optimizer.update(net, g, lr)
     return loss
 
 
@@ -361,7 +363,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     optimizer = Optimizer(net)
     replay = ReplayMemory(schedules.replay_capacity, obs_dim)
     curve = []
-    rewards_window: list[float] = []
+    rewards_window: deque[float] = deque(maxlen=ROLLING)
 
     for ep in range(start_episode, start_episode + episodes):
         env = env_factory()
@@ -385,8 +387,6 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
                     target = net.copy()
         net.check_finite()
         rewards_window.append(total)
-        if len(rewards_window) > ROLLING:
-            rewards_window.pop(0)
         curve.append((ep, total, sum(rewards_window) / len(rewards_window)))
         if checkpoint_path is not None and (
                 (ep + 1 - start_episode) % CHECKPOINT_EVERY == 0

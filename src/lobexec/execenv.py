@@ -101,12 +101,9 @@ class ExecutionEnv:
                  market_factory: Callable[[int], object]):
         config.validate()
         self.config = config
+        self.side = Side.BID if config.direction == "buy" else Side.ASK
         self._market_factory = market_factory
         self._market = None
-
-    @property
-    def side(self) -> Side:
-        return Side.BID if self.config.direction == "buy" else Side.ASK
 
     # -- lifecycle ---------------------------------------------------------
 

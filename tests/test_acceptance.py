@@ -141,9 +141,9 @@ def test_criterion_04_gradient_check_twenty_nets():
         s = rng.normal(size=(6, dims[0]))
         a = rng.integers(0, dims[3], size=6)
         y = rng.normal(size=6)
-        _, grads = loss_and_grads(net, s, a, y)
+        _, g = loss_and_grads(net, s, a, y)
         eps = 1e-6
-        for name, grad in grads.items():
+        for name, grad in net.views(g).items():
             param = net.params[name]
             for idx in rng.integers(0, param.size, size=min(5, param.size)):
                 ij = np.unravel_index(idx, param.shape)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -218,26 +219,34 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
 
     # a checkpoint the config cannot use: another action count, other hidden
-    # sizes, a NaN weight
-    @pytest.mark.parametrize("sizes, nan", [((36, 50, 20, 3), False),
-                                            ((36, 7, 9, 5), False),
-                                            ((36, 50, 20, 5), True)],
-                             ids=["n_actions", "hidden", "nan"])
+    # sizes, a NaN weight, and stored layer sizes that are not four ints
+    @pytest.mark.parametrize("sizes, nan, message", [
+        ((36, 50, 20, 3), False, "config expects [36, 50, 20, 5]"),
+        ((36, 7, 9, 5), False, "config expects [36, 50, 20, 5]"),
+        ((36, 50, 20, 5), True, "non-finite"),
+        ([36.7, 50, 20, 5], False, "are not four positive ints"),
+        (["36", 50, 20, 5], False, "are not four positive ints"),
+        (36, False, "are not four positive ints")],
+        ids=["n_actions", "hidden", "nan", "float_sizes", "str_sizes", "int_sizes"])
     @pytest.mark.parametrize("argv", [["evaluate", "--policy", "rl"], ["benchmark"]],
                              ids=["evaluate", "benchmark"])
     def test_bad_checkpoint_fails_before_any_output(self, tmp_path, capsys, argv,
-                                                    sizes, nan):
+                                                    sizes, nan, message):
         ckpt = tmp_path / "net.json"
-        net = QNetwork(sizes, np.random.default_rng(0))
+        net = QNetwork(sizes if isinstance(sizes, tuple) else (36, 50, 20, 5),
+                       np.random.default_rng(0))
         if nan:
             net.params["w1"][0, 0] = np.nan
         net.save(ckpt)
+        if not isinstance(sizes, tuple):  # the weights fit (36, 50, 20, 5)
+            payload = json.loads(ckpt.read_text())
+            payload["sizes"] = sizes
+            ckpt.write_text(json.dumps(payload))
         cfg = grid_cfg(tmp_path, "[[20, 1]]", policies="[rl, twap]")
         out = tmp_path / "o"
         assert main([*argv, "--checkpoint", str(ckpt), "--config", str(cfg),
                      "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert ("non-finite" if nan else "config expects [36, 50, 20, 5]") in err
+        assert message in capsys.readouterr().err
         assert not (out / argv[0]).exists()
 
     # only worker counts that start no process

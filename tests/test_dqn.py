@@ -20,6 +20,7 @@ from lobexec.dqn import (
     gradient_step,
     learning_curve_csv,
     loss_and_grads,
+    mlp_forward,
     td_targets,
     train,
 )
@@ -124,9 +125,9 @@ class TestGradients:
         s = rng.normal(size=(5, 6))
         a = rng.integers(0, 3, size=5)
         y = rng.normal(size=5)
-        _, grads = loss_and_grads(net, s, a, y)
+        _, g = loss_and_grads(net, s, a, y)
         eps = 1e-6
-        for name, grad in grads.items():
+        for name, grad in net.views(g).items():
             param = net.params[name]
             flat_idx = rng.integers(0, param.size, size=min(10, param.size))
             for idx in flat_idx:
@@ -390,6 +391,42 @@ class ReferenceOptimizer:
             net.params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
 
 
+def reference_backward(x, h1, h2, dq, w2, w3):
+    """The ``mlp_backward`` that returned six fresh arrays, kept verbatim as
+    an oracle: writing them into views of one vector must give the same bits."""
+    gw3 = h2.T @ dq
+    gb3 = dq.sum(axis=0)
+    dh2 = dq @ w3.T
+    dh2 = dh2 * (h2 > 0.0)
+    gw2 = h1.T @ dh2
+    gb2 = dh2.sum(axis=0)
+    dh1 = dh2 @ w2.T
+    dh1 = dh1 * (h1 > 0.0)
+    gw1 = x.T @ dh1
+    gb1 = dh1.sum(axis=0)
+    return gw1, gb1, gw2, gb2, gw3, gb3
+
+
+class TestFlatGradients:
+    @pytest.mark.parametrize("n", [1, 3, 7, 16, 64, 65])
+    @pytest.mark.parametrize("sizes", [(36, 50, 20, 5), (6, 5, 4, 3)])
+    def test_bit_equal_to_per_array_backward(self, sizes, n):
+        rng = np.random.default_rng(n)
+        net = QNetwork(sizes, rng)
+        for k in ("b1", "b2", "b3"):  # some units active, some not
+            net.params[k][:] = rng.normal(scale=0.1, size=net.params[k].shape)
+        s, a, y = rand_batch(rng, n=n, dim=sizes[0], n_actions=sizes[-1])
+        _, g = loss_and_grads(net, s, a, y)
+        p = net.params
+        q, h1, h2 = mlp_forward(s, *p.values())
+        dq = np.zeros_like(q)
+        dq[np.arange(n), a] = 2.0 * (q[np.arange(n), a] - y) / n
+        ref = reference_backward(s, h1, h2, dq, p["w2"], p["w3"])
+        assert np.array_equal(g, np.concatenate([r.ravel() for r in ref]))
+        # each call writes a new vector, so a caller may hold on to g
+        assert not np.shares_memory(g, loss_and_grads(net, s, a, y)[1])
+
+
 PARAM_ORDER = ["w1", "b1", "w2", "b2", "w3", "b3"]
 
 
@@ -418,9 +455,9 @@ class TestFlatOptimizer:
         for step in range(50):
             lr = self.LRS[step % len(self.LRS)]
             s, a, y = rand_batch(rng, n=16, dim=sizes[0], n_actions=sizes[-1])
-            _, grads = loss_and_grads(net, s, a, y)
-            opt.update(net, grads, lr)
-            ref_opt.update(ref, grads, lr)
+            _, g = loss_and_grads(net, s, a, y)
+            opt.update(net, g, lr)
+            ref_opt.update(ref, net.views(g), lr)
             adam_steps += lr != 0.0
             assert opt.t == ref_opt.t == adam_steps
             for k in PARAM_ORDER:

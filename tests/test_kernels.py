@@ -70,7 +70,8 @@ class TestPathEquality:
         x = params[0]
         _, h1, h2 = mlp_forward(*params)
         dq = rng.normal(size=(x.shape[0], 3))
-        grads = mlp_backward(x, h1, h2, dq, params[3], params[5])
+        grads = [np.empty_like(p) for p in params[1:]]
+        mlp_backward(x, h1, h2, dq, params[3], params[5], *grads)
 
         def loss():  # linear in q, so dL/dq = dq
             return float(np.sum(dq * mlp_forward(*params)[0]))
