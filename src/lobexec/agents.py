@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from ._seeding import copy_generator
 from .fundamental import NS_PER_SEC
 from .lob import Side
@@ -23,68 +24,39 @@ _HALF = 2**63  # random() < 0.5 exactly when the raw 64-bit output is below this
 
 @dataclass
 class NoiseAgentParams:
-    min_size: int = 10
-    max_size: int = 100
-    mean_wake_s: float = 60.0
+    min_size: int = bounded(10, ge=1)
+    max_size: int = bounded(100, ge=1, lt=2**32)
+    mean_wake_s: float = bounded(60.0, gt=0)
 
     def validate(self) -> None:
-        if not 1 <= self.min_size <= self.max_size < 2**32:
-            raise ValueError("noise sizes need 1 <= min_size <= max_size < 2**32")
-        if self.mean_wake_s <= 0:
-            raise ValueError("noise mean_wake_s must be positive")
+        check_bounds(self)
+        if not self.min_size <= self.max_size:
+            raise ValueError("noise sizes need min_size <= max_size")
 
 
 @dataclass
 class ValueAgentParams:
-    lambda_va: float = 5.7e-12    # arrival rate per ns
-    size: int = 100
-    obs_noise_std: float = 10.0   # cents
-
-    def validate(self) -> None:
-        if self.lambda_va <= 0:
-            raise ValueError("value lambda_va must be positive")
-        if self.size < 1:
-            raise ValueError("value size must be >= 1")
-        if self.obs_noise_std < 0:
-            raise ValueError("value obs_noise_std must be >= 0")
+    lambda_va: float = bounded(5.7e-12, gt=0)    # arrival rate per ns
+    size: int = bounded(100, ge=1)
+    obs_noise_std: float = bounded(10.0, ge=0)   # cents
 
 
 @dataclass
 class MomentumAgentParams:
-    short_window: int = 20
-    long_window: int = 50
-    size: int = 50
-    mean_wake_s: float = 60.0
-
-    def validate(self) -> None:
-        if self.short_window < 1 or self.long_window < 1:
-            raise ValueError("momentum windows must be >= 1")
-        if self.size < 1:
-            raise ValueError("momentum size must be >= 1")
-        if self.mean_wake_s <= 0:
-            raise ValueError("momentum mean_wake_s must be positive")
+    short_window: int = bounded(20, ge=1)
+    long_window: int = bounded(50, ge=1)
+    size: int = bounded(50, ge=1)
+    mean_wake_s: float = bounded(60.0, gt=0)
 
 
 @dataclass
 class MarketMakerParams:
-    pov: float = 0.00025          # fraction of window volume per level
-    n_ticks: int = 10             # ladder half-width
-    wake_interval_s: float = 1.0
-    window_s: float = 60.0        # initial adaptive volume window
-    max_window_s: float = 600.0
-    min_size: int = 1
-
-    def validate(self) -> None:
-        if int(self.wake_interval_s * NS_PER_SEC) < 1:
-            raise ValueError("market_maker wake_interval_s must be at least 1 ns")
-        if self.min_size < 1:
-            raise ValueError("market_maker min_size must be >= 1")
-        if self.n_ticks < 1:
-            raise ValueError("market_maker n_ticks must be >= 1")
-        if self.pov < 0:
-            raise ValueError("market_maker pov must be >= 0")
-        if self.window_s <= 0 or self.max_window_s <= 0:
-            raise ValueError("market_maker window_s and max_window_s must be positive")
+    pov: float = bounded(0.00025, ge=0)              # fraction of window volume per level
+    n_ticks: int = bounded(10, ge=1)                 # ladder half-width
+    wake_interval_s: float = bounded(1.0, ge=1e-9)   # the clock counts whole ns
+    window_s: float = bounded(60.0, gt=0)            # initial adaptive volume window
+    max_window_s: float = bounded(600.0, gt=0)
+    min_size: int = bounded(1, ge=1)
 
 
 class Agent:
@@ -152,7 +124,7 @@ class NoiseAgent(Agent):
 
     def _size(self) -> int:
         lo = self.params.min_size
-        n = self.params.max_size - lo + 1  # < 2**32 by NoiseAgentParams.validate
+        n = self.params.max_size - lo + 1  # < 2**32 by NoiseAgentParams' bounds
         if n == 1:
             return lo
         m = self._next_uint32() * n

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from ._bounds import bounded, check_bounds
 from ._io import write_text_atomic
 from .dqn import Schedules
 from .execenv import ExecConfig
@@ -29,15 +30,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class DqnConfig:
-    episodes: int = 500
+    episodes: int = bounded(500, ge=1)
     hidden: list = field(default_factory=lambda: [50, 20])
     schedules: Schedules = field(default_factory=Schedules)
 
 
 @dataclass
 class EvalConfig:
-    episodes: int = 50
-    bins: int = 20
+    episodes: int = bounded(50, ge=2)
+    bins: int = bounded(20, ge=1)
     policies: list = field(default_factory=lambda: list(POLICY_NAMES))
     # (n_noise, n_momentum) cells; defaults follow the benchmark grid:
     # noise in {10, 1000, 2000} at 12 momentum, momentum in {6, 24} at 1000 noise
@@ -51,27 +52,20 @@ class RunConfig:
     exec: ExecConfig = field(default_factory=ExecConfig)
     dqn: DqnConfig = field(default_factory=DqnConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    seed: int = 0
+    seed: int = bounded(0, ge=0)
     out_dir: str = "results"
 
     def validate(self) -> None:
         try:
+            check_bounds(self)  # every range, named by its dotted key
             self.market.validate()
             self.exec.validate()
             self.dqn.schedules.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.dqn.episodes < 1:
-            raise ConfigError("dqn.episodes must be >= 1")
         if len(self.dqn.hidden) != 2 or not all(type(n) is int and n >= 1
                                                 for n in self.dqn.hidden):
             raise ConfigError("dqn.hidden must be two positive layer sizes")
-        if self.eval.episodes < 2:
-            raise ConfigError("eval.episodes must be >= 2")
-        if self.eval.bins < 1:
-            raise ConfigError("eval.bins must be >= 1")
         policies = self.eval.policies
         if not policies:
             raise ConfigError("eval.policies must name at least one policy")

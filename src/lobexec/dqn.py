@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from ._csv import csv_text
 from ._io import write_text_atomic
 from ._seeding import episode_seed, generator
@@ -174,17 +175,17 @@ def _anneal(start: float, end: float, steps: int, i: int) -> float:
 
 @dataclass
 class Schedules:
-    lr_start: float = 1e-3
-    lr_end: float = 0.0
-    lr_steps: int = 90_000       # gradient steps to anneal lr over
-    eps_start: float = 1.0
-    eps_end: float = 0.02
-    eps_steps: int = 10_000      # environment steps to anneal epsilon over
-    gamma: float = 0.9999
-    batch_size: int = 64
-    replay_capacity: int = 100_000
-    learn_start: int = 1000      # replay size before gradient steps begin
-    target_sync: int = 0         # 0 = single network (targets from online net)
+    lr_start: float = bounded(1e-3, ge=0)
+    lr_end: float = bounded(0.0, ge=0)
+    lr_steps: int = bounded(90_000, ge=0)       # gradient steps to anneal lr over
+    eps_start: float = bounded(1.0, ge=0, le=1)
+    eps_end: float = bounded(0.02, ge=0, le=1)
+    eps_steps: int = bounded(10_000, ge=0)      # environment steps to anneal epsilon over
+    gamma: float = bounded(0.9999, ge=0, le=1)
+    batch_size: int = bounded(64, ge=1)
+    replay_capacity: int = bounded(100_000, ge=1)
+    learn_start: int = bounded(1000, ge=0)      # replay size before gradient steps begin
+    target_sync: int = bounded(0, ge=0)         # 0 = single network (targets from online net)
 
     def lr(self, grad_step: int) -> float:
         return _anneal(self.lr_start, self.lr_end, self.lr_steps, grad_step)
@@ -193,16 +194,9 @@ class Schedules:
         return _anneal(self.eps_start, self.eps_end, self.eps_steps, env_step)
 
     def validate(self) -> None:
-        if self.batch_size < 1 or self.replay_capacity < self.batch_size:
-            raise ValueError("bad batch size / replay capacity")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.lr_start < 0 or self.lr_end < 0:
-            raise ValueError("lr_start and lr_end must be >= 0")
-        if not (0.0 <= self.eps_start <= 1.0 and 0.0 <= self.eps_end <= 1.0):
-            raise ValueError("eps_start and eps_end must be in [0, 1]")
-        if self.target_sync < 0:
-            raise ValueError("target_sync must be >= 0")
+        check_bounds(self)
+        if self.replay_capacity < self.batch_size:
+            raise ValueError("replay_capacity must be >= batch_size")
 
 
 class ReplayMemory:
@@ -282,7 +276,8 @@ class Optimizer:
 
 
 def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, np.ndarray]:
-    """Mean squared TD error on the taken actions, plus a fresh gradient like ``theta``."""
+    """Mean squared TD error on the taken actions, plus a fresh gradient like ``theta``.
+    A non-finite loss raises ``TrainingDivergedError`` before the backward pass."""
     s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
     a = np.asarray(a, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
@@ -292,6 +287,8 @@ def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, np.ndarray]:
     q_taken = q[np.arange(n), a]
     err = q_taken - y
     loss = float(np.add.reduce(err * err) / n)
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss: {loss}")
     dq = np.zeros_like(q)
     dq[np.arange(n), a] = 2.0 * err / n
     g = np.empty_like(net.theta)
@@ -301,22 +298,18 @@ def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, np.ndarray]:
 
 def gradient_step(net: QNetwork, batch, y: np.ndarray, lr: float,
                   optimizer: Optimizer) -> float:
-    """One descent step on the squared TD error; returns the pre-update loss."""
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    """One descent step on the squared TD error at ``lr`` >= 0 (``Schedules``
+    bounds it); returns the pre-update loss."""
     s, a, _, _, _ = batch
     loss, g = loss_and_grads(net, s, a, y)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(f"non-finite loss: {loss}")
     optimizer.update(net, g, lr)
     return loss
 
 
 def act(net: QNetwork, s: np.ndarray, epsilon: float,
         rng: np.random.Generator) -> int:
-    """Epsilon-greedy action; greedy ties break to the lowest index."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
+    """Epsilon-greedy action for ``epsilon`` in [0, 1] (``Schedules`` bounds
+    it); greedy ties break to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.n_actions))
     return int(np.argmax(net.forward(s)))

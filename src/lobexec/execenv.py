@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from .fundamental import NS_PER_SEC
 from .lob import Side
 
@@ -36,16 +37,16 @@ class EpisodeOverError(RuntimeError):
 
 @dataclass
 class ExecConfig:
-    parent_size: int = 20000
-    direction: str = "buy"            # buy | sell
-    time_window_s: int = 1800
-    step_s: int = 1
-    q_min: int = 20
-    n_size_actions: int = 4
-    alpha: float = 2.0                # depth penalty weight
-    beta: float = 5.0                 # terminal per-share penalty
-    over_exec_penalty: float = 5.0    # per share beyond parent size
-    warmup_s: int = 60                # market run-in before the episode starts
+    parent_size: int = bounded(20000, ge=1)
+    direction: str = "buy"                         # buy | sell
+    time_window_s: int = bounded(1800, ge=1)
+    step_s: int = bounded(1, ge=1)
+    q_min: int = bounded(20, ge=1)
+    n_size_actions: int = bounded(4, ge=1)
+    alpha: float = bounded(2.0, ge=0)              # depth penalty weight
+    beta: float = bounded(5.0, ge=0)               # terminal per-share penalty
+    over_exec_penalty: float = bounded(5.0, ge=0)  # per share beyond parent size
+    warmup_s: int = bounded(60, ge=0)              # market run-in before the episode starts
 
     @property
     def n_steps(self) -> int:
@@ -65,20 +66,11 @@ class ExecConfig:
         return FRAME_FEATURES * HISTORY
 
     def validate(self) -> None:
-        if self.parent_size <= 0:
-            raise ValueError("parent_size must be positive")
+        check_bounds(self)
         if self.direction not in ("buy", "sell"):
             raise ValueError("direction must be 'buy' or 'sell'")
-        if self.step_s < 1:
-            raise ValueError("step_s must be >= 1")
-        if self.warmup_s < 0:
-            raise ValueError("warmup_s must be >= 0")
         if self.time_window_s % self.step_s != 0:
             raise ValueError("time_window_s must be a multiple of step_s")
-        if self.alpha < 0 or self.beta < 0 or self.over_exec_penalty < 0:
-            raise ValueError("alpha, beta and over_exec_penalty must be >= 0")
-        if self.q_min < 1 or self.n_size_actions < 1:
-            raise ValueError("q_min and n_size_actions must be >= 1")
         if self.q_min * self.n_size_actions * self.n_steps < self.parent_size:
             raise ValueError(
                 "infeasible config: max executable "

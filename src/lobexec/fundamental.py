@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bounds import bounded, check_bounds
 from ._seeding import copy_generator, generator
 
 NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
@@ -21,16 +22,12 @@ NS_PER_SEC = 1_000_000_000  # the simulation clock counts nanoseconds
 
 @dataclass
 class FundamentalParams:
-    theta: float = 1.67e-16          # mean reversion per ns
-    mu: float = 100_000.0            # long-term mean, cents
-    sigma: float = 1e-4              # volatility, cents per sqrt(ns)
-    jump_lambda: float = 5.7e-13     # jump intensity per ns (~1 per 30 min)
-    jump_mu1: float = 50.0           # cents; mixture uses +/- this mean
-    jump_sigma1: float = 10.0        # cents
-
-    def validate(self) -> None:
-        if self.theta < 0 or self.sigma < 0 or self.jump_lambda < 0 or self.jump_sigma1 < 0:
-            raise ValueError("fundamental parameters must be nonnegative")
+    theta: float = bounded(1.67e-16, ge=0)        # mean reversion per ns
+    mu: float = bounded(100_000.0)                # long-term mean, cents
+    sigma: float = bounded(1e-4, ge=0)            # volatility, cents per sqrt(ns)
+    jump_lambda: float = bounded(5.7e-13, ge=0)   # jump intensity per ns (~1 per 30 min)
+    jump_mu1: float = bounded(50.0)               # cents; mixture uses +/- this mean
+    jump_sigma1: float = bounded(10.0, ge=0)      # cents
 
 
 def ou_step(x: float, mu: float, theta: float, sigma: float, dt: float,
@@ -74,7 +71,7 @@ class FundamentalPath:
     """
 
     def __init__(self, params: FundamentalParams, rng: np.random.Generator):
-        params.validate()
+        check_bounds(params)
         self.params = params
         self._rng = rng
         self._last_ts = 0

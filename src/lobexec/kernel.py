@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
+from ._bounds import bounded, check_bounds
 from ._csv import csv_text
 from ._seeding import generator, spawn_generators
 from .agents import (
@@ -35,13 +36,13 @@ _SNAPSHOT = "snapshot"  # the queue payload of a book snapshot, tested by identi
 
 @dataclass
 class MarketConfig:
-    n_noise: int = 1000
-    n_value: int = 102
-    n_momentum: int = 12
-    n_market_maker: int = 1
-    session_seconds: float = 1800.0
-    snapshot_interval_s: float = 1.0
-    depth: int = 10
+    n_noise: int = bounded(1000, ge=0)
+    n_value: int = bounded(102, ge=0)
+    n_momentum: int = bounded(12, ge=0)
+    n_market_maker: int = bounded(1, ge=0)
+    session_seconds: float = bounded(1800.0, gt=0)
+    snapshot_interval_s: float = bounded(1.0, ge=1e-9)  # the clock counts whole ns
+    depth: int = bounded(10, ge=1)
     fundamental: FundamentalParams = field(default_factory=FundamentalParams)
     noise: NoiseAgentParams = field(default_factory=NoiseAgentParams)
     value: ValueAgentParams = field(default_factory=ValueAgentParams)
@@ -49,20 +50,10 @@ class MarketConfig:
     market_maker: MarketMakerParams = field(default_factory=MarketMakerParams)
 
     def validate(self) -> None:
-        for name in ("n_noise", "n_value", "n_momentum", "n_market_maker"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.session_seconds <= 0:
-            raise ValueError("session_seconds must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if int(self.snapshot_interval_s * NS_PER_SEC) < 1:
-            raise ValueError("snapshot_interval_s must be at least 1 ns")
-        self.fundamental.validate()
-        if self.fundamental.mu <= 0:  # the path starts at mu; quotes need a price
+        check_bounds(self)
+        if not self.fundamental.mu > 0:  # the path starts at mu; quotes need a price
             raise ValueError("fundamental mu must be positive")
-        for params in (self.noise, self.value, self.momentum, self.market_maker):
-            params.validate()
+        self.noise.validate()
 
 
 @dataclass

@@ -1,8 +1,17 @@
+import dataclasses
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from lobexec.agents import (
+    MarketMakerParams,
+    MomentumAgentParams,
+    NoiseAgentParams,
+    ValueAgentParams,
+)
 from lobexec.config import (
     ConfigError,
     RunConfig,
@@ -13,6 +22,7 @@ from lobexec.config import (
     load_config,
     to_dict,
 )
+from lobexec.kernel import MarketConfig, MarketSession
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -143,3 +153,76 @@ def test_readme_example_config_loads(tmp_path):
     p.write_text(block)
     cfg = load_config(p)
     assert cfg.seed == 7 and cfg.dqn.episodes == 300
+
+
+def leaf_fields(cls=RunConfig, prefix=""):
+    """(dotted key, field) for every field in the tree under ``cls`` that
+    does not hold a dataclass."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from leaf_fields(f.default_factory, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f
+
+
+def numeric(f) -> bool:
+    return type(f.default) in (int, float)
+
+
+def test_every_numeric_field_declares_its_range():
+    fields = [(key, f) for key, f in leaf_fields() if numeric(f)]
+    assert [key for key, f in fields if "bounds" not in f.metadata] == []
+    assert len(fields) == 53
+
+
+def _step(kind, x, toward):
+    """The next int or float from ``x`` toward ``toward``."""
+    if kind is int:
+        return x + 1 if toward > x else x - 1
+    return math.nextafter(x, toward)
+
+
+def _past_and_inside(kind, symbol, bound):
+    """The values just past and just inside one declared bound."""
+    bound = kind(bound)
+    below, above = _step(kind, bound, -math.inf), _step(kind, bound, math.inf)
+    return {">=": (below, bound), ">": (bound, above),
+            "<=": (above, bound), "<": (bound, below)}[symbol]
+
+
+BOUNDS = [(key, type(f.default), symbol, bound)
+          for key, f in leaf_fields() if numeric(f)
+          for _, symbol, bound in f.metadata["bounds"]]
+# every just-inside value also meets the cross-field checks on top of these:
+# min_size <= max_size, batch_size <= replay_capacity, and a parent order that
+# one step can fill
+SWEEP_BASE = {"market.noise.min_size": 1, "dqn.schedules.batch_size": 1,
+              "exec.parent_size": 1}
+
+
+@pytest.mark.parametrize("key, kind, symbol, bound", BOUNDS,
+                         ids=[f"{key}{symbol}{bound}" for key, _, symbol, bound in BOUNDS])
+def test_declared_bound_is_enforced(key, kind, symbol, bound):
+    past, inside = _past_and_inside(kind, symbol, bound)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be {symbol} "):
+        load_config(None, {**SWEEP_BASE, key: past})
+    cfg = load_config(None, {**SWEEP_BASE, key: inside})
+    section = cfg
+    for part in key.split("."):
+        section = getattr(section, part)
+    assert section == inside
+
+
+@pytest.mark.parametrize("market, message", [
+    (MarketConfig(noise=NoiseAgentParams(mean_wake_s=0)), "noise.mean_wake_s must be > 0"),
+    (MarketConfig(value=ValueAgentParams(lambda_va=0)), "value.lambda_va must be > 0"),
+    (MarketConfig(momentum=MomentumAgentParams(mean_wake_s=math.nan)),
+     "momentum.mean_wake_s must be > 0"),
+    (MarketConfig(market_maker=MarketMakerParams(n_ticks=0)),
+     "market_maker.n_ticks must be >= 1"),
+], ids=["noise", "value", "momentum-nan", "market_maker"])
+def test_session_checks_nested_params(market, message):
+    """A session built without load_config still checks every agent's
+    declared ranges, NaN included, named from the market config down."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MarketSession(market, 0)

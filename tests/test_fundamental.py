@@ -106,7 +106,8 @@ class TestOracle:
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        FundamentalParams(sigma=-1.0).validate()
+    # a path built directly still checks its params' declared ranges
+    with pytest.raises(ValueError, match="^sigma must be >= 0$"):
+        FundamentalPath(params(sigma=-1.0), np.random.default_rng(0))
     with pytest.raises(ValueError):
         fundamental_step(0.0, 0, params(), np.random.default_rng(0))
