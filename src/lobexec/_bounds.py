@@ -1,13 +1,15 @@
 """Declared ranges of the config dataclasses' numeric fields, and one walker.
 
 A field declares its range beside its default, for example ``n_ticks: int =
-bounded(10, ge=1)``; ``bounded(50.0)`` takes any value. The range sits in
+bounded(10, ge=1)``; ``bounded(50.0)`` takes any finite value. Every
+``bounded`` field rejects a float that is infinite or NaN. The range sits in
 field metadata, which ``dataclasses.asdict`` ignores.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from functools import cache
 
@@ -30,14 +32,17 @@ def _table(cls) -> tuple:
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.default_factory):
             table.append((f.name, None))
-        elif f.metadata.get("bounds"):
+        elif "bounds" in f.metadata:
             table.append((f.name, f.metadata["bounds"]))
     return tuple(table)
 
 
 def check_bounds(obj, prefix: str = "") -> None:
     """Raise ``ValueError("<prefix><dotted key> must be >= 1")`` at the first
-    value out of its declared range in the dataclass tree under ``obj``."""
+    value out of its declared range in the dataclass tree under ``obj``, or
+    ``ValueError("<prefix><dotted key> must be finite")`` at a float that is
+    not. The declared range is checked first, so a NaN in a field that
+    declares one is reported as out of range."""
     for name, checks in _table(type(obj)):
         value = getattr(obj, name)
         if checks is None:
@@ -46,3 +51,5 @@ def check_bounds(obj, prefix: str = "") -> None:
         for op, symbol, bound in checks:
             if not op(value, bound):
                 raise ValueError(f"{prefix}{name} must be {symbol} {bound}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{prefix}{name} must be finite")

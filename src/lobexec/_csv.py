@@ -1,27 +1,38 @@
 """The one CSV writer: comma-joined fields, ``None`` as an empty field.
 
 Fields are written with ``str``; none of lobexec's fields holds a comma,
-quote or newline, so no quoting is needed.
+quote or newline, so no quoting is needed. ``csv_lines`` formats rows and
+``csv_text`` puts a header line above them. ``SessionLog`` calls
+``csv_lines`` while its session runs and keeps only the text.
 """
 
 
-def csv_text(header, rows) -> str:
-    """A header line, then one line per row, each ending in a newline.
+def csv_template(n_fields: int) -> str:
+    """The ``%s`` template of a row of ``n_fields`` fields."""
+    return ",".join(["%s"] * n_fields)
 
-    Each row is an iterable of exactly one field per header column; a field
-    is written as ``str(field)``, except that ``None`` is written as an empty
-    field. A row is formatted with one ``%s`` template (``"%s" % v`` is
+
+def csv_lines(template: str, rows) -> str:
+    """One line per row, each ending in a newline; "" for no rows.
+
+    Each row is a tuple of exactly one field per ``%s`` of ``template``; a
+    field is written as ``str(field)``, except that ``None`` is written as an
+    empty field. A row is formatted with the template (``"%s" % v`` is
     ``str(v)``); only a line that then reads ``None`` somewhere is formatted
     again field by field, so rows without ``None`` cost no per-field check.
-    Rows are read one at a time, so a generator of rows is never held whole.
     """
-    template = ",".join(["%s"] * len(header))
-    lines = [",".join(header)]
+    lines = []
     for row in rows:
-        row = tuple(row)
         line = template % row
         if "None" in line:
             line = ",".join(["" if v is None else str(v) for v in row])
         lines.append(line)
     lines.append("")
     return "\n".join(lines)
+
+
+def csv_text(header, rows) -> str:
+    """A header line, then one line per row (an iterable of one field per
+    header column), each ending in a newline."""
+    return ",".join(header) + "\n" + csv_lines(csv_template(len(header)),
+                                               map(tuple, rows))

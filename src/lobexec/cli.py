@@ -130,15 +130,14 @@ def cmd_simulate(args) -> int:
     comment = hash_comment(config)
     for seed in range(config.seed, config.seed + args.n_seeds):
         if args.duration is not None and args.duration == 0:
-            log = SessionLog()
+            log = SessionLog(config.market.depth)
         else:
             log = kernel_run(config.market, seed)
-        _write_csv(out / f"snapshots_{seed}.csv", comment,
-                   log.snapshots_csv(config.market.depth))
+        _write_csv(out / f"snapshots_{seed}.csv", comment, log.snapshots_csv())
         _write_csv(out / f"fills_{seed}.csv", comment, log.fills_csv())
         _write_csv(out / f"fundamental_{seed}.csv", comment, log.fundamental_csv())
-        print(f"simulate: seed {seed} -> {len(log.snapshots)} snapshots, "
-              f"{len(log.fills)} fills")
+        print(f"simulate: seed {seed} -> {len(log.snapshot_rows)} snapshots, "
+              f"{log.n_fills} fills")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 
 from ._csv import csv_text
@@ -113,8 +114,13 @@ def t_cdf(t: float, df: int) -> float:
     return 1.0 - tail if t >= 0 else tail
 
 
+@cache
 def t_ppf(p: float, df: int) -> float:
-    """Student-t quantile via bisection on the CDF; |error| < 1e-9."""
+    """Student-t quantile via bisection on the CDF; |error| < 1e-9.
+
+    The bisection stops once the midpoint equals ``lo`` or ``hi``: from
+    there on no step moves either end, so the result is that of all 200
+    steps. Results are cached by (p, df)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     if p == 0.5:
@@ -126,6 +132,8 @@ def t_ppf(p: float, df: int) -> float:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if t_cdf(mid, df) < p:
             lo = mid
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from ._bounds import bounded, check_bounds
-from ._csv import csv_text
+from ._csv import csv_lines, csv_template, csv_text
 from ._seeding import generator, spawn_generators
 from .agents import (
     Agent,
@@ -56,54 +56,77 @@ class MarketConfig:
         self.noise.validate()
 
 
-@dataclass
+_FILLS_HEADER = ("ts", "side", "price", "qty", "taker_agent", "maker_agent")
+_FILLS_TEMPLATE = csv_template(len(_FILLS_HEADER))
+_FUNDAMENTAL_TEMPLATE = csv_template(2)
+
+
 class SessionLog:
-    snapshots: list = field(default_factory=list)  # (ts, BookSnapshot, fundamental)
-    fills: list = field(default_factory=list)      # Fill records
+    """The CSV rows of one logged session, formatted as they happen: one
+    snapshot row and one fundamental row per tick, and one chunk of fill rows
+    per book call that filled. It keeps text, never a ``BookSnapshot`` or a
+    ``Fill``; the ``*_csv`` methods join the rows under their headers.
 
-    def snapshots_csv(self, depth: int = 10) -> str:
-        header = ["ts", "fundamental", "best_bid", "best_ask"]
-        for i in range(1, depth + 1):
-            header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
-        pad = (("", ""),) * depth
+    ``depth`` is the number of levels per side in the snapshot rows and their
+    header; a logged ``MarketSession`` passes its ``config.depth``.
+    """
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self._snapshot_template = csv_template(4 + 4 * depth)
+        self._pad = (("", ""),) * depth
+        self.snapshot_rows: list[str] = []
+        self.fundamental_rows: list[str] = []
+        self.fill_chunks: list[str] = []
+        self.n_fills = 0
+
+    def add_tick(self, ts: int, book: OrderBook, fund: float) -> None:
+        snap = book.snapshot(self.depth, ts)
+        bids, asks, pad = snap.bids, snap.asks, self._pad
+        fund = repr(fund)
         flat = chain.from_iterable
+        row = (ts, fund, bids[0][0] if bids else None, asks[0][0] if asks else None,
+               # per level: bid price, bid qty, ask price, ask qty; "" past the book
+               *flat(flat(zip(bids + pad[len(bids):], asks + pad[len(asks):]))))
+        self.snapshot_rows.append(csv_lines(self._snapshot_template, (row,)))
+        self.fundamental_rows.append(csv_lines(_FUNDAMENTAL_TEMPLATE, ((ts, fund),)))
 
-        def rows():
-            for ts, snap, fund in self.snapshots:
-                bids, asks = snap.bids[:depth], snap.asks[:depth]
-                row = [ts, repr(fund), bids[0][0] if bids else None,
-                       asks[0][0] if asks else None]
-                # per level: bid price, bid qty, ask price, ask qty; "" past the book
-                row += flat(flat(zip(bids + pad[len(bids):], asks + pad[len(asks):])))
-                yield row
-        return csv_text(header, rows())
-
-    def fills_csv(self) -> str:
+    def add_fills(self, fills) -> None:
         bid = Side.BID
         # Fill fields by index: 2 taker_agent_id, 3 maker_agent_id, 4 side,
         # 5 price, 6 qty, 7 ts
-        return csv_text(["ts", "side", "price", "qty", "taker_agent", "maker_agent"],
-                        ((f[7], "bid" if f[4] is bid else "ask", f[5], f[6], f[2], f[3])
-                         for f in self.fills))
+        rows = [(f[7], "bid" if f[4] is bid else "ask", f[5], f[6], f[2], f[3])
+                for f in fills]
+        self.fill_chunks.append(csv_lines(_FILLS_TEMPLATE, rows))
+        self.n_fills += len(fills)
+
+    def snapshots_csv(self) -> str:
+        header = ["ts", "fundamental", "best_bid", "best_ask"]
+        for i in range(1, self.depth + 1):
+            header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
+        return "".join([csv_text(header, ()), *self.snapshot_rows])
+
+    def fills_csv(self) -> str:
+        return "".join([csv_text(_FILLS_HEADER, ()), *self.fill_chunks])
 
     def fundamental_csv(self) -> str:
-        return csv_text(["ts", "fundamental"],
-                        ((ts, repr(fund)) for ts, _, fund in self.snapshots))
+        return "".join([csv_text(["ts", "fundamental"], ()), *self.fundamental_rows])
 
 
 class MarketSession:
     """One seeded market run. Single-threaded; one instance per episode.
 
-    ``log``, when given, receives a ``BookSnapshot`` with the fundamental
-    at every snapshot tick and every fill; ``kernel_run`` passes one. A
-    session without a log (the execution MDP's) keeps only what agents and
-    the MDP read, and behaves the same: each tick still draws the
+    With ``log=True`` the session keeps a ``SessionLog`` of ``config.depth``
+    levels as ``self.log``, and hands it the book and the fundamental at
+    every snapshot tick and the fills of every book call; ``kernel_run`` asks
+    for one. A session without a log (the execution MDP's) keeps only what
+    agents and the MDP read, and behaves the same: each tick still draws the
     fundamental, since skipping it would shift its random stream, and still
     feeds the momentum agents' mid ring.
     """
 
     def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None,
-                 log: SessionLog | None = None):
+                 log: bool = False):
         config.validate()
         self.config = config
         self.hooks = hooks or {}
@@ -114,7 +137,7 @@ class MarketSession:
         self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()
-        self.log = log
+        self.log = SessionLog(config.depth) if log else None
         self._next_order_id = 1
         self._event_seq = 0
         self._queue: list[tuple[int, int, object]] = []
@@ -196,17 +219,16 @@ class MarketSession:
         start = bisect.bisect_left(self._fill_ts, now - window_ns)
         return self._fill_qty_cum[-1] - self._fill_qty_cum[start]
 
-    def _record_fills(self, fills) -> None:
+    def _record_fills(self, fills, ts: int) -> None:
+        """Record the fills of one book call at ``ts``, which every one of
+        them carries: one (ts, cumulative qty) entry for ``transacted_volume``,
+        the last trade price, and the fill rows of a log."""
         if not fills:
             return
         if self.log is not None:
-            self.log.fills.extend(fills)
-        fill_ts, qty_cum = self._fill_ts, self._fill_qty_cum
-        cum = qty_cum[-1]
-        for f in fills:
-            fill_ts.append(f.ts)
-            cum += f.qty
-            qty_cum.append(cum)
+            self.log.add_fills(fills)
+        self._fill_ts.append(ts)
+        self._fill_qty_cum.append(self._fill_qty_cum[-1] + sum([f.qty for f in fills]))
         self._last_trade = fills[-1].price
 
     def submit_market(self, agent_id: int, side: Side, qty: int,
@@ -215,7 +237,7 @@ class MarketSession:
         self._next_order_id = oid + 1
         result = self.book.submit_market(side, qty, agent_id, ts, oid)
         if result.fills:  # most full-scale market orders meet an empty side
-            self._record_fills(result.fills)
+            self._record_fills(result.fills, ts)
         return result
 
     def requote(self, agent_id: int, order_ids, quotes_at, ts: int) -> range:
@@ -225,7 +247,7 @@ class MarketSession:
         fills, ids = self.book.requote(order_ids, agent_id, quotes_at,
                                        self._next_order_id, ts)
         self._next_order_id = ids.stop
-        self._record_fills(fills)
+        self._record_fills(fills, ts)
         return ids
 
     # -- event loop --------------------------------------------------------
@@ -245,7 +267,7 @@ class MarketSession:
         fund = self._fundamental.value(ts)
         book = self.book
         if self.log is not None:
-            self.log.snapshots.append((ts, book.snapshot(self.config.depth, ts), fund))
+            self.log.add_tick(ts, book, fund)
         bid, ask = book.best_bid(), book.best_ask()
         if bid is not None and ask is not None:
             # float(snapshot.mid): int true division is correctly rounded too
@@ -284,6 +306,6 @@ class MarketSession:
 
 def kernel_run(config: MarketConfig, seed: int) -> SessionLog:
     """Run a full background-only session and return its log."""
-    session = MarketSession(config, seed, log=SessionLog())
+    session = MarketSession(config, seed, log=True)
     session.run_until(session.session_end)
     return session.log

@@ -302,6 +302,36 @@ class TestSimulate:
         names = set(read_tree(out / "simulate"))
         assert {"snapshots_5.csv", "snapshots_6.csv"} <= names
 
+    def test_two_seeds_match_two_single_seed_runs(self, lite_cfg, tmp_path, capsys):
+        """Each seed's session writes its own log: a two-seed run writes the
+        bytes of two single-seed runs. The hash line covers the config's seed,
+        so seed 1's files are compared below it."""
+        both, single = tmp_path / "both", tmp_path / "single"
+        assert main(["simulate", "--config", str(lite_cfg), "--duration", "30",
+                     "--n-seeds", "2", "--out", str(both)]) == 0
+        for seed in (0, 1):
+            assert main(["simulate", "--config", str(lite_cfg), "--duration", "30",
+                         "--seed", str(seed), "--out", str(single / str(seed))]) == 0
+        for name in ("snapshots", "fills", "fundamental"):
+            assert (both / "simulate" / f"{name}_0.csv").read_bytes() == \
+                (single / "0" / "simulate" / f"{name}_0.csv").read_bytes()
+            one, other = ((root / "simulate" / f"{name}_1.csv").read_bytes()
+                          for root in (both, single / "1"))
+            assert one.split(b"\n", 1)[1] == other.split(b"\n", 1)[1]
+            assert one.count(b"\n") > 2
+
+    def test_zero_duration_writes_the_headers_of_a_run(self, lite_cfg, tmp_path,
+                                                       capsys):
+        empty, run = tmp_path / "empty", tmp_path / "run"
+        for out, duration in ((empty, "0"), (run, "30")):
+            assert main(["simulate", "--config", str(lite_cfg), "--duration", duration,
+                         "--out", str(out)]) == 0
+        for name in ("snapshots_0.csv", "fills_0.csv", "fundamental_0.csv"):
+            head = (run / "simulate" / name).read_text().splitlines()[1]
+            assert (empty / "simulate" / name).read_text().splitlines()[1:] == [head]
+        assert capsys.readouterr().out.startswith(
+            "simulate: seed 0 -> 0 snapshots, 0 fills\n")
+
     def test_zero_duration_header_only(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(lite_cfg), "--duration", "0",

@@ -22,6 +22,7 @@ from lobexec.config import (
     load_config,
     to_dict,
 )
+from lobexec.fundamental import FundamentalParams
 from lobexec.kernel import MarketConfig, MarketSession
 
 
@@ -213,6 +214,28 @@ def test_declared_bound_is_enforced(key, kind, symbol, bound):
     assert section == inside
 
 
+FLOAT_KEYS = [key for key, f in leaf_fields() if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_infinite_float_is_rejected(key, value):
+    """An infinite float fails validation in every float field, also in one
+    that declares no range (fundamental.mu, jump_mu1): set in a config built
+    in code, the walker names its key; through load_config, the type check
+    refuses it first."""
+    cfg = load_config(None, SWEEP_BASE)
+    *parents, leaf = key.split(".")
+    section = cfg
+    for part in parents:
+        section = getattr(section, part)
+    setattr(section, leaf, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+        cfg.validate()
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(None, {**SWEEP_BASE, key: value})
+
+
 @pytest.mark.parametrize("market, message", [
     (MarketConfig(noise=NoiseAgentParams(mean_wake_s=0)), "noise.mean_wake_s must be > 0"),
     (MarketConfig(value=ValueAgentParams(lambda_va=0)), "value.lambda_va must be > 0"),
@@ -220,7 +243,13 @@ def test_declared_bound_is_enforced(key, kind, symbol, bound):
      "momentum.mean_wake_s must be > 0"),
     (MarketConfig(market_maker=MarketMakerParams(n_ticks=0)),
      "market_maker.n_ticks must be >= 1"),
-], ids=["noise", "value", "momentum-nan", "market_maker"])
+    # int(x * NS_PER_SEC) of an infinite time raised OverflowError
+    (MarketConfig(session_seconds=math.inf), "session_seconds must be finite"),
+    (MarketConfig(snapshot_interval_s=math.inf), "snapshot_interval_s must be finite"),
+    (MarketConfig(fundamental=FundamentalParams(mu=math.inf)),
+     "fundamental.mu must be finite"),
+], ids=["noise", "value", "momentum-nan", "market_maker", "session_seconds-inf",
+        "snapshot_interval_s-inf", "mu-inf"])
 def test_session_checks_nested_params(market, message):
     """A session built without load_config still checks every agent's
     declared ranges, NaN included, named from the market config down."""

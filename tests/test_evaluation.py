@@ -45,6 +45,32 @@ class TestStudentT:
     def test_df98_critical_value(self):
         assert t_ppf(0.95, 98) == pytest.approx(1.660, abs=1e-3)
 
+    @staticmethod
+    def t_ppf_200_steps(p, df):
+        """The quantile as every one of the 200 bisection steps leaves it."""
+        if p == 0.5:
+            return 0.0
+        if p < 0.5:
+            return -TestStudentT.t_ppf_200_steps(1.0 - p, df)
+        lo, hi = 0.0, 1e3
+        while t_cdf(hi, df) < p:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if t_cdf(mid, df) < p:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("df", [1, 8, 98, 200])
+    def test_early_stop_gives_the_200_step_result(self, df):
+        grid = [1e-12, 0.001, 0.05, 0.3, 0.5, 0.6, 0.9, 0.95, 0.975, 0.99, 0.999,
+                1.0 - 1e-9]
+        for p in grid:
+            assert t_ppf(p, df) == self.t_ppf_200_steps(p, df), p
+            assert t_ppf(p, df) == t_ppf(p, df)  # a cached call
+
     def test_cdf_symmetry(self):
         assert t_cdf(1.5, 10) + t_cdf(-1.5, 10) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import types
@@ -18,7 +19,7 @@ from lobexec.agents import (
     ValueAgentParams,
 )
 from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
-from lobexec.lob import BookSnapshot, Side
+from lobexec.lob import BookSnapshot, Fill, Order, OrderBook, Side
 
 from test_lob import queues
 
@@ -28,6 +29,12 @@ def small_config(**kw):
                 session_seconds=20.0)
     base.update(kw)
     return MarketConfig(**base)
+
+
+def csv_rows(text):
+    """The rows of CSV text as dicts keyed by its header."""
+    header, *rows = text.splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 def test_default_population_order_and_ids():
@@ -65,9 +72,12 @@ def test_first_wakeup_formulas(seed):
 def test_empty_population_book_stays_empty():
     log = kernel_run(small_config(n_noise=0, n_value=0, n_momentum=0,
                                   n_market_maker=0), seed=0)
-    assert len(log.snapshots) == 21  # one per second incl. t=0
-    assert all(snap.bids == () and snap.asks == () for _, snap, _ in log.snapshots)
-    assert log.fills == []
+    rows = csv_rows(log.snapshots_csv())
+    assert len(rows) == len(log.snapshot_rows) == 21  # one per second incl. t=0
+    assert all(value == "" for row in rows for key, value in row.items()
+               if key not in ("ts", "fundamental"))
+    assert log.fills_csv() == "ts,side,price,qty,taker_agent,maker_agent\n"
+    assert log.n_fills == 0
 
 
 def test_market_maker_only_seeds_ten_levels_per_side():
@@ -131,20 +141,50 @@ def golden_run(seed):
 
 def test_golden_output_digests():
     log, digests = golden_run(0)
-    assert len(log.fills) == 202 and len(log.snapshots) == 301
+    assert log.n_fills == 202 and len(log.snapshot_rows) == 301
     assert digests == GOLDEN_SHA256
 
 
 def test_golden_output_digests_wide_seed():
     log, digests = golden_run(2**32 + 5)
-    assert len(log.fills) == 169 and len(log.snapshots) == 301
+    assert log.n_fills == 169 and len(log.snapshot_rows) == 301
     assert digests == GOLDEN_SHA256_WIDE_SEED
 
 
+def reachable(root):
+    """Every object reachable from ``root`` through references, without
+    entering classes or modules."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_log_keeps_text_not_book_objects():
+    """A logged session keeps its rows as CSV text: no ``Fill`` or
+    ``BookSnapshot`` stays reachable from the log once the run ends."""
+    log = kernel_run(small_config(), seed=4)
+    assert log.n_fills > 20 and len(log.snapshot_rows) == 21
+    kept = reachable(log)
+    assert not [obj for obj in kept if isinstance(obj, (Fill, BookSnapshot))]
+    # the walk reaches the rows it checks
+    texts = {id(obj) for obj in kept if isinstance(obj, str)}
+    assert all(id(row) in texts for row in log.snapshot_rows + log.fill_chunks)
+
+
 def test_snapshots_csv_pads_short_and_one_sided_books():
-    snap = BookSnapshot(5, bids=((99, 3),), asks=())
-    log = SessionLog(snapshots=[(5, snap, 100.25)])
-    assert log.snapshots_csv(2).splitlines()[1] == "5,100.25,99,,99,3,,,,,,"
+    book = OrderBook()
+    book.submit_limit(Order(1, 7, Side.BID, 3, 99))
+    log = SessionLog(2)
+    log.add_tick(5, book, 100.25)
+    assert log.snapshots_csv().splitlines() == [
+        "ts,fundamental,best_bid,best_ask,bid_px_1,bid_qty_1,ask_px_1,ask_qty_1,"
+        "bid_px_2,bid_qty_2,ask_px_2,ask_qty_2",
+        "5,100.25,99,,99,3,,,,,,"]
     assert log.fundamental_csv() == "ts,fundamental\n5,100.25\n"
 
 
@@ -152,7 +192,7 @@ def test_event_order_audit_hook():
     keys = []
     session = MarketSession(small_config(), 3,
                             {"on_event": lambda ts, seq: keys.append((ts, seq))},
-                            log=SessionLog())
+                            log=True)
     session.run_until(session.session_end)
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -203,7 +243,7 @@ def test_run_until_in_pieces_matches_one_call(piece_ns):
     for pieces in (False, True):
         keys = []
         session = MarketSession(cfg, seed=5, hooks={
-            "on_event": lambda ts, seq: keys.append((ts, seq))}, log=SessionLog())
+            "on_event": lambda ts, seq: keys.append((ts, seq))}, log=True)
         if pieces:
             for t in range(piece_ns, session.session_end + piece_ns, piece_ns):
                 session.run_until(t)
@@ -229,8 +269,8 @@ def test_seed_paths_share_scale():
     variances = []
     for seed in range(5):
         log = kernel_run(cfg, seed)
-        asks = [snap.best_ask for _, snap, _ in log.snapshots
-                if snap.best_ask is not None]
+        asks = [int(row["best_ask"]) for row in csv_rows(log.snapshots_csv())
+                if row["best_ask"]]
         variances.append(np.var(asks) + 1e-9)
     assert max(variances) / min(variances) < 10 ** 2  # within two orders, small sample
 
@@ -476,17 +516,20 @@ def test_mid_ring_holds_what_momentum_agents_read():
     mids of the whole history, as it did over a longer ring."""
     params = MomentumAgentParams(short_window=30, long_window=10, mean_wake_s=2.0)
     session = MarketSession(small_config(n_momentum=3, momentum=params,
-                                         session_seconds=60.0), seed=3, log=SessionLog())
+                                         session_seconds=60.0), seed=3, log=True)
     momentum_ids = {a.agent_id for a in session.agents if isinstance(a, MomentumAgent)}
     for t in range(1, 61):
         session.run_until(t * NS_PER_SEC)
-        mids = [float(snap.mid) for _, snap, _ in session.log.snapshots
-                if snap.mid is not None]
+        # float(BookSnapshot.mid), since int true division is correctly rounded
+        mids = [(int(row["best_bid"]) + int(row["best_ask"])) / 2
+                for row in csv_rows(session.log.snapshots_csv())
+                if row["best_bid"] and row["best_ask"]]
         ring = session.mid_history()
         assert ring[-30:] == mids[-30:]  # what the agents average over
         assert len(ring) == min(len(mids), 30)
     assert len(mids) > 30
-    assert any(f.taker_agent_id in momentum_ids for f in session.log.fills)
+    assert any(int(row["taker_agent"]) in momentum_ids
+               for row in csv_rows(session.log.fills_csv()))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -497,7 +540,7 @@ def test_session_batched_quotes_match_single_calls(seed):
     import random
     rng = random.Random(seed)
     cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
-    batched, single = (MarketSession(cfg, seed=0, log=SessionLog()) for _ in range(2))
+    batched, single = (MarketSession(cfg, seed=0, log=True) for _ in range(2))
     live = range(0)
     n_orders = 0  # market orders and quotes: each takes one id
     for ts in range(1, 40):
@@ -530,7 +573,7 @@ def test_session_batched_quotes_match_single_calls(seed):
         assert queues(batched.book) == queues(single.book)
         assert live.start == n_orders + 1
         n_orders += len(live)
-    assert batched.log.fills == single.log.fills and batched.log.fills
+    assert batched.log.fills_csv() == single.log.fills_csv() and batched.log.n_fills
     # ids are consecutive over every order the session took, from 1
     quote = ((Side.BID, 1, 1),)
     assert batched.requote(4, (), lambda bid, ask: quote, 99) == \
@@ -565,7 +608,7 @@ def test_session_without_a_log_behaves_the_same(seed):
     it draws the fundamental at each tick and keeps the mid ring all the
     same."""
     sessions, keys = [], []
-    for log in (SessionLog(), None):
+    for log in (True, False):
         keys.append([])
         sessions.append(MarketSession(DESK, seed, {"on_event": (
             lambda ts, seq, out=keys[-1]: out.append((ts, seq)))}, log=log))
@@ -582,7 +625,7 @@ def test_session_without_a_log_behaves_the_same(seed):
         assert (bare._fundamental._last_ts, bare._fundamental._last_value) == \
             (logged._fundamental._last_ts, logged._fundamental._last_value)
         assert bare.book.snapshot(10) == logged.book.snapshot(10)
-    assert len(logged.log.snapshots) == 91 and len(logged.log.fills) > 100
+    assert len(logged.log.snapshot_rows) == 91 and logged.log.n_fills > 100
     assert len(logged.mid_history()) == DESK.momentum.long_window
 
 
@@ -591,8 +634,8 @@ def test_execution_episode_without_a_log_is_the_same(seed):
     from lobexec.execenv import ExecConfig, ExecutionEnv
     cfg = ExecConfig(parent_size=2000, time_window_s=60, warmup_s=20)
     episodes = []
-    for make_log in (SessionLog, lambda: None):
-        env = ExecutionEnv(cfg, lambda s: MarketSession(DESK, s, log=make_log()))
+    for log in (True, False):
+        env = ExecutionEnv(cfg, lambda s: MarketSession(DESK, s, log=log))
         obs = [env.reset(seed)]
         steps = []
         rng = np.random.default_rng(seed)
@@ -727,7 +770,7 @@ def test_fork_copies_every_field_but_the_shared_ones(config, warm_s):
 
 
 def test_fork_refuses_a_session_with_a_log():
-    session = MarketSession(LITE, 0, log=SessionLog())
+    session = MarketSession(LITE, 0, log=True)
     with pytest.raises(ValueError, match="SessionLog"):
         session.fork()
 
