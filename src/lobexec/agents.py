@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bounds import bounded, check_bounds
+from ._bounds import bounded
 from ._seeding import copy_generator
 from .fundamental import NS_PER_SEC
 from .lob import Side
@@ -27,11 +27,6 @@ class NoiseAgentParams:
     min_size: int = bounded(10, ge=1)
     max_size: int = bounded(100, ge=1, lt=2**32)
     mean_wake_s: float = bounded(60.0, gt=0)
-
-    def validate(self) -> None:
-        check_bounds(self)
-        if not self.min_size <= self.max_size:
-            raise ValueError("noise sizes need min_size <= max_size")
 
 
 @dataclass

@@ -163,6 +163,9 @@ def cmd_train(args) -> int:
         net, meta = QNetwork.load(checkpoint)
         # before dump_config, so a rejected resume leaves the run's files as they were
         check_sizes(net, (config.exec.obs_dim, *hidden, config.exec.n_actions))
+        if meta.get("seed") != config.seed:
+            raise ValueError(f"checkpoint was trained with seed {meta.get('seed')}, "
+                             f"config has seed {config.seed}")
         start_episode = int(meta.get("episode", 0))
         env_steps = int(meta.get("env_steps", 0))
         grad_steps = int(meta.get("grad_steps", 0))

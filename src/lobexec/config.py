@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -56,13 +55,24 @@ class RunConfig:
     out_dir: str = "results"
 
     def validate(self) -> None:
+        grid = self.eval.grid
         try:
-            check_bounds(self)  # every range, named by its dotted key
+            check_bounds(self)  # every type and range, named by its dotted key
             self.market.validate()
             self.exec.validate()
             self.dqn.schedules.validate()
+            for i, cell in enumerate(grid):  # checked as the market it makes
+                if not (isinstance(cell, list) and len(cell) == 2):
+                    raise ValueError(f"eval.grid cell {cell!r} must be "
+                                     "[n_noise, n_momentum]")
+                check_bounds(dataclasses.replace(self.market, n_noise=cell[0],
+                                                 n_momentum=cell[1]), f"eval.grid[{i}].")
+                if cell in grid[:i]:
+                    raise ValueError(f"duplicate cell in eval.grid: {cell!r}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not grid:
+            raise ConfigError("eval.grid must hold at least one cell")
         if len(self.dqn.hidden) != 2 or not all(type(n) is int and n >= 1
                                                 for n in self.dqn.hidden):
             raise ConfigError("dqn.hidden must be two positive layer sizes")
@@ -74,28 +84,6 @@ class RunConfig:
                 raise ConfigError(f"unknown policy in eval.policies: {name!r}")
             if name in policies[:i]:
                 raise ConfigError(f"duplicate policy in eval.policies: {name!r}")
-        if not self.eval.grid:
-            raise ConfigError("eval.grid must hold at least one cell")
-        for cell in self.eval.grid:
-            if not (isinstance(cell, list) and len(cell) == 2
-                    and all(type(n) is int for n in cell)):
-                raise ConfigError(f"eval.grid cell {cell!r} must be "
-                                  "[n_noise, n_momentum]")
-
-
-def _check_type(key: str, value, default) -> None:
-    """Reject a value whose type does not fit the field's default.
-
-    bool fields take only bools, int fields ints but not bools, float fields
-    ints or finite floats (not bools), and str and list fields their own type.
-    """
-    allowed = (int, float) if isinstance(default, float) else type(default)
-    if (isinstance(value, bool) != isinstance(default, bool)
-            or not isinstance(value, allowed)):
-        raise ConfigError(f"config key {key!r} expects {type(default).__name__}, "
-                          f"got {type(value).__name__} {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def _from_dict(cls, data: dict, path: str = ""):
@@ -107,13 +95,10 @@ def _from_dict(cls, data: dict, path: str = ""):
         raise ConfigError(f"unknown config key(s) under '{path}': {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        default = fields[name].default_factory() if fields[name].default_factory \
-            is not dataclasses.MISSING else fields[name].default
-        if is_dataclass(default):
-            kwargs[name] = _from_dict(type(default), value, f"{path}{name}.")
-        else:
-            _check_type(f"{path}{name}", value, default)
-            kwargs[name] = value
+        factory = fields[name].default_factory
+        if is_dataclass(factory):
+            value = _from_dict(factory, value, f"{path}{name}.")
+        kwargs[name] = value
     return cls(**kwargs)
 
 

@@ -210,12 +210,9 @@ class ExecutionEnv:
         self._frames.append(frame)
         obs = self.observe()
         info = {
-            "t": self.t,
             "filled": filled,
             "avg_price": notional / filled if filled else None,
             "depth_consumed": d_t,
-            "inventory": self.inventory,
-            "executed": self.executed,
             "shortfall_term": shortfall_term,
             "depth_term": depth_term,
             "over_term": over_term,

@@ -53,7 +53,8 @@ class MarketConfig:
         check_bounds(self)
         if not self.fundamental.mu > 0:  # the path starts at mu; quotes need a price
             raise ValueError("fundamental mu must be positive")
-        self.noise.validate()
+        if not self.noise.min_size <= self.noise.max_size:
+            raise ValueError("noise sizes need min_size <= max_size")
 
 
 _FILLS_HEADER = ("ts", "side", "price", "qty", "taker_agent", "maker_agent")
@@ -270,7 +271,7 @@ class MarketSession:
             self.log.add_tick(ts, book, fund)
         bid, ask = book.best_bid(), book.best_ask()
         if bid is not None and ask is not None:
-            # float(snapshot.mid): int true division is correctly rounded too
+            # float(OrderBook.mid_price()): int true division rounds correctly too
             self._mid_history.append((bid + ask) / 2)
 
     def run_until(self, t: int) -> None:

@@ -75,20 +75,6 @@ class BookSnapshot:
     bids: tuple[tuple[int, int], ...]  # (price, qty) best-first
     asks: tuple[tuple[int, int], ...]
 
-    @property
-    def best_bid(self) -> Optional[int]:
-        return self.bids[0][0] if self.bids else None
-
-    @property
-    def best_ask(self) -> Optional[int]:
-        return self.asks[0][0] if self.asks else None
-
-    @property
-    def mid(self) -> Optional[Fraction]:
-        if self.bids and self.asks:
-            return Fraction(self.bids[0][0] + self.asks[0][0], 2)
-        return None
-
 
 class _Level(deque):
     """The FIFO queue of the orders resting at one price, and their total."""

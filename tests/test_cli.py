@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lobexec import cli
+from lobexec import cli, evaluation
 from lobexec.cli import main
 from lobexec.config import dump_config, hash_comment, load_config
 from lobexec.dqn import QNetwork
@@ -456,6 +456,22 @@ class TestTrain:
         for name, data in before.items():
             assert (tdir / name).read_bytes() == data
 
+    def test_resume_rejects_checkpoint_of_another_seed(self, lite_cfg, tmp_path,
+                                                       capsys):
+        # seed 7's episode streams on seed 0's weights are neither run's
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(lite_cfg), "--episodes", "1",
+                     "--seed", "0", "--out", str(out)]) == 0
+        tdir = out / "train"
+        before = read_tree(tdir)
+        capsys.readouterr()
+        assert main(["train", "--config", str(lite_cfg), "--seed", "7", "--resume",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: ValueError: checkpoint was trained with seed 0, "
+            "config has seed 7\n")
+        assert read_tree(tdir) == before
+
     def test_reproducible(self, lite_cfg, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -532,15 +548,30 @@ class TestBenchmark:
         header = (cell / "metrics.csv").read_text().splitlines()[1]
         assert header.startswith("n_noise,n_momentum,policy")
 
-    def test_failing_cell_gives_exit_3_and_error_file(self, tmp_path, capsys):
-        cfg = tmp_path / "c.yaml"
-        cfg.write_text(LITE_YAML.replace("grid: [[20, 1]]",
-                                         "grid: [[-5, 1], [20, 1]]"))
+    def test_failing_cell_gives_exit_3_and_error_file(self, tmp_path, capsys,
+                                                      monkeypatch):
+        fail_cell_sessions(monkeypatch, n_noise=10)
+        cfg = grid_cfg(tmp_path, "[[10, 1], [20, 1]]")
         out = tmp_path / "run"
         assert main(["benchmark", "--config", str(cfg), "--episodes", "2",
                      "--out", str(out)]) == 3
-        assert (out / "benchmark" / "cell_-5N_1M" / "error.txt").exists()
+        assert (out / "benchmark" / "cell_10N_1M" / "error.txt").exists()
         assert (out / "benchmark" / "cell_20N_1M" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("[[-1, 1], [20, 1]]", "eval.grid[0].n_noise must be >= 0"),
+        ("[[20, 1], [20, -2]]", "eval.grid[1].n_momentum must be >= 0"),
+        ("[[20, 1], [20.5, 1]]", "eval.grid[1].n_noise expects int, got float 20.5"),
+        ("[[20, 1], [30, 1], [20, 1]]", "duplicate cell in eval.grid: [20, 1]"),
+    ], ids=["negative-noise", "negative-momentum", "float", "repeated"])
+    def test_bad_cell_is_config_error(self, tmp_path, capsys, grid, message):
+        # a negative cell exited 3 with an error.txt; a repeated one ran twice
+        # into one directory and exited 0
+        out = tmp_path / "run"
+        assert main(["benchmark", "--config", str(grid_cfg(tmp_path, grid)),
+                     "--episodes", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_cells_run_in_grid_order(self, tmp_path, capsys):
         cfg = grid_cfg(tmp_path, "[[30, 1], [10, 1], [20, 1]]")
@@ -550,17 +581,18 @@ class TestBenchmark:
         assert done == ["cell_30N_1M", "cell_10N_1M", "cell_20N_1M"]
 
     def test_failing_cell_leaves_the_shared_pool_to_later_cells(self, tmp_path,
-                                                                capsys):
-        # the -5 cell raises inside a worker; the next cell reuses that pool
-        cfg = grid_cfg(tmp_path, "[[-5, 1], [20, 1]]")
+                                                                capsys, monkeypatch):
+        # the 10-noise cell raises inside a worker; the next cell reuses that pool
+        fail_cell_sessions(monkeypatch, n_noise=10)
+        cfg = grid_cfg(tmp_path, "[[10, 1], [20, 1]]")
         trees = []
         for workers in ("1", "2"):
             out = tmp_path / workers
             assert main(["benchmark", "--config", str(cfg), "--episodes", "2",
                          "--parallel", workers, "--out", str(out)]) == 3
             trees.append(read_tree(out))
-        assert trees[1]["benchmark/cell_-5N_1M/error.txt"] == (
-            b"seed 0, policy twap: ValueError: n_noise must be >= 0\n")
+        assert trees[1]["benchmark/cell_10N_1M/error.txt"] == (
+            b"seed 0, policy twap: RuntimeError: no market for 10 noise agents\n")
         assert "benchmark/cell_20N_1M/metrics.csv" in trees[1]
         assert trees[0] == trees[1]
 
@@ -582,6 +614,19 @@ class TestBenchmark:
         assert main(["benchmark", "--checkpoint", str(tmp_path / "missing.json"),
                      "--config", str(cfg), "--out", str(out)]) == 3
         assert not list((out / "benchmark").glob("cell_*"))
+
+
+def fail_cell_sessions(monkeypatch, n_noise: int):
+    """Make every market session with ``n_noise`` noise agents fail to build,
+    here and in the pool workers that fork from this process."""
+    build = evaluation.MarketSession
+
+    def session(config, seed):
+        if config.n_noise == n_noise:
+            raise RuntimeError(f"no market for {n_noise} noise agents")
+        return build(config, seed)
+
+    monkeypatch.setattr(evaluation, "MarketSession", session)
 
 
 def grid_cfg(tmp_path, grid: str, policies: str = "[twap, random]"):

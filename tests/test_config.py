@@ -12,10 +12,10 @@ from lobexec.agents import (
     NoiseAgentParams,
     ValueAgentParams,
 )
+from lobexec._bounds import check_bounds
 from lobexec.config import (
     ConfigError,
     RunConfig,
-    _from_dict,
     config_hash,
     dump_config,
     hash_comment,
@@ -108,13 +108,14 @@ def test_wrongly_typed_values_rejected(tmp_path, body):
 
 
 def test_bool_field_takes_only_bools():
+    """No config field is a bool today; the walker's rule still covers one."""
     @dataclass
     class Flags:
         on: bool = False
 
-    assert _from_dict(Flags, {"on": True}).on is True
-    with pytest.raises(ConfigError, match="expects bool"):
-        _from_dict(Flags, {"on": 1})
+    check_bounds(Flags(on=True))
+    with pytest.raises(ValueError, match="^on expects bool, got int 1$"):
+        check_bounds(Flags(on=1))
 
 
 def test_overrides_win_over_file(tmp_path):
@@ -214,26 +215,58 @@ def test_declared_bound_is_enforced(key, kind, symbol, bound):
     assert section == inside
 
 
-FLOAT_KEYS = [key for key, f in leaf_fields() if type(f.default) is float]
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
-@pytest.mark.parametrize("key", FLOAT_KEYS)
-def test_infinite_float_is_rejected(key, value):
-    """An infinite float fails validation in every float field, also in one
-    that declares no range (fundamental.mu, jump_mu1): set in a config built
-    in code, the walker names its key; through load_config, the type check
-    refuses it first."""
+def code_built(key, value):
+    """The sweep's base config built in code, with ``value`` set at ``key``."""
     cfg = load_config(None, SWEEP_BASE)
     *parents, leaf = key.split(".")
     section = cfg
     for part in parents:
         section = getattr(section, part)
     setattr(section, leaf, value)
-    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
-        cfg.validate()
-    with pytest.raises(ConfigError, match="must be finite"):
+    return cfg
+
+
+def both_paths_reject(key, value) -> str:
+    """The walker's message for ``value`` at ``key`` in a config built in
+    code, after checking that load_config refuses it with the same text."""
+    with pytest.raises(ValueError) as built:
+        check_bounds(code_built(key, value))
+    with pytest.raises(ConfigError) as loaded:
         load_config(None, {**SWEEP_BASE, key: value})
+    assert str(loaded.value) == str(built.value)
+    return str(built.value)
+
+
+FLOAT_KEYS = [key for key, f in leaf_fields() if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_infinite_float_is_rejected(key, value):
+    """An infinite float fails in every float field, also in one that
+    declares no range (fundamental.mu, jump_mu1), with one message on both
+    paths: the declared range it breaks, or else ``must be finite``."""
+    assert re.match(f"{re.escape(key)} must be ", both_paths_reject(key, value))
+
+
+# one value of each wrong type per leaf field: a bool or a float for an int,
+# a bool or a str for a float, an int for a str or a list
+WRONG = {int: [True, 1.5], float: [False, "1.0"], str: [1], list: [1]}
+
+
+def default_type(f):
+    return type(f.default_factory() if f.default is dataclasses.MISSING else f.default)
+
+
+WRONG_TYPES = [(key, default_type(f), value) for key, f in leaf_fields()
+               for value in WRONG[default_type(f)]]
+
+
+@pytest.mark.parametrize("key, kind, value", WRONG_TYPES,
+                         ids=[f"{key}={value!r}" for key, _, value in WRONG_TYPES])
+def test_wrongly_typed_value_is_rejected(key, kind, value):
+    assert both_paths_reject(key, value) == (
+        f"{key} expects {kind.__name__}, got {type(value).__name__} {value!r}")
 
 
 @pytest.mark.parametrize("market, message", [

@@ -86,7 +86,7 @@ def test_market_maker_only_seeds_ten_levels_per_side():
     session.run_until(NS_PER_SEC)
     snap = session.book.snapshot(20)
     assert len(snap.bids) == 10 and len(snap.asks) == 10
-    assert snap.best_bid < snap.best_ask
+    assert snap.bids[0][0] < snap.asks[0][0]
 
 
 def test_market_maker_cancel_replace_keeps_quote_count():
@@ -387,7 +387,7 @@ class TestNoiseAgentDraws:
     ])
     def test_matches_live_generator(self, min_size, max_size):
         params = NoiseAgentParams(min_size=min_size, max_size=max_size, mean_wake_s=7.5)
-        params.validate()
+        MarketConfig(noise=params).validate()
         wakeups = draws = 0
         for seed in range(12):
             agent = NoiseAgent(1, np.random.default_rng(seed), params)
@@ -520,7 +520,7 @@ def test_mid_ring_holds_what_momentum_agents_read():
     momentum_ids = {a.agent_id for a in session.agents if isinstance(a, MomentumAgent)}
     for t in range(1, 61):
         session.run_until(t * NS_PER_SEC)
-        # float(BookSnapshot.mid), since int true division is correctly rounded
+        # float(OrderBook.mid_price()), since int true division is correctly rounded
         mids = [(int(row["best_bid"]) + int(row["best_ask"])) / 2
                 for row in csv_rows(session.log.snapshots_csv())
                 if row["best_bid"] and row["best_ask"]]
