@@ -1,11 +1,12 @@
 """Declared ranges of the config dataclasses' numeric fields, and one walker
-that checks every config value's type, range and finiteness.
+that applies every config rule.
 
-A field declares its range beside its default, for example ``n_ticks: int =
-bounded(10, ge=1)``; ``bounded(50.0)`` takes any finite value. The range sits
-in field metadata, which ``dataclasses.asdict`` ignores. A value's type must
-fit the default's: a float field takes an int or a float, only a bool field
-takes a bool, and any other field takes only its default's type.
+A field declares its range beside its default, as in ``n_ticks: int =
+bounded(10, ge=1)``, in metadata that ``dataclasses.asdict`` ignores;
+``bounded(50.0)`` takes any finite value. A value's type must fit the
+default's: a float field takes an int or a float, only a bool field takes a
+bool, and any other field takes only its default's type. The rules that span
+a class's fields sit in its ``cross_check``, run after its fields and sections.
 """
 
 from __future__ import annotations
@@ -28,39 +29,42 @@ def bounded(default, **bounds):
 
 @cache
 def _table(cls) -> tuple:
-    """(name, rule) per field of ``cls``: None for a field that holds a
-    dataclass, which the walk enters, else (the default's type name, the
-    types a value may take, whether it is a bool, the declared range)."""
-    table = []
+    """(name, type, range) per field of ``cls``; None types a nested dataclass."""
+    fields = []
     for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.default_factory):
-            table.append((f.name, None))
-            continue
-        default = f.default if f.default_factory is dataclasses.MISSING \
-            else f.default_factory()
-        allowed = (int, float) if isinstance(default, float) else type(default)
-        table.append((f.name, (type(default).__name__, allowed,
-                               isinstance(default, bool), f.metadata.get("bounds", ()))))
-    return tuple(table)
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        kind = None if dataclasses.is_dataclass(default) else type(default)
+        fields.append((f.name, kind, f.metadata.get("bounds", ())))
+    return tuple(fields)
+
+
+def _check_value(prefix: str, name: str, value, kind: type, checks: tuple) -> None:
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{prefix}{name} expects {kind.__name__}, "
+                         f"got {type(value).__name__} {value!r}")
+    for op, symbol, bound in checks:
+        if not op(value, bound):
+            raise ValueError(f"{prefix}{name} must be {symbol} {bound}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{prefix}{name} must be finite")
+
+
+def check_items(key: str, values: list, item: dataclasses.Field) -> None:
+    """Check each ``values[i]`` as the ``bounded`` field ``item``, named ``key[i]``."""
+    for i, value in enumerate(values):
+        _check_value(key, f"[{i}]", value, type(item.default), item.metadata["bounds"])
 
 
 def check_bounds(obj, prefix: str = "") -> None:
-    """Raise ``ValueError`` at the first bad value in the dataclass tree under
-    ``obj``, named by ``prefix`` and its dotted key: ``"<key> expects int, got
-    bool True"``, ``"<key> must be >= 1"`` or ``"<key> must be finite"``. The
-    range is checked first, so a NaN, or an infinity past a declared bound,
-    is reported as out of range."""
-    for name, rule in _table(type(obj)):
-        value = getattr(obj, name)
-        if rule is None:
-            check_bounds(value, f"{prefix}{name}.")
-            continue
-        type_name, allowed, is_bool, checks = rule
-        if isinstance(value, bool) != is_bool or not isinstance(value, allowed):
-            raise ValueError(f"{prefix}{name} expects {type_name}, "
-                             f"got {type(value).__name__} {value!r}")
-        for op, symbol, bound in checks:
-            if not op(value, bound):
-                raise ValueError(f"{prefix}{name} must be {symbol} {bound}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{prefix}{name} must be finite")
+    """Raise ``ValueError`` at the first fault in the tree under ``obj``, walked
+    depth first: each field, named by ``prefix`` and its dotted key (``"<key>
+    expects int, got bool True"``, ``"<key> must be >= 1"``, or for a NaN or an
+    infinity that no bound refuses ``"<key> must be finite"``), then ``cross_check``."""
+    for name, kind, checks in _table(type(obj)):
+        if kind is None:
+            check_bounds(getattr(obj, name), f"{prefix}{name}.")
+        else:
+            _check_value(prefix, name, getattr(obj, name), kind, checks)
+    if hasattr(obj, "cross_check"):
+        obj.cross_check()

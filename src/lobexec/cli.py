@@ -116,7 +116,7 @@ def _out_dir(args, config: RunConfig, sub: str) -> Path:
 
 def _write_csv(path: Path, comment: str, text: str) -> None:
     """Write CSV text under its ``# config_hash=`` comment line."""
-    write_text_atomic(path, comment + "\n" + text)
+    write_text_atomic(path, comment + "\n", text)
 
 
 def cmd_simulate(args) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from ._bounds import bounded, check_bounds
+from ._bounds import bounded, check_bounds, check_items
 from ._io import write_text_atomic
 from .dqn import Schedules
 from .execenv import ExecConfig
@@ -54,36 +54,29 @@ class RunConfig:
     seed: int = bounded(0, ge=0)
     out_dir: str = "results"
 
-    def validate(self) -> None:
+    def cross_check(self) -> None:
         grid = self.eval.grid
-        try:
-            check_bounds(self)  # every type and range, named by its dotted key
-            self.market.validate()
-            self.exec.validate()
-            self.dqn.schedules.validate()
-            for i, cell in enumerate(grid):  # checked as the market it makes
-                if not (isinstance(cell, list) and len(cell) == 2):
-                    raise ValueError(f"eval.grid cell {cell!r} must be "
-                                     "[n_noise, n_momentum]")
-                check_bounds(dataclasses.replace(self.market, n_noise=cell[0],
-                                                 n_momentum=cell[1]), f"eval.grid[{i}].")
-                if cell in grid[:i]:
-                    raise ValueError(f"duplicate cell in eval.grid: {cell!r}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for i, cell in enumerate(grid):  # checked as the market it makes
+            if not (isinstance(cell, list) and len(cell) == 2):
+                raise ValueError(f"eval.grid cell {cell!r} must be [n_noise, n_momentum]")
+            check_bounds(dataclasses.replace(self.market, n_noise=cell[0],
+                                             n_momentum=cell[1]), f"eval.grid[{i}].")
+            if cell in grid[:i]:
+                raise ValueError(f"duplicate cell in eval.grid: {cell!r}")
         if not grid:
-            raise ConfigError("eval.grid must hold at least one cell")
-        if len(self.dqn.hidden) != 2 or not all(type(n) is int and n >= 1
-                                                for n in self.dqn.hidden):
-            raise ConfigError("dqn.hidden must be two positive layer sizes")
+            raise ValueError("eval.grid must hold at least one cell")
+        hidden = self.dqn.hidden
+        if len(hidden) != 2:
+            raise ValueError(f"dqn.hidden must hold two layer sizes, got {len(hidden)}")
+        check_items("dqn.hidden", hidden, bounded(50, ge=1))
         policies = self.eval.policies
         if not policies:
-            raise ConfigError("eval.policies must name at least one policy")
+            raise ValueError("eval.policies must name at least one policy")
         for i, name in enumerate(policies):
             if name not in POLICY_NAMES:
-                raise ConfigError(f"unknown policy in eval.policies: {name!r}")
+                raise ValueError(f"unknown policy in eval.policies: {name!r}")
             if name in policies[:i]:
-                raise ConfigError(f"duplicate policy in eval.policies: {name!r}")
+                raise ValueError(f"duplicate policy in eval.policies: {name!r}")
 
 
 def _from_dict(cls, data: dict, path: str = ""):
@@ -124,7 +117,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
                 raise ConfigError(f"section {part!r} must be a mapping")
         section[name] = value
     config = _from_dict(RunConfig, data)
-    config.validate()
+    try:
+        check_bounds(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 

@@ -193,8 +193,7 @@ class Schedules:
     def epsilon(self, env_step: int) -> float:
         return _anneal(self.eps_start, self.eps_end, self.eps_steps, env_step)
 
-    def validate(self) -> None:
-        check_bounds(self)
+    def cross_check(self) -> None:
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay_capacity must be >= batch_size")
 
@@ -346,7 +345,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    schedules.validate()
+    check_bounds(schedules)
     rng = generator(seed, 4)
     expected = (obs_dim, *hidden, n_actions)
     if net is None:

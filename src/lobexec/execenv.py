@@ -65,8 +65,7 @@ class ExecConfig:
     def obs_dim(self) -> int:
         return FRAME_FEATURES * HISTORY
 
-    def validate(self) -> None:
-        check_bounds(self)
+    def cross_check(self) -> None:
         if self.direction not in ("buy", "sell"):
             raise ValueError("direction must be 'buy' or 'sell'")
         if self.time_window_s % self.step_s != 0:
@@ -91,7 +90,7 @@ class ExecutionEnv:
 
     def __init__(self, config: ExecConfig,
                  market_factory: Callable[[int], object]):
-        config.validate()
+        check_bounds(config)
         self.config = config
         self.side = Side.BID if config.direction == "buy" else Side.ASK
         self._market_factory = market_factory

@@ -49,8 +49,7 @@ class MarketConfig:
     momentum: MomentumAgentParams = field(default_factory=MomentumAgentParams)
     market_maker: MarketMakerParams = field(default_factory=MarketMakerParams)
 
-    def validate(self) -> None:
-        check_bounds(self)
+    def cross_check(self) -> None:
         if not self.fundamental.mu > 0:  # the path starts at mu; quotes need a price
             raise ValueError("fundamental mu must be positive")
         if not self.noise.min_size <= self.noise.max_size:
@@ -128,7 +127,7 @@ class MarketSession:
 
     def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None,
                  log: bool = False):
-        config.validate()
+        check_bounds(config)
         self.config = config
         self.hooks = hooks or {}
         self.now = 0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lobexec import _bounds
 from lobexec.agents import (
     MarketMakerParams,
     MomentumAgentParams,
@@ -15,6 +16,8 @@ from lobexec.agents import (
 from lobexec._bounds import check_bounds
 from lobexec.config import (
     ConfigError,
+    DqnConfig,
+    EvalConfig,
     RunConfig,
     config_hash,
     dump_config,
@@ -22,6 +25,8 @@ from lobexec.config import (
     load_config,
     to_dict,
 )
+from lobexec.dqn import Schedules
+from lobexec.execenv import ExecConfig
 from lobexec.fundamental import FundamentalParams
 from lobexec.kernel import MarketConfig, MarketSession
 
@@ -288,3 +293,77 @@ def test_session_checks_nested_params(market, message):
     declared ranges, NaN included, named from the market config down."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MarketSession(market, 0)
+
+
+@pytest.mark.parametrize("hidden, message", [
+    ([50, True], "dqn.hidden[1] expects int, got bool True"),
+    ([50, 2.0], "dqn.hidden[1] expects int, got float 2.0"),
+    ([0, 20], "dqn.hidden[0] must be >= 1"),
+    ([50], "dqn.hidden must hold two layer sizes, got 1"),
+], ids=["bool", "float", "zero", "one-layer"])
+def test_hidden_size_faults_name_the_item(hidden, message):
+    assert both_paths_reject("dqn.hidden", hidden) == message
+
+
+@pytest.mark.parametrize("config, message", [
+    (MarketConfig(noise=NoiseAgentParams(min_size=50, max_size=10)),
+     "noise sizes need min_size <= max_size"),
+    (MarketConfig(fundamental=FundamentalParams(mu=0.0)), "fundamental mu must be positive"),
+    (MarketConfig(fundamental=FundamentalParams(mu=-5.0)), "fundamental mu must be positive"),
+    (Schedules(replay_capacity=10), "replay_capacity must be >= batch_size"),
+    (ExecConfig(direction="hold"), "direction must be 'buy' or 'sell'"),
+    (ExecConfig(time_window_s=100, step_s=3), "time_window_s must be a multiple of step_s"),
+    (ExecConfig(time_window_s=100),
+     "infeasible config: max executable 8000 < parent size 20000"),
+    (RunConfig(eval=EvalConfig(policies=[])), "eval.policies must name at least one policy"),
+    (RunConfig(eval=EvalConfig(policies=["twap", "hold"])),
+     "unknown policy in eval.policies: 'hold'"),
+    (RunConfig(eval=EvalConfig(policies=["twap", "random", "twap"])),
+     "duplicate policy in eval.policies: 'twap'"),
+    (RunConfig(eval=EvalConfig(grid=[[10, 12], [10]])),
+     "eval.grid cell [10] must be [n_noise, n_momentum]"),
+    (RunConfig(eval=EvalConfig(grid=[[10, 12], [20, 1], [10, 12]])),
+     "duplicate cell in eval.grid: [10, 12]"),
+    (RunConfig(eval=EvalConfig(grid=[])), "eval.grid must hold at least one cell"),
+    # a section's rules also run when it is walked inside a RunConfig
+    (RunConfig(dqn=DqnConfig(schedules=Schedules(batch_size=200, replay_capacity=100))),
+     "replay_capacity must be >= batch_size"),
+], ids=["noise-sizes", "mu-zero", "mu-negative", "replay", "direction", "window",
+        "infeasible", "no-policy", "unknown-policy", "duplicate-policy", "cell-shape",
+        "duplicate-cell", "empty-grid", "nested-replay"])
+def test_walker_alone_refuses_cross_field_faults(config, message):
+    """A config built in code meets every cross-field rule through
+    check_bounds alone, with the message a loaded config gets."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_bounds(config)
+
+
+def test_a_load_walks_each_section_once(monkeypatch):
+    """load_config walks the tree once, and each grid cell once more as the
+    market it makes; a class's rules run once per walk of that class."""
+    walks, rule_runs = {}, {}
+    table = _bounds._table
+
+    def counted_table(cls):
+        walks[cls.__name__] = walks.get(cls.__name__, 0) + 1
+        return table(cls)
+
+    def counted_rules(cls):
+        cross_check = cls.cross_check
+
+        def run(self):
+            rule_runs[cls.__name__] = rule_runs.get(cls.__name__, 0) + 1
+            return cross_check(self)
+        return run
+
+    monkeypatch.setattr(_bounds, "_table", counted_table)
+    for cls in (MarketConfig, ExecConfig, Schedules, RunConfig):
+        monkeypatch.setattr(cls, "cross_check", counted_rules(cls))
+    load_config(None)
+    market = 1 + len(EvalConfig().grid)
+    assert walks == {"RunConfig": 1, "ExecConfig": 1, "DqnConfig": 1, "Schedules": 1,
+                     "EvalConfig": 1, "MarketConfig": market, "FundamentalParams": market,
+                     "NoiseAgentParams": market, "ValueAgentParams": market,
+                     "MomentumAgentParams": market, "MarketMakerParams": market}
+    assert rule_runs == {"RunConfig": 1, "ExecConfig": 1, "Schedules": 1,
+                         "MarketConfig": market}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lobexec import dqn
+from lobexec._bounds import check_bounds
 from lobexec.dqn import (
     Optimizer,
     QNetwork,
@@ -232,7 +233,7 @@ class TestSchedules:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Schedules(gamma=1.5).validate()
+            check_bounds(Schedules(gamma=1.5))
 
 
 class TestReplay:

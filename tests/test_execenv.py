@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lobexec._bounds import check_bounds
 from lobexec.execenv import EpisodeOverError, ExecConfig, ExecutionEnv
 from lobexec.kernel import MarketConfig, MarketSession
 from lobexec.synthetic import ConstantMarket
@@ -26,8 +27,8 @@ def live_env(**kw):
 class TestConfig:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
-            ExecConfig(parent_size=20000, time_window_s=100, q_min=20,
-                       n_size_actions=4).validate()
+            check_bounds(ExecConfig(parent_size=20000, time_window_s=100, q_min=20,
+                                    n_size_actions=4))
 
     def test_default_feasible_in_250_steps(self):
         cfg = ExecConfig()
@@ -36,7 +37,7 @@ class TestConfig:
 
     def test_window_must_divide(self):
         with pytest.raises(ValueError):
-            ExecConfig(time_window_s=100, step_s=3).validate()
+            check_bounds(ExecConfig(time_window_s=100, step_s=3))
 
 
 class TestReset:

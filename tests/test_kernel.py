@@ -18,6 +18,7 @@ from lobexec.agents import (
     ValueAgent,
     ValueAgentParams,
 )
+from lobexec._bounds import check_bounds
 from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
 from lobexec.lob import BookSnapshot, Fill, Order, OrderBook, Side
 
@@ -387,7 +388,7 @@ class TestNoiseAgentDraws:
     ])
     def test_matches_live_generator(self, min_size, max_size):
         params = NoiseAgentParams(min_size=min_size, max_size=max_size, mean_wake_s=7.5)
-        MarketConfig(noise=params).validate()
+        check_bounds(MarketConfig(noise=params))
         wakeups = draws = 0
         for seed in range(12):
             agent = NoiseAgent(1, np.random.default_rng(seed), params)
