@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._io import write_text_atomic
+from ._io import open_atomic, write_text_atomic
 from .config import ConfigError, RunConfig, dump_config, hash_comment, load_config
 from .dqn import (
     QNetwork,
@@ -127,16 +127,19 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     out = _out_dir(args, config, "simulate")
     dump_config(config, out / "config_used.yaml")
-    comment = hash_comment(config)
+    comment = hash_comment(config) + "\n"
     for seed in range(config.seed, config.seed + args.n_seeds):
-        if args.duration is not None and args.duration == 0:
-            log = SessionLog(config.market.depth)
-        else:
-            log = kernel_run(config.market, seed)
-        _write_csv(out / f"snapshots_{seed}.csv", comment, log.snapshots_csv())
-        _write_csv(out / f"fills_{seed}.csv", comment, log.fills_csv())
-        _write_csv(out / f"fundamental_{seed}.csv", comment, log.fundamental_csv())
-        print(f"simulate: seed {seed} -> {len(log.snapshot_rows)} snapshots, "
+        # the session writes its rows into the .tmp files as it runs; all
+        # three are renamed only once the seed has ended
+        with open_atomic(*(out / f"{name}_{seed}.csv"
+                           for name in ("snapshots", "fills", "fundamental"))) as sinks:
+            for sink in sinks:
+                sink.write(comment)
+            if args.duration is not None and args.duration == 0:
+                log = SessionLog(config.market.depth, sinks)
+            else:
+                log = kernel_run(config.market, seed, sinks)
+        print(f"simulate: seed {seed} -> {log.n_snapshots} snapshots, "
               f"{log.n_fills} fills")
     return 0
 

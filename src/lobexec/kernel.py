@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import io
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -62,23 +63,33 @@ _FUNDAMENTAL_TEMPLATE = csv_template(2)
 
 
 class SessionLog:
-    """The CSV rows of one logged session, formatted as they happen: one
-    snapshot row and one fundamental row per tick, and one chunk of fill rows
-    per book call that filled. It keeps text, never a ``BookSnapshot`` or a
-    ``Fill``; the ``*_csv`` methods join the rows under their headers.
+    """The CSV text of one logged session, written to three text sinks as it
+    happens: each sink's header when the log is made, then one snapshot row
+    and one fundamental row per tick, and one chunk of fill rows per book
+    call that filled. It keeps no rows, and never a ``BookSnapshot`` or a
+    ``Fill``; only the counts ``n_snapshots`` and ``n_fills``.
 
     ``depth`` is the number of levels per side in the snapshot rows and their
-    header; a logged ``MarketSession`` passes its ``config.depth``.
+    header; a logged ``MarketSession`` passes its ``config.depth``. ``sinks``
+    is the (snapshots, fills, fundamental) triple of objects with a text
+    ``write`` (``simulate`` passes open files); without it the log writes to
+    three ``io.StringIO`` buffers, whose text the ``*_csv`` methods return.
     """
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, sinks=None):
         self.depth = depth
         self._snapshot_template = csv_template(4 + 4 * depth)
         self._pad = (("", ""),) * depth
-        self.snapshot_rows: list[str] = []
-        self.fundamental_rows: list[str] = []
-        self.fill_chunks: list[str] = []
+        self._snapshot_sink, self._fill_sink, self._fundamental_sink = (
+            sinks or (io.StringIO(), io.StringIO(), io.StringIO()))
+        self.n_snapshots = 0
         self.n_fills = 0
+        header = ["ts", "fundamental", "best_bid", "best_ask"]
+        for i in range(1, depth + 1):
+            header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
+        self._snapshot_sink.write(csv_text(header, ()))
+        self._fill_sink.write(csv_text(_FILLS_HEADER, ()))
+        self._fundamental_sink.write(csv_text(["ts", "fundamental"], ()))
 
     def add_tick(self, ts: int, book: OrderBook, fund: float) -> None:
         snap = book.snapshot(self.depth, ts)
@@ -88,8 +99,9 @@ class SessionLog:
         row = (ts, fund, bids[0][0] if bids else None, asks[0][0] if asks else None,
                # per level: bid price, bid qty, ask price, ask qty; "" past the book
                *flat(flat(zip(bids + pad[len(bids):], asks + pad[len(asks):]))))
-        self.snapshot_rows.append(csv_lines(self._snapshot_template, (row,)))
-        self.fundamental_rows.append(csv_lines(_FUNDAMENTAL_TEMPLATE, ((ts, fund),)))
+        self._snapshot_sink.write(csv_lines(self._snapshot_template, (row,)))
+        self._fundamental_sink.write(csv_lines(_FUNDAMENTAL_TEMPLATE, ((ts, fund),)))
+        self.n_snapshots += 1
 
     def add_fills(self, fills) -> None:
         bid = Side.BID
@@ -97,20 +109,18 @@ class SessionLog:
         # 5 price, 6 qty, 7 ts
         rows = [(f[7], "bid" if f[4] is bid else "ask", f[5], f[6], f[2], f[3])
                 for f in fills]
-        self.fill_chunks.append(csv_lines(_FILLS_TEMPLATE, rows))
+        self._fill_sink.write(csv_lines(_FILLS_TEMPLATE, rows))
         self.n_fills += len(fills)
 
+    # The text of a log made without sinks; a file sink has no getvalue.
     def snapshots_csv(self) -> str:
-        header = ["ts", "fundamental", "best_bid", "best_ask"]
-        for i in range(1, self.depth + 1):
-            header += [f"bid_px_{i}", f"bid_qty_{i}", f"ask_px_{i}", f"ask_qty_{i}"]
-        return "".join([csv_text(header, ()), *self.snapshot_rows])
+        return self._snapshot_sink.getvalue()
 
     def fills_csv(self) -> str:
-        return "".join([csv_text(_FILLS_HEADER, ()), *self.fill_chunks])
+        return self._fill_sink.getvalue()
 
     def fundamental_csv(self) -> str:
-        return "".join([csv_text(["ts", "fundamental"], ()), *self.fundamental_rows])
+        return self._fundamental_sink.getvalue()
 
 
 class MarketSession:
@@ -119,14 +129,16 @@ class MarketSession:
     With ``log=True`` the session keeps a ``SessionLog`` of ``config.depth``
     levels as ``self.log``, and hands it the book and the fundamental at
     every snapshot tick and the fills of every book call; ``kernel_run`` asks
-    for one. A session without a log (the execution MDP's) keeps only what
-    agents and the MDP read, and behaves the same: each tick still draws the
+    for one. ``log`` may instead be the (snapshots, fills, fundamental) text
+    sinks that the log writes to; ``True`` keeps its text in memory. A
+    session without a log (the execution MDP's) keeps only what agents and
+    the MDP read, and behaves the same: each tick still draws the
     fundamental, since skipping it would shift its random stream, and still
     feeds the momentum agents' mid ring.
     """
 
     def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None,
-                 log: bool = False):
+                 log=False):
         check_bounds(config)
         self.config = config
         self.hooks = hooks or {}
@@ -137,7 +149,8 @@ class MarketSession:
         self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()
-        self.log = SessionLog(config.depth) if log else None
+        self.log = (None if log is False
+                    else SessionLog(config.depth, None if log is True else log))
         self._next_order_id = 1
         self._event_seq = 0
         self._queue: list[tuple[int, int, object]] = []
@@ -304,8 +317,11 @@ class MarketSession:
         self.now = max(self.now, t)
 
 
-def kernel_run(config: MarketConfig, seed: int) -> SessionLog:
-    """Run a full background-only session and return its log."""
-    session = MarketSession(config, seed, log=True)
+def kernel_run(config: MarketConfig, seed: int, sinks=None) -> SessionLog:
+    """Run a full background-only session and return its log. The log writes
+    its CSV text to ``sinks``, a (snapshots, fills, fundamental) triple of
+    text sinks, as the session runs; without them it keeps the text in
+    memory for its ``*_csv`` methods."""
+    session = MarketSession(config, seed, log=True if sinks is None else sinks)
     session.run_until(session.session_end)
     return session.log

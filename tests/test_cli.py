@@ -6,11 +6,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lobexec import cli, evaluation
+from lobexec import agents, cli, evaluation
 from lobexec.cli import main
 from lobexec.config import dump_config, hash_comment, load_config
 from lobexec.dqn import QNetwork
 from lobexec.evaluation import aggregate, metrics_csv, run_experiment
+from lobexec.fundamental import NS_PER_SEC
+from lobexec.kernel import SessionLog, kernel_run
 
 LITE_YAML = """\
 seed: 0
@@ -340,6 +342,59 @@ class TestSimulate:
             lines = (out / "simulate" / name).read_text().strip().splitlines()
             assert len(lines) == 2  # hash comment + column header only
 
+    def test_files_hold_the_hash_line_and_the_log_text(self, lite_cfg, tmp_path,
+                                                       capsys):
+        """The rows the session streams into each file are exactly the text
+        of an in-memory log of the same run, under the one hash line; with
+        --duration 0 the files hold the headers of an empty log."""
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(lite_cfg), "--duration", "30",
+                     "--n-seeds", "2", "--out", str(out)]) == 0
+        config = load_config(lite_cfg, {"market.session_seconds": 30.0})
+        comment = hash_comment(config) + "\n"
+        for seed in (0, 1):
+            log = kernel_run(config.market, seed)
+            for name in ("snapshots", "fills", "fundamental"):
+                text = (out / "simulate" / f"{name}_{seed}.csv").read_text()
+                assert text == comment + getattr(log, f"{name}_csv")()
+        empty = tmp_path / "empty"
+        assert main(["simulate", "--config", str(lite_cfg), "--duration", "0",
+                     "--out", str(empty)]) == 0
+        log = SessionLog(config.market.depth)
+        for name in ("snapshots", "fills", "fundamental"):
+            text = (empty / "simulate" / f"{name}_0.csv").read_text()
+            assert text == hash_comment(load_config(lite_cfg)) + "\n" \
+                + getattr(log, f"{name}_csv")()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_session_keeps_previous_files(self, lite_cfg, tmp_path, capsys,
+                                                 monkeypatch, error):
+        """A session that fails mid-run, by an error or an interrupt, leaves
+        no .tmp file, and the files of an earlier complete run stay whole."""
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(lite_cfg), "--duration", "30",
+                "--out", str(out)]
+        assert main(argv) == 0
+        good = read_tree(out)
+        wakeup = agents.NoiseAgent.wakeup
+
+        def crash(agent, ts, session):
+            if ts > 15 * NS_PER_SEC:
+                # the session writes into the .tmp files as it runs
+                assert (out / "simulate" / "snapshots_0.csv.tmp").exists()
+                raise error("simulated crash mid-session")
+            return wakeup(agent, ts, session)
+
+        monkeypatch.setattr(agents.NoiseAgent, "wakeup", crash)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+            assert "simulated crash mid-session" in capsys.readouterr().err
+        assert read_tree(out) == good
+        assert not list(out.rglob("*.tmp"))
+
     def test_rerun_byte_identical(self, lite_cfg, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -511,9 +566,11 @@ class TestAtomicWrites:
 
     def test_no_temporary_files_left(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"
-        for argv in (["train"], ["train", "--resume"], ["evaluate", "--policy", "twap"]):
+        for argv in (["train"], ["train", "--resume"], ["evaluate", "--policy", "twap"],
+                     ["simulate", "--n-seeds", "2", "--duration", "30"]):
             assert main([*argv, "--config", str(lite_cfg), "--out", str(out)]) == 0
         assert (out / "train" / "checkpoint.json").exists()
+        assert (out / "simulate" / "fills_1.csv").exists()
         assert not list(out.rglob("*.tmp"))
 
 

@@ -572,10 +572,19 @@ class TestCrashSafeSave:
         raise OSError("simulated crash before the rename")
 
     @staticmethod
-    def fail_mid_write(path, text):
-        with open(path, "w") as f:
-            f.write(text[: len(text) // 2])
-        raise OSError("simulated crash mid-write")
+    def open_failing_mid_write(path, mode):
+        """A file whose first write puts half the text on disk, then raises."""
+        real = open(path, mode)
+
+        class Half:
+            def write(self, text):
+                real.write(text[: len(text) // 2])
+                real.flush()
+                raise OSError("simulated crash mid-write")
+
+            def close(self):
+                real.close()
+        return Half()
 
     @pytest.mark.parametrize("where", ["write", "replace"])
     def test_failed_save_keeps_last_checkpoint(self, tmp_path, monkeypatch, where):
@@ -584,7 +593,7 @@ class TestCrashSafeSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
         good = path.read_bytes()
         if where == "write":
-            monkeypatch.setattr(Path, "write_text", self.fail_mid_write)
+            monkeypatch.setattr(Path, "open", self.open_failing_mid_write)
         else:
             monkeypatch.setattr(os, "replace", self.fail_replace)
         with pytest.raises(OSError, match="simulated crash"):

@@ -1,6 +1,9 @@
 import gc
 import hashlib
+import io
 import math
+import sys
+import tracemalloc
 import types
 from collections import deque
 from dataclasses import fields
@@ -19,6 +22,7 @@ from lobexec.agents import (
     ValueAgentParams,
 )
 from lobexec._bounds import check_bounds
+from lobexec._io import open_atomic
 from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
 from lobexec.lob import BookSnapshot, Fill, Order, OrderBook, Side
 
@@ -74,7 +78,7 @@ def test_empty_population_book_stays_empty():
     log = kernel_run(small_config(n_noise=0, n_value=0, n_momentum=0,
                                   n_market_maker=0), seed=0)
     rows = csv_rows(log.snapshots_csv())
-    assert len(rows) == len(log.snapshot_rows) == 21  # one per second incl. t=0
+    assert len(rows) == log.n_snapshots == 21  # one per second incl. t=0
     assert all(value == "" for row in rows for key, value in row.items()
                if key not in ("ts", "fundamental"))
     assert log.fills_csv() == "ts,side,price,qty,taker_agent,maker_agent\n"
@@ -142,13 +146,13 @@ def golden_run(seed):
 
 def test_golden_output_digests():
     log, digests = golden_run(0)
-    assert log.n_fills == 202 and len(log.snapshot_rows) == 301
+    assert log.n_fills == 202 and log.n_snapshots == 301
     assert digests == GOLDEN_SHA256
 
 
 def test_golden_output_digests_wide_seed():
     log, digests = golden_run(2**32 + 5)
-    assert log.n_fills == 169 and len(log.snapshot_rows) == 301
+    assert log.n_fills == 169 and log.n_snapshots == 301
     assert digests == GOLDEN_SHA256_WIDE_SEED
 
 
@@ -165,16 +169,55 @@ def reachable(root):
     return list(seen.values())
 
 
-def test_log_keeps_text_not_book_objects():
-    """A logged session keeps its rows as CSV text: no ``Fill`` or
-    ``BookSnapshot`` stays reachable from the log once the run ends."""
-    log = kernel_run(small_config(), seed=4)
-    assert log.n_fills > 20 and len(log.snapshot_rows) == 21
+def test_log_keeps_text_not_book_objects(tmp_path):
+    """A log with file sinks writes its rows away as they happen: once the
+    run ends and the files are closed, no ``Fill``, no ``BookSnapshot`` and
+    no line of row text stays reachable from the log."""
+    paths = [tmp_path / f"{name}.csv" for name in ("snapshots", "fills", "fundamental")]
+    with open_atomic(*paths) as sinks:
+        log = kernel_run(small_config(), seed=4, sinks=sinks)
+    assert log.n_fills > 20 and log.n_snapshots == 21
+    rows = {line for path in paths for line in path.read_text().splitlines()[1:]}
+    assert len(rows) > 40
     kept = reachable(log)
     assert not [obj for obj in kept if isinstance(obj, (Fill, BookSnapshot))]
-    # the walk reaches the rows it checks
-    texts = {id(obj) for obj in kept if isinstance(obj, str)}
-    assert all(id(row) in texts for row in log.snapshot_rows + log.fill_chunks)
+    kept_lines = {line for obj in kept if isinstance(obj, str)
+                  for line in obj.splitlines()}
+    assert kept_lines.isdisjoint(rows)
+    # the walk reaches the sinks it checks
+    assert sum(isinstance(obj, io.TextIOWrapper) for obj in kept) == 3
+
+
+def test_log_memory_does_not_grow_with_session_length(tmp_path):
+    """A log into file sinks holds no rows: a session four times as long
+    peaks above a short one by under a tenth of the extra bytes it writes,
+    once the session's (ts, cumulative qty) fill history, which
+    ``transacted_volume`` reads, is counted out."""
+    kernel_run(small_config(session_seconds=60.0), 0)  # one-time allocations
+    peaks, written, history = [], [], []
+    for seconds in (60.0, 240.0):
+        # 20 ticks a second, so that the rows outweigh the files' buffers
+        cfg = small_config(session_seconds=seconds, snapshot_interval_s=0.05)
+        paths = [tmp_path / f"{name}_{seconds:g}.csv"
+                 for name in ("snapshots", "fills", "fundamental")]
+        tracemalloc.start()
+        try:
+            with open_atomic(*paths) as sinks:
+                log = kernel_run(cfg, 0, sinks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert log.n_snapshots == 20 * seconds + 1
+        written.append(sum(path.stat().st_size for path in paths))
+        # a session without a log keeps the same fill history
+        bare = MarketSession(cfg, 0)
+        bare.run_until(bare.session_end)
+        history.append(sum(sys.getsizeof(x) for fill_list in
+                           (bare._fill_ts, bare._fill_qty_cum)
+                           for x in (fill_list, *fill_list)))
+    extra = written[1] - written[0]
+    assert extra > 50_000
+    assert peaks[1] - peaks[0] - (history[1] - history[0]) < extra / 10
 
 
 def test_snapshots_csv_pads_short_and_one_sided_books():
@@ -626,7 +669,7 @@ def test_session_without_a_log_behaves_the_same(seed):
         assert (bare._fundamental._last_ts, bare._fundamental._last_value) == \
             (logged._fundamental._last_ts, logged._fundamental._last_value)
         assert bare.book.snapshot(10) == logged.book.snapshot(10)
-    assert len(logged.log.snapshot_rows) == 91 and logged.log.n_fills > 100
+    assert logged.log.n_snapshots == 91 and logged.log.n_fills > 100
     assert len(logged.mid_history()) == DESK.momentum.long_window
 
 
