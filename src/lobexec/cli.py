@@ -65,8 +65,10 @@ def build_parser() -> _Parser:
         common(p)
         p.add_argument("--checkpoint", type=Path, default=None)
         p.add_argument("--episodes", type=int, default=None)
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes in the command's one pool (>= 1)")
+        p.add_argument("--parallel", type=int, default=None,
+                       help="forked worker processes, at most one per seed "
+                            "(>= 1; default: one per usable CPU; 1 runs in-process). "
+                            "This process's peak RSS does not count the workers'")
 
     p = sub.add_parser("simulate", help="run background-only market sessions")
     common(p)
@@ -199,24 +201,74 @@ def cmd_train(args) -> int:
 
 
 @contextlib.contextmanager
-def _episode_map(parallel: int):
+def _episode_map(workers: int):
     """The ``map`` that runs a command's episodes: the builtin one, or that
-    of one process pool shared by every policy and cell of the command."""
-    if parallel == 1:
+    of one process pool shared by every policy and cell of the command.
+
+    A pooled command never raises KeyboardInterrupt inside the pool's code,
+    where it can leave a lock held and the pool's exit waiting for good. The
+    workers are forked with SIGINT blocked and keep it so. Here a SIGINT
+    stops the workers, whose loss fails every pending seed, and is raised
+    as KeyboardInterrupt from the ``map`` or once the pool has shut."""
+    if workers == 1:
         yield map
-    else:
-        # imported here so that serial commands never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            yield pool.map
+        return
+    # imported here so that serial commands never load multiprocessing
+    import signal
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import active_children
+
+    interrupted = []
+
+    def stop_workers(signum, frame):
+        interrupted.append(signum)
+        for worker in active_children():  # the pool's: the CLI starts no other
+            worker.terminate()
+
+    def pooled_map(fn, *iterables):
+        try:
+            yield from pool.map(fn, *iterables)
+        except BrokenProcessPool:
+            if not interrupted:
+                raise
+        if interrupted:
+            raise KeyboardInterrupt
+
+    # Python runs signal handlers, and raises KeyboardInterrupt, in the main
+    # thread only, and a SIGINT that this process ignores (as a shell leaves
+    # it for a background job) stays ignored: then the pool needs no handler
+    handle = (threading.current_thread() is threading.main_thread()
+              and signal.getsignal(signal.SIGINT) is not signal.SIG_IGN)
+    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    previous = signal.signal(signal.SIGINT, stop_workers) if handle else None
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pool.submit(int).result()  # forks every worker
+            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+            yield pooled_map
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        if handle:
+            signal.signal(signal.SIGINT, previous)
+    if interrupted:
+        raise KeyboardInterrupt
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _experiment_setup(args, config: RunConfig, policies, sub: str):
-    """Checks, output dir, dumped config, hash line, seeds and the rl net,
-    loaded once for the whole command."""
+    """Checks, output dir, dumped config, hash line, seeds, the rl net,
+    loaded once for the whole command, and the worker count: ``--parallel``,
+    else the usable CPUs, and never more than the seeds."""
     if "rl" in policies and args.checkpoint is None:
         raise UsageError("--checkpoint is required for the rl policy")
-    if args.parallel < 1:
+    if args.parallel is not None and args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
     net = None
     if "rl" in policies:
@@ -226,15 +278,16 @@ def _experiment_setup(args, config: RunConfig, policies, sub: str):
     out = _out_dir(args, config, sub)
     dump_config(config, out / "config_used.yaml")
     seeds = list(range(config.seed, config.seed + config.eval.episodes))
-    return out, hash_comment(config), seeds, net
+    workers = min(args.parallel or _usable_cpus(), len(seeds))
+    return out, hash_comment(config), seeds, net, workers
 
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
     policies = list(config.eval.policies) if args.policy == "all" else [args.policy]
-    out, comment, seeds, net = _experiment_setup(args, config, policies, "evaluate")
-
-    with _episode_map(args.parallel) as map_fn:
+    out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
+                                                          "evaluate")
+    with _episode_map(workers) as map_fn:
         by_policy = run_experiment(policies, config.exec, config.market, seeds,
                                    net, map_fn)
     for policy, results in by_policy.items():
@@ -256,10 +309,10 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load(args)
     policies = list(config.eval.policies)
-    out, comment, seeds, net = _experiment_setup(args, config, policies, "benchmark")
-
+    out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
+                                                          "benchmark")
     failures = 0
-    with _episode_map(args.parallel) as map_fn:
+    with _episode_map(workers) as map_fn:
         for n_noise, n_momentum in config.eval.grid:
             cell = {"n_noise": n_noise, "n_momentum": n_momentum}
             cdir = out / f"cell_{n_noise}N_{n_momentum}M"

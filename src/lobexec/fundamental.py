@@ -72,6 +72,18 @@ class FundamentalPath:
 
     def __init__(self, params: FundamentalParams, rng: np.random.Generator):
         check_bounds(params)
+        self._start(params, rng)
+
+    @classmethod
+    def from_checked(cls, params: FundamentalParams,
+                     rng: np.random.Generator) -> "FundamentalPath":
+        """``cls(params, rng)`` for a caller that has checked ``params``
+        already, as a market session checks its whole config."""
+        path = cls.__new__(cls)
+        path._start(params, rng)
+        return path
+
+    def _start(self, params: FundamentalParams, rng: np.random.Generator) -> None:
         self.params = params
         self._rng = rng
         self._last_ts = 0
@@ -90,9 +102,7 @@ class FundamentalPath:
 
     def fork(self) -> "FundamentalPath":
         """An independent copy that continues the same path."""
-        clone = FundamentalPath.__new__(FundamentalPath)
-        clone.params = self.params
-        clone._rng = copy_generator(self._rng)
+        clone = FundamentalPath.from_checked(self.params, copy_generator(self._rng))
         clone._last_ts = self._last_ts
         clone._last_value = self._last_value
         return clone

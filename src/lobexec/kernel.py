@@ -145,7 +145,9 @@ class MarketSession:
         self.now = 0
         self.session_end = int(config.session_seconds * NS_PER_SEC)
 
-        self._fundamental = FundamentalPath(config.fundamental, generator(seed, 1))
+        # check_bounds(config) has walked config.fundamental
+        self._fundamental = FundamentalPath.from_checked(config.fundamental,
+                                                         generator(seed, 1))
         self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()

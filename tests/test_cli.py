@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,10 +448,62 @@ class TestEvaluate:
     def test_parallel_matches_serial(self, lite_cfg, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["evaluate", "--policy", "random", "--config", str(lite_cfg),
-                     "--out", str(a)]) == 0
+                     "--parallel", "1", "--out", str(a)]) == 0
         assert main(["evaluate", "--policy", "random", "--config", str(lite_cfg),
                      "--parallel", "2", "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not os.path.exists(
+                            f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs CPU affinity and /proc/<pid>/task/<tid>/children")
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_interrupt_stops_every_worker(self, lite_cfg, tmp_path, argv):
+        """SIGINT to a default command's process group, as a terminal's Ctrl-C
+        sends it, ends the command and its workers and writes no results."""
+        cpus = sorted(os.sched_getaffinity(0))[:2]  # at most two workers
+        if len(cpus) < 2:
+            pytest.skip("one usable CPU: the default runs in-process")
+        out = tmp_path / "o"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lobexec.cli", *argv, "--config", str(lite_cfg),
+             "--episodes", "5000", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            start_new_session=True, preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+                with contextlib.suppress(OSError):
+                    workers = [int(pid) for pid in children.read_text().split()]
+            assert len(workers) == 2, "the pool never started two workers"
+            os.killpg(proc.pid, signal.SIGINT)
+            start = time.monotonic()
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            left = [pid for pid in workers if running(pid)]
+            for pid in left:  # a worker that outlived the command
+                os.kill(pid, signal.SIGKILL)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == -signal.SIGINT  # KeyboardInterrupt, not exit 3
+        assert left == []
+        assert not list(out.rglob("*.csv")) and not list(out.rglob("error.txt"))
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestTrain:
@@ -693,22 +752,91 @@ def grid_cfg(tmp_path, grid: str, policies: str = "[twap, random]"):
     return cfg
 
 
+def count_pools(monkeypatch) -> list:
+    """The keyword arguments of every ``ProcessPoolExecutor`` built from now on."""
+    pools = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        pools.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    return pools
+
+
 class TestOneRunnerPerCommand:
     @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
                              ids=["evaluate", "benchmark"])
     def test_one_process_pool(self, tmp_path, capsys, monkeypatch, argv):
-        pools = []
-        init = ProcessPoolExecutor.__init__
-
-        def counting_init(self, *args, **kwargs):
-            pools.append(kwargs)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        pools = count_pools(monkeypatch)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
         assert main([*argv, "--parallel", "2", "--episodes", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_no_more_workers_than_seeds(self, tmp_path, capsys, monkeypatch, argv):
+        pools = count_pools(monkeypatch)
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        assert main([*argv, "--parallel", "8", "--episodes", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_default_pool_has_a_worker_per_cpu_up_to_the_seeds(self, tmp_path, capsys,
+                                                                monkeypatch, argv):
+        pools = count_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        assert main([*argv, "--episodes", "2", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("cpus", ["affinity", "cpu_count", "unknown"])
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_one_usable_cpu_runs_in_process(self, tmp_path, capsys, monkeypatch,
+                                            argv, cpus):
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        pooled = tmp_path / "pooled"
+        assert main([*argv, "--parallel", "2", "--episodes", "2", "--config", str(cfg),
+                     "--out", str(pooled)]) == 0
+        pools = count_pools(monkeypatch)
+        if cpus == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:  # where the OS has no affinity mask, os.cpu_count(), which may be None
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1 if cpus == "cpu_count" else None)
+        default = tmp_path / "default"
+        assert main([*argv, "--episodes", "2", "--config", str(cfg),
+                     "--out", str(default)]) == 0
+        assert pools == []
+        assert read_tree(default) == read_tree(pooled)
+
+    def test_pool_runs_outside_the_main_thread(self, lite_cfg, tmp_path, capsys):
+        # only the main thread may install a signal handler
+        codes = []
+        argv = ["evaluate", "--policy", "all", "--config", str(lite_cfg)]
+        thread = threading.Thread(target=lambda: codes.append(
+            main([*argv, "--parallel", "2", "--out", str(tmp_path / "thread")])))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert main([*argv, "--parallel", "1", "--out", str(tmp_path / "main")]) == 0
+        assert read_tree(tmp_path / "thread") == read_tree(tmp_path / "main")
+
+    def test_ignored_sigint_stays_ignored(self, lite_cfg, tmp_path, capsys, monkeypatch):
+        # as a shell leaves SIGINT for a background job
+        monkeypatch.setattr(signal, "getsignal", lambda signum: signal.SIG_IGN)
+        installed = []
+        monkeypatch.setattr(signal, "signal", lambda *args: installed.append(args))
+        assert main(["evaluate", "--policy", "all", "--config", str(lite_cfg),
+                     "--parallel", "2", "--out", str(tmp_path / "o")]) == 0
+        assert installed == []
 
     def test_benchmark_loads_checkpoint_once(self, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "net.json"

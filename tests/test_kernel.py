@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lobexec import _bounds, fundamental, kernel
 from lobexec.agents import (
     MarketMakerAgent,
     MarketMakerParams,
@@ -23,6 +24,7 @@ from lobexec.agents import (
 )
 from lobexec._bounds import check_bounds
 from lobexec._io import open_atomic
+from lobexec.fundamental import FundamentalParams
 from lobexec.kernel import NS_PER_SEC, MarketConfig, MarketSession, SessionLog, kernel_run
 from lobexec.lob import BookSnapshot, Fill, Order, OrderBook, Side
 
@@ -305,6 +307,25 @@ def test_malformed_config_rejected_before_run():
         MarketSession(small_config(n_noise=-1), seed=0)
     with pytest.raises(ValueError):
         MarketSession(small_config(session_seconds=0), seed=0)
+    with pytest.raises(ValueError, match="^fundamental.sigma must be >= 0$"):
+        MarketSession(small_config(fundamental=FundamentalParams(sigma=-1.0)), seed=0)
+
+
+def test_session_walks_its_fundamental_params_once(monkeypatch):
+    # the session's config walk covers the section; its path does not walk it again
+    config = small_config()
+    walked = []
+    walk = _bounds.check_bounds
+
+    def counting(obj, prefix=""):
+        walked.append(obj)
+        walk(obj, prefix)
+
+    for module in (_bounds, fundamental, kernel):
+        monkeypatch.setattr(module, "check_bounds", counting)
+    MarketSession(config, seed=0)
+    assert sum(obj is config.fundamental for obj in walked) == 1
+    assert walked[0] is config
 
 
 def test_seed_paths_share_scale():
