@@ -8,7 +8,6 @@ next to its outputs and embeds a config hash in every CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -66,9 +65,11 @@ def build_parser() -> _Parser:
         p.add_argument("--checkpoint", type=Path, default=None)
         p.add_argument("--episodes", type=int, default=None)
         p.add_argument("--parallel", type=int, default=None,
-                       help="forked worker processes, at most one per seed "
-                            "(>= 1; default: one per usable CPU; 1 runs in-process). "
-                            "This process's peak RSS does not count the workers'")
+                       help="worker processes, forked per experiment (benchmark: "
+                            "per grid cell), at most one per seed (>= 1; default: "
+                            "one per usable CPU; 1 runs in-process). A worker dies "
+                            "within one seed of this process, whose peak RSS does "
+                            "not count the workers'")
 
     p = sub.add_parser("simulate", help="run background-only market sessions")
     common(p)
@@ -200,62 +201,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _episode_map(workers: int):
-    """The ``map`` that runs a command's episodes: the builtin one, or that
-    of one process pool shared by every policy and cell of the command.
-
-    A pooled command never raises KeyboardInterrupt inside the pool's code,
-    where it can leave a lock held and the pool's exit waiting for good. The
-    workers are forked with SIGINT blocked and keep it so. Here a SIGINT
-    stops the workers, whose loss fails every pending seed, and is raised
-    as KeyboardInterrupt from the ``map`` or once the pool has shut."""
-    if workers == 1:
-        yield map
-        return
-    # imported here so that serial commands never load multiprocessing
-    import signal
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import active_children
-
-    interrupted = []
-
-    def stop_workers(signum, frame):
-        interrupted.append(signum)
-        for worker in active_children():  # the pool's: the CLI starts no other
-            worker.terminate()
-
-    def pooled_map(fn, *iterables):
-        try:
-            yield from pool.map(fn, *iterables)
-        except BrokenProcessPool:
-            if not interrupted:
-                raise
-        if interrupted:
-            raise KeyboardInterrupt
-
-    # Python runs signal handlers, and raises KeyboardInterrupt, in the main
-    # thread only, and a SIGINT that this process ignores (as a shell leaves
-    # it for a background job) stays ignored: then the pool needs no handler
-    handle = (threading.current_thread() is threading.main_thread()
-              and signal.getsignal(signal.SIGINT) is not signal.SIG_IGN)
-    unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    previous = signal.signal(signal.SIGINT, stop_workers) if handle else None
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pool.submit(int).result()  # forks every worker
-            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
-            yield pooled_map
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
-        if handle:
-            signal.signal(signal.SIGINT, previous)
-    if interrupted:
-        raise KeyboardInterrupt
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -265,7 +210,7 @@ def _usable_cpus() -> int:
 def _experiment_setup(args, config: RunConfig, policies, sub: str):
     """Checks, output dir, dumped config, hash line, seeds, the rl net,
     loaded once for the whole command, and the worker count: ``--parallel``,
-    else the usable CPUs, and never more than the seeds."""
+    else the usable CPUs."""
     if "rl" in policies and args.checkpoint is None:
         raise UsageError("--checkpoint is required for the rl policy")
     if args.parallel is not None and args.parallel < 1:
@@ -278,8 +223,7 @@ def _experiment_setup(args, config: RunConfig, policies, sub: str):
     out = _out_dir(args, config, sub)
     dump_config(config, out / "config_used.yaml")
     seeds = list(range(config.seed, config.seed + config.eval.episodes))
-    workers = min(args.parallel or _usable_cpus(), len(seeds))
-    return out, hash_comment(config), seeds, net, workers
+    return out, hash_comment(config), seeds, net, args.parallel or _usable_cpus()
 
 
 def cmd_evaluate(args) -> int:
@@ -287,9 +231,8 @@ def cmd_evaluate(args) -> int:
     policies = list(config.eval.policies) if args.policy == "all" else [args.policy]
     out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
                                                           "evaluate")
-    with _episode_map(workers) as map_fn:
-        by_policy = run_experiment(policies, config.exec, config.market, seeds,
-                                   net, map_fn)
+    by_policy = run_experiment(policies, config.exec, config.market, seeds, net,
+                               workers)
     for policy, results in by_policy.items():
         pdir = out / policy
         pdir.mkdir(exist_ok=True)
@@ -312,25 +255,24 @@ def cmd_benchmark(args) -> int:
     out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
                                                           "benchmark")
     failures = 0
-    with _episode_map(workers) as map_fn:
-        for n_noise, n_momentum in config.eval.grid:
-            cell = {"n_noise": n_noise, "n_momentum": n_momentum}
-            cdir = out / f"cell_{n_noise}N_{n_momentum}M"
-            cdir.mkdir(exist_ok=True)
-            try:
-                market = dataclasses.replace(config.market, **cell)
-                by_policy = run_experiment(policies, config.exec, market, seeds,
-                                           net, map_fn)
-                rows, tests = aggregate(by_policy), rl_vs_baselines(by_policy)
-            except Exception as exc:  # keep running the remaining cells
-                error = _describe(exc)
-                write_text_atomic(cdir / "error.txt", error + "\n")
-                print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
-                failures += 1
-                continue
-            _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
-            _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
-            print(f"benchmark: {cdir.name} done")
+    for n_noise, n_momentum in config.eval.grid:
+        cell = {"n_noise": n_noise, "n_momentum": n_momentum}
+        cdir = out / f"cell_{n_noise}N_{n_momentum}M"
+        cdir.mkdir(exist_ok=True)
+        try:
+            market = dataclasses.replace(config.market, **cell)
+            by_policy = run_experiment(policies, config.exec, market, seeds,
+                                       net, workers)
+            rows, tests = aggregate(by_policy), rl_vs_baselines(by_policy)
+        except Exception as exc:  # keep running the remaining cells
+            error = _describe(exc)
+            write_text_atomic(cdir / "error.txt", error + "\n")
+            print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
+            failures += 1
+            continue
+        _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
+        _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
+        print(f"benchmark: {cdir.name} done")
     return 3 if failures else 0
 
 

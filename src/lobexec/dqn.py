@@ -125,13 +125,6 @@ class QNetwork:
             if not np.isfinite(value).all():
                 raise TrainingDivergedError(f"parameter {name} became non-finite")
 
-    # Pickled as sizes and theta, so the params stay views after unpickling.
-    def __getstate__(self) -> dict:
-        return {"sizes": self.sizes, "theta": self.theta}
-
-    def __setstate__(self, state: dict) -> None:
-        self._bind(state["sizes"], state["theta"])
-
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:

@@ -6,17 +6,19 @@ A seed is the unit of work. Every policy plays the same seeded market, so
 instant `ExecutionEnv` itself warms to, and plays each policy from a
 ``MarketSession.fork`` of it; the last policy takes the original. An
 episode on a fork is the episode on a fresh session, byte for byte.
-Seeds are independent and deterministic, so the caller may run them
-through any ``map``, such as a process pool's; results are always ordered
-by seed, making parallel and serial runs byte-identical downstream.
+Seeds are independent and deterministic, so ``run_experiment`` may run
+them on forked worker processes; results are always ordered by seed,
+making parallel and serial runs byte-identical downstream.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import repeat
+from functools import cache, partial
 
 from ._csv import csv_text
 from .dqn import QNetwork
@@ -221,20 +223,76 @@ def run_seed(policy_names, exec_config: ExecConfig, market_config: MarketConfig,
     return results
 
 
+def _forked_map(fn, items: list, workers: int) -> list:
+    """``list(map(fn, items))`` over ``workers`` forked processes.
+
+    Worker w runs items w, w + workers, ... and pickles each result, or the
+    exception it raised, into its own pipe as it ends; the parent reads the
+    pipes back in item order. A worker always ends in ``os._exit``, so no
+    frame of the parent unwinds in it, and dies at its next write once the
+    parent is gone. The parent kills and reaps every worker on every exit.
+    """
+    parent = os.getpid()
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                for pipe in pipes:  # its own read end too, so writes can fail
+                    pipe.close()
+                with open(write, "wb") as out:
+                    for item in items[w::workers]:
+                        try:
+                            result = fn(item)
+                        except Exception as exc:
+                            result = exc
+                        pickle.dump(result, out)
+                        out.flush()
+                os._exit(0)
+            pids.append(pid)
+            os.close(write)
+        results = []
+        for i in range(len(items)):
+            try:
+                result = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker {pids[i % workers]} ended without "
+                                   "a result") from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        if os.getpid() != parent:  # a worker that raised: Ctrl-C or a lost pipe
+            os._exit(1)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def run_experiment(policy_names, exec_config: ExecConfig,
                    market_config: MarketConfig, seeds,
                    net: QNetwork | None = None,
-                   map_fn=map) -> dict[str, list[EpisodeResult]]:
-    """Each policy's EpisodeResults, one per seed and ordered by seed
-    whatever ``map_fn`` is (the builtin ``map`` or an executor's), keyed by
-    policy in ``policy_names`` order. ``map_fn`` maps over seeds."""
+                   workers: int = 1) -> dict[str, list[EpisodeResult]]:
+    """Each policy's EpisodeResults, one per seed and ordered by seed,
+    keyed by policy in ``policy_names`` order. The seeds run in-process
+    with one worker, else on ``min(workers, len(seeds))`` forked ones."""
     names = list(policy_names)
     if not names or len(set(names)) < len(names):
         raise ValueError(f"policy names must be nonempty and distinct, got {names}")
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    per_seed = list(map_fn(run_seed, repeat(names), repeat(exec_config),
-                           repeat(market_config), repeat(net), sorted(seeds)))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    run = partial(run_seed, names, exec_config, market_config, net)
+    seeds = sorted(seeds)
+    workers = min(workers, len(seeds))
+    per_seed = list(map(run, seeds)) if workers == 1 else _forked_map(run, seeds, workers)
     return {name: [results[i] for results in per_seed]
             for i, name in enumerate(names)}
 

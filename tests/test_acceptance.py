@@ -9,7 +9,6 @@ work runs once.
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -253,9 +252,8 @@ def test_criterion_08_desk_scale_benchmark(desk_checkpoint):
     seeds = list(range(10000, 10050))  # held out from training
     net, _ = QNetwork.load(desk_checkpoint)
     policies = ("rl", "twap", "passive", "random")
-    with ProcessPoolExecutor(max_workers=4) as pool:
-        by_policy = run_experiment(policies, DESK_EXEC, DESK_MARKET, seeds, net,
-                                   pool.map)
+    by_policy = run_experiment(policies, DESK_EXEC, DESK_MARKET, seeds, net,
+                               workers=4)
     rows = {r.policy: r for r in aggregate(by_policy)}
     tests = rl_vs_baselines(by_policy)
     assert set(tests) == {"rl_vs_twap", "rl_vs_passive", "rl_vs_random"}

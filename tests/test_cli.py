@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -445,12 +444,14 @@ class TestEvaluate:
         body = (out / "evaluate" / "twap" / "episodes.csv").read_text()
         assert len(body.strip().splitlines()) == 4  # comment + header + 2 rows
 
-    def test_parallel_matches_serial(self, lite_cfg, tmp_path, capsys):
+    # five seeds split unevenly: 3 + 2 over two workers, 2 + 2 + 1 over three
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_parallel_matches_serial(self, lite_cfg, tmp_path, capsys, workers):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["evaluate", "--policy", "random", "--config", str(lite_cfg),
-                     "--parallel", "1", "--out", str(a)]) == 0
-        assert main(["evaluate", "--policy", "random", "--config", str(lite_cfg),
-                     "--parallel", "2", "--out", str(b)]) == 0
+        argv = ["evaluate", "--policy", "all", "--config", str(lite_cfg),
+                "--episodes", "5"]
+        assert main([*argv, "--parallel", "1", "--out", str(a)]) == 0
+        assert main([*argv, "--parallel", workers, "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not os.path.exists(
@@ -495,6 +496,47 @@ class TestEvaluate:
         assert proc.returncode == -signal.SIGINT  # KeyboardInterrupt, not exit 3
         assert left == []
         assert not list(out.rglob("*.csv")) and not list(out.rglob("error.txt"))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not os.path.exists(
+                            f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                        reason="needs CPU affinity and /proc/<pid>/task/<tid>/children")
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_killed_parent_leaves_no_worker(self, lite_cfg, tmp_path, argv):
+        """SIGKILL to a default command alone, as a timeout sends it, leaves
+        no worker running: each dies at its next write, within one seed."""
+        cpus = sorted(os.sched_getaffinity(0))[:2]  # at most two workers
+        if len(cpus) < 2:
+            pytest.skip("one usable CPU: the default runs in-process")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lobexec.cli", *argv, "--config", str(lite_cfg),
+             "--episodes", "5000", "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            start_new_session=True, preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and proc.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+                with contextlib.suppress(OSError):
+                    workers = [int(pid) for pid in children.read_text().split()]
+            assert len(workers) == 2, "the command never started two workers"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            left = [pid for pid in workers if running(pid)]
+            for pid in left:  # a worker that outlived its parent
+                os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 
 def running(pid: int) -> bool:
@@ -698,7 +740,7 @@ class TestBenchmark:
 
     def test_failing_cell_leaves_the_shared_pool_to_later_cells(self, tmp_path,
                                                                 capsys, monkeypatch):
-        # the 10-noise cell raises inside a worker; the next cell reuses that pool
+        # the 10-noise cell raises inside a worker; the next cell still runs
         fail_cell_sessions(monkeypatch, n_noise=10)
         cfg = grid_cfg(tmp_path, "[[10, 1], [20, 1]]")
         trees = []
@@ -734,7 +776,7 @@ class TestBenchmark:
 
 def fail_cell_sessions(monkeypatch, n_noise: int):
     """Make every market session with ``n_noise`` noise agents fail to build,
-    here and in the pool workers that fork from this process."""
+    here and in the workers that fork from this process."""
     build = evaluation.MarketSession
 
     def session(config, seed):
@@ -752,49 +794,67 @@ def grid_cfg(tmp_path, grid: str, policies: str = "[twap, random]"):
     return cfg
 
 
-def count_pools(monkeypatch) -> list:
-    """The keyword arguments of every ``ProcessPoolExecutor`` built from now on."""
-    pools = []
-    init = ProcessPoolExecutor.__init__
+def count_forks(monkeypatch) -> list:
+    """The pid of every worker forked from now on, as the parent sees it."""
+    pids = []
+    fork = os.fork
 
-    def counting_init(self, *args, **kwargs):
-        pools.append(kwargs)
-        init(self, *args, **kwargs)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
-    return pools
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    """Every worker was reaped: this process has no child at all."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestOneRunnerPerCommand:
-    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
-                             ids=["evaluate", "benchmark"])
-    def test_one_process_pool(self, tmp_path, capsys, monkeypatch, argv):
-        pools = count_pools(monkeypatch)
+    # an experiment forks its own workers: evaluate runs one, benchmark one
+    # per grid cell, here two cells
+    @pytest.mark.parametrize("argv, experiments", [
+        (["evaluate", "--policy", "all"], 1), (["benchmark"], 2)],
+        ids=["evaluate", "benchmark"])
+    def test_one_process_pool(self, tmp_path, capsys, monkeypatch, argv, experiments):
+        forks = count_forks(monkeypatch)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
-        assert main([*argv, "--parallel", "2", "--episodes", "2",
+        assert main([*argv, "--parallel", "2", "--episodes", "3",
                      "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        assert pools == [{"max_workers": 2}]
+        assert len(forks) == 2 * experiments
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
-                             ids=["evaluate", "benchmark"])
-    def test_no_more_workers_than_seeds(self, tmp_path, capsys, monkeypatch, argv):
-        pools = count_pools(monkeypatch)
+    @pytest.mark.parametrize("argv, experiments", [
+        (["evaluate", "--policy", "all"], 1), (["benchmark"], 2)],
+        ids=["evaluate", "benchmark"])
+    def test_no_more_workers_than_seeds(self, tmp_path, capsys, monkeypatch, argv,
+                                        experiments):
+        forks = count_forks(monkeypatch)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
         assert main([*argv, "--parallel", "8", "--episodes", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        assert pools == [{"max_workers": 2}]
+        assert len(forks) == 2 * experiments
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
-                             ids=["evaluate", "benchmark"])
+    @pytest.mark.parametrize("argv, experiments", [
+        (["evaluate", "--policy", "all"], 1), (["benchmark"], 2)],
+        ids=["evaluate", "benchmark"])
     def test_default_pool_has_a_worker_per_cpu_up_to_the_seeds(self, tmp_path, capsys,
-                                                                monkeypatch, argv):
-        pools = count_pools(monkeypatch)
+                                                                monkeypatch, argv,
+                                                                experiments):
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
         assert main([*argv, "--episodes", "2", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 0
-        assert pools == [{"max_workers": 2}]
+        assert len(forks) == 2 * experiments
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", ["affinity", "cpu_count", "unknown"])
     @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
@@ -805,7 +865,7 @@ class TestOneRunnerPerCommand:
         pooled = tmp_path / "pooled"
         assert main([*argv, "--parallel", "2", "--episodes", "2", "--config", str(cfg),
                      "--out", str(pooled)]) == 0
-        pools = count_pools(monkeypatch)
+        forks = count_forks(monkeypatch)
         if cpus == "affinity":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:  # where the OS has no affinity mask, os.cpu_count(), which may be None
@@ -814,11 +874,44 @@ class TestOneRunnerPerCommand:
         default = tmp_path / "default"
         assert main([*argv, "--episodes", "2", "--config", str(cfg),
                      "--out", str(default)]) == 0
-        assert pools == []
+        assert forks == []
         assert read_tree(default) == read_tree(pooled)
 
+    @pytest.mark.parametrize("argv", [["evaluate", "--policy", "all"], ["benchmark"]],
+                             ids=["evaluate", "benchmark"])
+    def test_worker_dying_mid_seed_ends_the_command(self, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        """A worker that dies without a result, here by ``os._exit`` on seed
+        1 of the 20-noise market, fails its experiment at once: evaluate
+        exits 3 and writes no CSV, benchmark writes the cell's error.txt and
+        runs the next cell. No worker is left behind either way."""
+        run_seed = evaluation.run_seed
+
+        def dying(names, exec_config, market_config, net, seed):
+            if seed == 1 and market_config.n_noise == 20:
+                os._exit(1)
+            return run_seed(names, exec_config, market_config, net, seed)
+
+        monkeypatch.setattr(evaluation, "run_seed", dying)
+        forks = count_forks(monkeypatch)
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        out = tmp_path / "run"
+        assert main([*argv, "--parallel", "2", "--episodes", "3",
+                     "--config", str(cfg), "--out", str(out)]) == 3
+        assert_no_child_left()
+        error = f"RuntimeError: worker {forks[1]} ended without a result"
+        if argv[0] == "evaluate":
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not list(out.rglob("*.csv"))
+        else:
+            cells = out / "benchmark"
+            assert (cells / "cell_20N_1M" / "error.txt").read_text() == error + "\n"
+            assert not (cells / "cell_20N_1M" / "metrics.csv").exists()
+            assert (cells / "cell_30N_1M" / "metrics.csv").exists()
+            assert len(forks) == 4
+
     def test_pool_runs_outside_the_main_thread(self, lite_cfg, tmp_path, capsys):
-        # only the main thread may install a signal handler
+        # the workers fork from, and report to, whichever thread runs main()
         codes = []
         argv = ["evaluate", "--policy", "all", "--config", str(lite_cfg)]
         thread = threading.Thread(target=lambda: codes.append(

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -508,16 +507,6 @@ class TestFlatParams:
         loaded, _ = QNetwork.load(tmp_path / "c.json")
         assert_views_of_theta(loaded)
         assert np.array_equal(loaded.theta, net.theta)
-
-    def test_pickle_round_trip_keeps_views(self):
-        net = QNetwork((36, 50, 20, 5), np.random.default_rng(4))
-        back = pickle.loads(pickle.dumps(net))
-        assert_views_of_theta(back)
-        assert np.array_equal(back.theta, net.theta)
-        s = np.random.default_rng(5).normal(size=(3, 36))
-        assert np.array_equal(back.forward(s), net.forward(s))
-        back.params["b3"][:] = 7.0  # a write through a view reaches theta
-        assert np.all(back.theta[-5:] == 7.0)
 
     @pytest.mark.parametrize("kind", ["adam"])  # keeps the test id
     def test_views_after_gradient_steps(self, kind):

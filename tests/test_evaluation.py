@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from scipy import stats as scipy_stats
@@ -177,23 +176,19 @@ class TestRunExperiment:
 
     def test_parallel_equals_serial(self):
         serial = run_experiment(["random"], lite_exec(), lite_market(), [0, 1, 2, 3])
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            parallel = run_experiment(["random"], lite_exec(), lite_market(),
-                                      [0, 1, 2, 3], map_fn=pool.map)
+        parallel = run_experiment(["random"], lite_exec(), lite_market(),
+                                  [0, 1, 2, 3], workers=4)
         assert episodes_csv(serial["random"]) == episodes_csv(parallel["random"])
 
-    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool2"])
     def test_each_policy_as_if_run_alone(self, workers):
         # every policy but the last plays a fork of the seed's warmed session
         policies = ["twap", "passive", "random"]
         seeds = [4, 0, 2]
 
         def run(names):
-            if not workers:
-                return run_experiment(names, lite_exec(), lite_market(), seeds)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return run_experiment(names, lite_exec(), lite_market(), seeds,
-                                      map_fn=pool.map)
+            return run_experiment(names, lite_exec(), lite_market(), seeds,
+                                  workers=workers)
 
         together = run(policies)
         assert list(together) == policies
