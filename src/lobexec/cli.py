@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -23,16 +24,7 @@ from .dqn import (
     learning_curve_csv,
     train,
 )
-from .evaluation import (
-    EpisodeError,
-    aggregate,
-    episodes_csv,
-    export_distributions,
-    metrics_csv,
-    rl_vs_baselines,
-    run_experiment,
-    ttests_csv,
-)
+from .evaluation import EpisodeError, experiment_csvs, run_experiment
 from .execenv import ExecutionEnv
 from .kernel import MarketSession, SessionLog, kernel_run
 from .strategies import POLICY_NAMES
@@ -117,11 +109,6 @@ def _out_dir(args, config: RunConfig, sub: str) -> Path:
     return out
 
 
-def _write_csv(path: Path, comment: str, text: str) -> None:
-    """Write CSV text under its ``# config_hash=`` comment line."""
-    write_text_atomic(path, comment + "\n", text)
-
-
 def cmd_simulate(args) -> int:
     if args.n_seeds < 1:
         raise UsageError(f"--n-seeds must be >= 1, got {args.n_seeds}")
@@ -192,11 +179,11 @@ def cmd_train(args) -> int:
               file=sys.stderr)
         return 3
     body = learning_curve_csv(result.curve)
-    if args.resume and curve_path.exists():
+    if net is not None and curve_path.exists():  # a resumed run extends its curve
         header, rows = body.split("\n", 1)
         old_rows = curve_path.read_text().split("\n", 2)[2]  # after hash, header
         body = f"{header}\n{old_rows}{rows}"
-    _write_csv(curve_path, hash_comment(config), body)
+    write_text_atomic(curve_path, hash_comment(config) + "\n", body)
     print(f"train: {config.dqn.episodes} episodes, checkpoint -> {checkpoint}")
     return 0
 
@@ -207,72 +194,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _experiment_setup(args, config: RunConfig, policies, sub: str):
-    """Checks, output dir, dumped config, hash line, seeds, the rl net,
-    loaded once for the whole command, and the worker count: ``--parallel``,
-    else the usable CPUs."""
+def cmd_experiment(args) -> int:
+    """``evaluate``: one experiment on the config's market, into the output
+    dir. ``benchmark``: one per ``eval.grid`` cell, each into its own cell
+    dir, which it empties first; a cell that fails holds only its
+    ``error.txt``, and the remaining cells still run."""
+    config = _load(args)
+    bench = args.command == "benchmark"
+    policy = getattr(args, "policy", "all")  # benchmark plays every policy
+    policies = list(config.eval.policies) if policy == "all" else [policy]
     if "rl" in policies and args.checkpoint is None:
         raise UsageError("--checkpoint is required for the rl policy")
     if args.parallel is not None and args.parallel < 1:
         raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
     net = None
     if "rl" in policies:
-        # before the output dir, so a rejected checkpoint leaves no files
+        # loaded once, before the output dir, so a rejected checkpoint leaves no files
         net = QNetwork.load(args.checkpoint)[0]
         check_sizes(net, (config.exec.obs_dim, *config.dqn.hidden, config.exec.n_actions))
-    out = _out_dir(args, config, sub)
+    out = _out_dir(args, config, args.command)
     dump_config(config, out / "config_used.yaml")
+    comment = hash_comment(config) + "\n"
     seeds = list(range(config.seed, config.seed + config.eval.episodes))
-    return out, hash_comment(config), seeds, net, args.parallel or _usable_cpus()
-
-
-def cmd_evaluate(args) -> int:
-    config = _load(args)
-    policies = list(config.eval.policies) if args.policy == "all" else [args.policy]
-    out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
-                                                          "evaluate")
-    by_policy = run_experiment(policies, config.exec, config.market, seeds, net,
-                               workers)
-    for policy, results in by_policy.items():
-        pdir = out / policy
-        pdir.mkdir(exist_ok=True)
-        _write_csv(pdir / "episodes.csv", comment, episodes_csv(results))
-        _write_csv(pdir / "metrics.csv", comment,
-                   metrics_csv(aggregate({policy: results})))
-        for name, text in export_distributions(results, config.eval.bins).items():
-            _write_csv(pdir / name, comment, text)
-        print(f"evaluate: {policy} done over {len(seeds)} seeds")
-    tests = rl_vs_baselines(by_policy)
-    if tests:
-        _write_csv(out / "ttests.csv", comment, ttests_csv(tests))
-    _write_csv(out / "metrics.csv", comment, metrics_csv(aggregate(by_policy)))
-    return 0
-
-
-def cmd_benchmark(args) -> int:
-    config = _load(args)
-    policies = list(config.eval.policies)
-    out, comment, seeds, net, workers = _experiment_setup(args, config, policies,
-                                                          "benchmark")
+    workers = args.parallel or _usable_cpus()
+    cells = [(out / f"cell_{n}N_{m}M", {"n_noise": n, "n_momentum": m})
+             for n, m in config.eval.grid] if bench else [(out, {})]
     failures = 0
-    for n_noise, n_momentum in config.eval.grid:
-        cell = {"n_noise": n_noise, "n_momentum": n_momentum}
-        cdir = out / f"cell_{n_noise}N_{n_momentum}M"
-        cdir.mkdir(exist_ok=True)
+    for cdir, cell in cells:
         try:
             market = dataclasses.replace(config.market, **cell)
-            by_policy = run_experiment(policies, config.exec, market, seeds,
-                                       net, workers)
-            rows, tests = aggregate(by_policy), rl_vs_baselines(by_policy)
-        except Exception as exc:  # keep running the remaining cells
+            by_policy = run_experiment(policies, config.exec, market, seeds, net,
+                                       workers)
+            files = {name: comment + text for name, text in
+                     experiment_csvs(by_policy, config.eval.bins, cell).items()}
+        except Exception as exc:
+            if not bench:
+                raise
             error = _describe(exc)
-            write_text_atomic(cdir / "error.txt", error + "\n")
             print(f"benchmark: {cdir.name} FAILED: {error}", file=sys.stderr)
             failures += 1
-            continue
-        _write_csv(cdir / "metrics.csv", comment, metrics_csv(rows, extra_cols=cell))
-        _write_csv(cdir / "ttests.csv", comment, ttests_csv(tests, extra_cols=cell))
-        print(f"benchmark: {cdir.name} done")
+            files = {"error.txt": error + "\n"}
+        else:
+            print(f"{args.command}: {cdir.name if bench else ', '.join(policies)} "
+                  f"done over {len(seeds)} seeds")
+        if bench and cdir.exists():
+            shutil.rmtree(cdir)
+        for name, text in files.items():
+            (cdir / name).parent.mkdir(parents=True, exist_ok=True)
+            write_text_atomic(cdir / name, text)
     return 3 if failures else 0
 
 
@@ -289,7 +258,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         handler = {"simulate": cmd_simulate, "train": cmd_train,
-                   "evaluate": cmd_evaluate, "benchmark": cmd_benchmark}[args.command]
+                   "evaluate": cmd_experiment, "benchmark": cmd_experiment}[args.command]
         return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

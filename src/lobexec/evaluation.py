@@ -382,3 +382,23 @@ def rl_vs_baselines(by_policy: dict[str, list[EpisodeResult]]) -> dict[str, TTes
     rl = [r.is_norm for r in by_policy["rl"]]
     return {f"rl_vs_{name}": pooled_t_test(rl, [r.is_norm for r in group])
             for name, group in by_policy.items() if name != "rl"}
+
+
+def experiment_csvs(by_policy: dict[str, list[EpisodeResult]], bins: int,
+                    extra_cols: dict) -> dict[str, str]:
+    """Every CSV body of one experiment, keyed by its path relative to the
+    experiment's directory: each policy's episodes, metrics and histograms,
+    then ``ttests.csv`` when rl played, then the metrics of every policy.
+    ``extra_cols`` lead each metrics and t-test row."""
+    files = {}
+    for policy, results in by_policy.items():
+        files[f"{policy}/episodes.csv"] = episodes_csv(results)
+        files[f"{policy}/metrics.csv"] = metrics_csv(aggregate({policy: results}),
+                                                     extra_cols)
+        for name, text in export_distributions(results, bins).items():
+            files[f"{policy}/{name}"] = text
+    tests = rl_vs_baselines(by_policy)
+    if tests:
+        files["ttests.csv"] = ttests_csv(tests, extra_cols)
+    files["metrics.csv"] = metrics_csv(aggregate(by_policy), extra_cols)
+    return files

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lobexec import agents, cli, evaluation
+from lobexec._io import write_text_atomic
 from lobexec.cli import main
 from lobexec.config import dump_config, hash_comment, load_config
 from lobexec.dqn import QNetwork
@@ -581,6 +582,17 @@ class TestTrain:
         episodes = [int(r.split(",")[0]) for r in rows]
         assert episodes == [0, 1, 2, 3]
 
+    def test_resume_without_checkpoint_starts_a_fresh_curve(self, lite_cfg, tmp_path,
+                                                            capsys):
+        # the old curve was spliced in whenever it existed: episodes 0, 1, 0, 1
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(lite_cfg), "--episodes", "2", "--out", str(out)]
+        assert main(argv) == 0
+        fresh = (out / "train" / "learning_curve.csv").read_bytes()
+        (out / "train" / "checkpoint.json").unlink()
+        assert main([*argv, "--resume"]) == 0
+        assert (out / "train" / "learning_curve.csv").read_bytes() == fresh
+
     def test_resume_stamps_the_resumed_config_hash(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", str(lite_cfg), "--episodes", "1",
@@ -639,7 +651,7 @@ class TestTrain:
 class TestAtomicWrites:
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "metrics.csv"
-        cli._write_csv(path, "# config_hash=a", "x\n1\n")
+        write_text_atomic(path, "# config_hash=a\n", "x\n1\n")
         good = path.read_bytes()
 
         def crash(src, dst):
@@ -647,7 +659,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError):
-            cli._write_csv(path, "# config_hash=b", "x\n2\n")
+            write_text_atomic(path, "# config_hash=b\n", "x\n2\n")
         assert path.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
 
@@ -765,6 +777,42 @@ class TestBenchmark:
         written = (out / "benchmark" / "cell_20N_1M" / "metrics.csv").read_text()
         assert written.split("\n", 1)[1] == metrics_csv(aggregate(by_policy),
                                                          extra_cols=cell)
+
+    @pytest.mark.parametrize("fail_first", [True, False],
+                             ids=["fail-then-pass", "pass-then-fail"])
+    def test_rerun_cell_holds_only_its_latest_outcome(self, lite_cfg, tmp_path, capsys,
+                                                      monkeypatch, fail_first):
+        """A rerun into the same --out leaves the tree a fresh run of its
+        outcome leaves: no old error.txt beside new CSVs, no old CSVs beside
+        a new error.txt."""
+        def run(out, failing):
+            with monkeypatch.context() as patch:
+                if failing:
+                    fail_cell_sessions(patch, n_noise=20)
+                assert main(["benchmark", "--config", str(lite_cfg), "--episodes", "2",
+                             "--out", str(out)]) == (3 if failing else 0)
+            return read_tree(out)
+
+        run(tmp_path / "rerun", fail_first)
+        rerun = run(tmp_path / "rerun", not fail_first)
+        assert rerun == run(tmp_path / "fresh", not fail_first)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_cell_policy_files_equal_evaluate(self, lite_cfg, tmp_path, capsys,
+                                                  workers):
+        # lite's one grid cell is its market, and both commands stamp the same
+        # hash line, so whole files match
+        for argv in (["evaluate", "--policy", "all"], ["benchmark"]):
+            assert main([*argv, "--config", str(lite_cfg), "--parallel", workers,
+                         "--out", str(tmp_path)]) == 0
+
+        def episodes_and_histograms(tree):
+            return {name: body for name, body in tree.items()
+                    if "/" in name and not name.endswith("/metrics.csv")}
+
+        cell = episodes_and_histograms(read_tree(tmp_path / "benchmark" / "cell_20N_1M"))
+        assert {"twap/episodes.csv", "random/hist_is.csv"} <= cell.keys()
+        assert cell == episodes_and_histograms(read_tree(tmp_path / "evaluate"))
 
     def test_unreadable_checkpoint_fails_before_any_cell(self, tmp_path, capsys):
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]", policies="[rl, twap]")
@@ -1018,11 +1066,53 @@ GOLDEN_EVALUATE_SHA256 = {
 }
 
 
+# A cell's per-policy episodes.csv and hist_*.csv carry the evaluate digests
+# of the same names: the golden grid's one cell is the golden market.
 GOLDEN_BENCHMARK_SHA256 = {
     "cell_20N_1M/metrics.csv":
         "5c7ba7da5141bf74a1f9dd6ad0e82ccf6e50d21c0f11240753824ef0436fcf0a",
+    "cell_20N_1M/passive/episodes.csv":
+        "bedc7a8278c83946ccdef98c0a8134aca7d119ed712945c52f39141b5a67fa8b",
+    "cell_20N_1M/passive/hist_imbalance.csv":
+        "b12c9241cf6c99b3a43cceff3c87d04c345ed31fced24d8871436ce1ddb993bd",
+    "cell_20N_1M/passive/hist_is.csv":
+        "480f88e6068f4a789792f874121da8913ec38a23eea1641d7714dffab11e43e3",
+    "cell_20N_1M/passive/hist_spread.csv":
+        "c580fc03bfde23fbbae24f9649f7cc166895e293834a594bbc7cf2f646500e1d",
+    "cell_20N_1M/passive/metrics.csv":
+        "47d061e85d75571fa59693bb1f15a072e05b97d1f0e3a17e8e03e292472c5d82",
+    "cell_20N_1M/random/episodes.csv":
+        "8e240cab602d0cd7225ad9989cfc917926a080c7f90e06ba65064d27cb20037b",
+    "cell_20N_1M/random/hist_imbalance.csv":
+        "8ba44c20bceaae1a393a1322afdfdbcc598c327a855eaf48a9f070166a042dc5",
+    "cell_20N_1M/random/hist_is.csv":
+        "d4781f5613bc3a8c23a947cc2de74655da6f8ee4286410ce298e360e97959c64",
+    "cell_20N_1M/random/hist_spread.csv":
+        "e8df64dddcaa0263b87ee7eb4a144b6e7d9faf6c94d1b6ae6d76e7b56c8703d9",
+    "cell_20N_1M/random/metrics.csv":
+        "4eb0bde62a925053cf2b3b8ebc525312b9932caaa66f28f002a2c599573140fc",
+    "cell_20N_1M/rl/episodes.csv":
+        "13d8a4a23b76d839c73c0d769012caec4f7e2fdec37d183765510fe3c6c73932",
+    "cell_20N_1M/rl/hist_imbalance.csv":
+        "3a3e4830466399949444ff699647fec8e84188ac11912a2c6f830991d64698c4",
+    "cell_20N_1M/rl/hist_is.csv":
+        "766ed089781170e1938b0b44dc5673a95f1b3d710ed7036b522e9209c9e8866c",
+    "cell_20N_1M/rl/hist_spread.csv":
+        "a2cbff15f206345f6536e2a500cdd51fe45ffecca1a13e4f36e86e78957712a5",
+    "cell_20N_1M/rl/metrics.csv":
+        "14c69b121591a38b4ee492c2902fd5775d996bc3e7d6cd7044468a9cbb3c7881",
     "cell_20N_1M/ttests.csv":
         "dfa4e4143e5381b045d6a900643ed315ae0ce30d10c4dcbf2f012e2c7a7f7daa",
+    "cell_20N_1M/twap/episodes.csv":
+        "b8a6b2402cfbd6e86c9433d4fc1e1d7516407825344c7b9c04c65d6c5967165d",
+    "cell_20N_1M/twap/hist_imbalance.csv":
+        "36aa2490bc8ce0e966731a578d775b3cea4509bfab91f1ce9b96dce35a0dc56b",
+    "cell_20N_1M/twap/hist_is.csv":
+        "6fc1b72992cc4196aca520db96ce4b200bf2b9130c41d5ef0b52257c8b9f4560",
+    "cell_20N_1M/twap/hist_spread.csv":
+        "e84f29fa62b5b4518b52ebb10391579fa54cb47a8e3f07e69d7c7a08d78421fa",
+    "cell_20N_1M/twap/metrics.csv":
+        "fd28c8f7eea66b07b35939869e7aa404d2c30f95634bbe9afe47dc13c5c62058",
 }
 
 
