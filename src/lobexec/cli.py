@@ -58,10 +58,10 @@ def build_parser() -> _Parser:
         p.add_argument("--episodes", type=int, default=None)
         p.add_argument("--parallel", type=int, default=None,
                        help="worker processes, forked per experiment (benchmark: "
-                            "per grid cell), at most one per seed (>= 1; default: "
+                            "per grid cell), at most one per episode (>= 1; default: "
                             "one per usable CPU; 1 runs in-process). A worker dies "
-                            "within one seed of this process, whose peak RSS does "
-                            "not count the workers'")
+                            "within one episode of this process, whose peak RSS "
+                            "does not count the workers'")
 
     p = sub.add_parser("simulate", help="run background-only market sessions")
     common(p)
@@ -197,8 +197,8 @@ def _usable_cpus() -> int:
 def cmd_experiment(args) -> int:
     """``evaluate``: one experiment on the config's market, into the output
     dir. ``benchmark``: one per ``eval.grid`` cell, each into its own cell
-    dir, which it empties first; a cell that fails holds only its
-    ``error.txt``, and the remaining cells still run."""
+    dir. Each empties its dir but ``config_used.yaml`` before it writes; a
+    failed cell holds only its ``error.txt``, and later cells still run."""
     config = _load(args)
     bench = args.command == "benchmark"
     policy = getattr(args, "policy", "all")  # benchmark plays every policy
@@ -237,8 +237,11 @@ def cmd_experiment(args) -> int:
         else:
             print(f"{args.command}: {cdir.name if bench else ', '.join(policies)} "
                   f"done over {len(seeds)} seeds")
-        if bench and cdir.exists():
-            shutil.rmtree(cdir)
+        for old in cdir.glob("*"):  # the previous run's files, not this config
+            if old.is_dir():
+                shutil.rmtree(old)
+            elif old != out / "config_used.yaml":
+                old.unlink()
         for name, text in files.items():
             (cdir / name).parent.mkdir(parents=True, exist_ok=True)
             write_text_atomic(cdir / name, text)

@@ -1,14 +1,15 @@
 """Experiment runner and statistics: per-episode execution metrics,
 aggregate tables, histogram exports and one-sided pooled-variance t-tests.
 
-A seed is the unit of work. Every policy plays the same seeded market, so
-`run_seed` builds the seed's session and runs its warm-up once, to the
-instant `ExecutionEnv` itself warms to, and plays each policy from a
-``MarketSession.fork`` of it; the last policy takes the original. An
-episode on a fork is the episode on a fresh session, byte for byte.
-Seeds are independent and deterministic, so ``run_experiment`` may run
-them on forked worker processes; results are always ordered by seed,
-making parallel and serial runs byte-identical downstream.
+One (seed, policy) episode is the unit of work. Every policy plays the
+same seeded market, so a process builds a seed's session and runs its
+warm-up once, to the instant `ExecutionEnv` itself warms to, and plays the
+seed's episodes from ``MarketSession.fork``s of it; the seed's last policy
+takes the original. An episode on a fork is the episode on a fresh
+session, byte for byte. Episodes are independent and deterministic, so
+``run_experiment`` may hand them out to forked worker processes as each
+one frees up; results are always ordered by seed, making parallel and
+serial runs byte-identical downstream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -198,71 +200,93 @@ def run_episode(policy: Policy, exec_config: ExecConfig, market: MarketSession,
                          spreads=spreads, imbalances=imbalances)
 
 
-def run_seed(policy_names, exec_config: ExecConfig, market_config: MarketConfig,
-             net: QNetwork | None, seed: int) -> list[EpisodeResult]:
-    """Each policy's episode on ``seed``'s market, in ``policy_names`` order.
-
-    The session is built and warmed once; every policy but the last plays a
-    fork of it, the last the original. An error in the warm-up or an
-    episode raises ``EpisodeError``, charged to the policy about to play;
-    a policy that cannot be built (``rl`` without a network) raises
-    ``make_policy``'s ``ValueError`` before the market is built.
-    """
-    policies = [make_policy(name, exec_config, net) for name in policy_names]
-    results = []
-    policy = policies[0]
+def play_episode(exec_config: ExecConfig, market_config: MarketConfig, warm: dict,
+                 seed: int, policy: Policy, last: bool) -> EpisodeResult:
+    """``policy``'s episode on ``seed``'s market. ``warm`` holds this
+    process's last warmed session, ``{seed: session}``; the episode plays a
+    fork of it, or with ``last`` the session itself. An error in the warm-up
+    or the episode raises ``EpisodeError``, charged to ``policy``."""
     try:
-        warm = MarketSession(market_config, seed)
-        warm.run_until(exec_config.start_ns)
-        for policy in policies:
-            market = warm if policy is policies[-1] else warm.fork()
-            results.append(run_episode(policy, exec_config, market, seed))
+        if seed not in warm:
+            warm.clear()
+            session = MarketSession(market_config, seed)
+            session.run_until(exec_config.start_ns)
+            warm[seed] = session
+        market = warm.pop(seed) if last else warm[seed].fork()
+        return run_episode(policy, exec_config, market, seed)
     except Exception as exc:
         raise EpisodeError(f"seed {seed}, policy {policy.name}: "
                            f"{type(exc).__name__}: {exc}") from exc
-    return results
 
 
-def _forked_map(fn, items: list, workers: int) -> list:
-    """``list(map(fn, items))`` over ``workers`` forked processes.
+def _pull(play, episodes: list, per_seed: int, workers: int) -> list:
+    """``[play(*e) for e in episodes]`` over ``workers`` forked processes;
+    ``episodes`` run seed by seed, ``per_seed`` to a seed.
 
-    Worker w runs items w, w + workers, ... and pickles each result, or the
-    exception it raised, into its own pipe as it ends; the parent reads the
-    pipes back in item order. A worker always ends in ``os._exit``, so no
-    frame of the parent unwinds in it, and dies at its next write once the
-    parent is gone. The parent kills and reaps every worker on every exit.
+    A worker reads an episode's index from its own task pipe, plays it and
+    pickles ``(index, result or exception)`` into its own result pipe. A
+    free worker gets the next pending episode of the seed it last warmed,
+    else the first of a seed no worker holds, else the first pending one.
+    The earliest failing episode's error is raised once every earlier one
+    has a result. A worker ends in ``os._exit``, on end-of-file of its task
+    pipe, or at its next write once the parent is gone. The parent kills
+    and reaps every worker on every exit.
     """
+    n = len(episodes)
+    nxt = list(range(0, n, per_seed))  # each seed's next episode to hand out
+    holder = [-1] * workers            # the seed each worker last warmed
+    fresh, limit = 0, n                # the first untouched seed; the first failure
+    results = [None] * n
+
+    def hand(w):
+        nonlocal fresh
+        for k in (holder[w], fresh, *sorted(holder)):
+            if 0 <= k < len(nxt) and nxt[k] < min(limit, (k + 1) * per_seed):
+                tasks[w].write(b"%d\n" % nxt[k])
+                nxt[k] += 1
+                holder[w] = k if nxt[k] < (k + 1) * per_seed else -1
+                fresh = max(fresh, k + 1)
+                busy[inboxes[w]] = w
+                return
+
     parent = os.getpid()
-    pids, pipes = [], []
+    pids, tasks, inboxes, busy = [], [], [], {}
     try:
         for w in range(workers):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
+            task_read, task_write = os.pipe()
+            result_read, result_write = os.pipe()
+            tasks.append(open(task_write, "wb", buffering=0))
+            inboxes.append(open(result_read, "rb"))
             pid = os.fork()
             if pid == 0:
-                for pipe in pipes:  # its own read end too, so writes can fail
-                    pipe.close()
-                with open(write, "wb") as out:
-                    for item in items[w::workers]:
+                for end in (*tasks, *inboxes):  # so its reads and writes can fail
+                    end.close()
+                with open(task_read, "rb") as todo, open(result_write, "wb") as out:
+                    for line in todo:
                         try:
-                            result = fn(item)
+                            result = play(*episodes[int(line)])
                         except Exception as exc:
                             result = exc
-                        pickle.dump(result, out)
+                        pickle.dump((int(line), result), out)
                         out.flush()
                 os._exit(0)
             pids.append(pid)
-            os.close(write)
-        results = []
-        for i in range(len(items)):
-            try:
-                result = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker {pids[i % workers]} ended without "
-                                   "a result") from None
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
+            os.close(task_read)
+            os.close(result_write)
+            hand(w)
+        while None in results[:limit]:
+            for inbox in select.select(list(busy), [], [])[0]:
+                w = busy.pop(inbox)
+                try:
+                    i, results[i] = pickle.load(inbox)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"worker {pids[w]} ended without "
+                                       "a result") from None
+                if isinstance(results[i], Exception):
+                    limit = min(limit, i)
+                hand(w)
+        if limit < n:
+            raise results[limit]
         return results
     finally:
         if os.getpid() != parent:  # a worker that raised: Ctrl-C or a lost pipe
@@ -271,8 +295,8 @@ def _forked_map(fn, items: list, workers: int) -> list:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
+        for end in (*tasks, *inboxes):
+            end.close()
 
 
 def run_experiment(policy_names, exec_config: ExecConfig,
@@ -280,8 +304,9 @@ def run_experiment(policy_names, exec_config: ExecConfig,
                    net: QNetwork | None = None,
                    workers: int = 1) -> dict[str, list[EpisodeResult]]:
     """Each policy's EpisodeResults, one per seed and ordered by seed,
-    keyed by policy in ``policy_names`` order. The seeds run in-process
-    with one worker, else on ``min(workers, len(seeds))`` forked ones."""
+    keyed by policy in ``policy_names`` order. The policies are built before
+    any market; the episodes run in-process with one worker, else on
+    ``min(workers, episodes)`` forked ones."""
     names = list(policy_names)
     if not names or len(set(names)) < len(names):
         raise ValueError(f"policy names must be nonempty and distinct, got {names}")
@@ -289,12 +314,14 @@ def run_experiment(policy_names, exec_config: ExecConfig,
         raise ValueError("seeds must be nonempty")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    run = partial(run_seed, names, exec_config, market_config, net)
-    seeds = sorted(seeds)
-    workers = min(workers, len(seeds))
-    per_seed = list(map(run, seeds)) if workers == 1 else _forked_map(run, seeds, workers)
-    return {name: [results[i] for results in per_seed]
-            for i, name in enumerate(names)}
+    policies = [make_policy(name, exec_config, net) for name in names]
+    play = partial(play_episode, exec_config, market_config, {})
+    episodes = [(seed, policy, policy is policies[-1])
+                for seed in sorted(seeds) for policy in policies]
+    workers = min(workers, len(episodes))
+    results = ([play(*episode) for episode in episodes] if workers == 1
+               else _pull(play, episodes, len(policies), workers))
+    return {name: results[i::len(names)] for i, name in enumerate(names)}
 
 
 def aggregate(by_policy: dict[str, list[EpisodeResult]]) -> list[MetricsRow]:

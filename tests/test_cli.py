@@ -223,6 +223,28 @@ class TestExitCodes:
             "error: seed 0, policy twap: RuntimeError: book one-sided at episode "
             "start; no arrival price\n")
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_earliest_failing_episode_is_reported(self, lite_cfg, tmp_path, capsys,
+                                                  monkeypatch, workers):
+        """Seed 1's twap episode fails at once, seed 0's random one (earlier
+        in seed order) only after a sleep; the error is seed 0's, whichever
+        result comes back first."""
+        run_episode = evaluation.run_episode
+
+        def failing(policy, exec_config, market, seed):
+            if (seed, policy.name) == (0, "random"):
+                time.sleep(0.3)
+                raise RuntimeError("earlier")
+            if (seed, policy.name) == (1, "twap"):
+                raise RuntimeError("later")
+            return run_episode(policy, exec_config, market, seed)
+
+        monkeypatch.setattr(evaluation, "run_episode", failing)
+        assert main(["evaluate", "--policy", "all", "--config", str(lite_cfg),
+                     "--parallel", workers, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: seed 0, policy random: RuntimeError: earlier\n")
+
     def test_rl_without_checkpoint_is_usage_error(self, lite_cfg, tmp_path, capsys):
         assert main(["evaluate", "--policy", "rl", "--config", str(lite_cfg),
                      "--out", str(tmp_path / "o")]) == 1
@@ -445,8 +467,21 @@ class TestEvaluate:
         body = (out / "evaluate" / "twap" / "episodes.csv").read_text()
         assert len(body.strip().splitlines()) == 4  # comment + header + 2 rows
 
-    # five seeds split unevenly: 3 + 2 over two workers, 2 + 2 + 1 over three
-    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_rerun_with_fewer_policies_gives_a_fresh_tree(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        QNetwork((36, 50, 20, 5), np.random.default_rng(0)).save(ckpt)
+        cfg = grid_cfg(tmp_path, "[[20, 1]]", policies="[rl, twap]")
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        argv = ["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]
+        assert main([*argv, "--policy", "all", "--out", str(rerun)]) == 0
+        assert {"rl/episodes.csv", "ttests.csv"} <= set(read_tree(rerun / "evaluate"))
+        assert main([*argv, "--policy", "twap", "--out", str(rerun)]) == 0
+        assert main([*argv, "--policy", "twap", "--out", str(fresh)]) == 0
+        assert read_tree(rerun) == read_tree(fresh)
+
+    # ten episodes (five seeds of two policies) over two and three workers,
+    # and over seven: more workers than seeds, so some seeds are warmed twice
+    @pytest.mark.parametrize("workers", ["2", "3", "7"])
     def test_parallel_matches_serial(self, lite_cfg, tmp_path, capsys, workers):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["evaluate", "--policy", "all", "--config", str(lite_cfg),
@@ -880,13 +915,14 @@ class TestOneRunnerPerCommand:
     @pytest.mark.parametrize("argv, experiments", [
         (["evaluate", "--policy", "all"], 1), (["benchmark"], 2)],
         ids=["evaluate", "benchmark"])
-    def test_no_more_workers_than_seeds(self, tmp_path, capsys, monkeypatch, argv,
-                                        experiments):
+    def test_no_more_workers_than_episodes(self, tmp_path, capsys, monkeypatch, argv,
+                                           experiments):
+        # two seeds of three policies: six episodes, so six of the eight workers
         forks = count_forks(monkeypatch)
-        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]", policies="[twap, passive, random]")
         assert main([*argv, "--parallel", "8", "--episodes", "2",
                      "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        assert len(forks) == 2 * experiments
+        assert len(forks) == 6 * experiments
         assert_no_child_left()
 
     @pytest.mark.parametrize("argv, experiments", [
@@ -895,13 +931,30 @@ class TestOneRunnerPerCommand:
     def test_default_pool_has_a_worker_per_cpu_up_to_the_seeds(self, tmp_path, capsys,
                                                                 monkeypatch, argv,
                                                                 experiments):
+        # one policy: an episode per seed, so two seeds cap three CPUs at two
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]", policies="[twap]")
+        assert main([*argv, "--episodes", "2", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(forks) == 2 * experiments
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("argv, experiments", [
+        (["evaluate", "--policy", "all"], 1), (["benchmark"], 2)],
+        ids=["evaluate", "benchmark"])
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (5, 4)], ids=["3cpus", "5cpus"])
+    def test_default_pool_has_a_worker_per_cpu_up_to_the_episodes(
+            self, tmp_path, capsys, monkeypatch, argv, experiments, cpus, workers):
+        # two seeds of two policies: four episodes
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
         assert main([*argv, "--episodes", "2", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 0
-        assert len(forks) == 2 * experiments
+        assert len(forks) == workers * experiments
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", ["affinity", "cpu_count", "unknown"])
@@ -930,17 +983,18 @@ class TestOneRunnerPerCommand:
     def test_worker_dying_mid_seed_ends_the_command(self, tmp_path, capsys,
                                                     monkeypatch, argv):
         """A worker that dies without a result, here by ``os._exit`` on seed
-        1 of the 20-noise market, fails its experiment at once: evaluate
-        exits 3 and writes no CSV, benchmark writes the cell's error.txt and
-        runs the next cell. No worker is left behind either way."""
-        run_seed = evaluation.run_seed
+        1 of the 20-noise market, which the second worker takes first, fails
+        its experiment at once: evaluate exits 3 and writes no CSV, benchmark
+        writes the cell's error.txt and runs the next cell. No worker is left
+        behind either way."""
+        play = evaluation.play_episode
 
-        def dying(names, exec_config, market_config, net, seed):
+        def dying(exec_config, market_config, warm, seed, policy, last):
             if seed == 1 and market_config.n_noise == 20:
                 os._exit(1)
-            return run_seed(names, exec_config, market_config, net, seed)
+            return play(exec_config, market_config, warm, seed, policy, last)
 
-        monkeypatch.setattr(evaluation, "run_seed", dying)
+        monkeypatch.setattr(evaluation, "play_episode", dying)
         forks = count_forks(monkeypatch)
         cfg = grid_cfg(tmp_path, "[[20, 1], [30, 1]]")
         out = tmp_path / "run"
