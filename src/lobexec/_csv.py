@@ -3,8 +3,8 @@
 Fields are written with ``str``; none of lobexec's fields holds a comma,
 quote or newline, so no quoting is needed. ``csv_lines`` formats rows and
 ``csv_text`` puts a header line above them. ``SessionLog`` calls
-``csv_lines`` while its session runs and writes each line to its sink at
-once; it keeps no text.
+``csv_lines`` while its session runs and writes each line at once to the
+sink its caller handed it; it keeps no text.
 """
 
 

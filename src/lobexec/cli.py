@@ -197,8 +197,9 @@ def _usable_cpus() -> int:
 def cmd_experiment(args) -> int:
     """``evaluate``: one experiment on the config's market, into the output
     dir. ``benchmark``: one per ``eval.grid`` cell, each into its own cell
-    dir. Each empties its dir but ``config_used.yaml`` before it writes; a
-    failed cell holds only its ``error.txt``, and later cells still run."""
+    dir, after removing all but ``config_used.yaml`` and those cells. Each
+    empties its dir but ``config_used.yaml`` before it writes; a failed cell
+    holds only its ``error.txt``, and later cells still run."""
     config = _load(args)
     bench = args.command == "benchmark"
     policy = getattr(args, "policy", "all")  # benchmark plays every policy
@@ -219,6 +220,9 @@ def cmd_experiment(args) -> int:
     workers = args.parallel or _usable_cpus()
     cells = [(out / f"cell_{n}N_{m}M", {"n_noise": n, "n_momentum": m})
              for n, m in config.eval.grid] if bench else [(out, {})]
+    keep = {out / "config_used.yaml"}
+    if bench:  # an earlier grid's cells
+        _clear(out, keep.union(cdir for cdir, _ in cells))
     failures = 0
     for cdir, cell in cells:
         try:
@@ -237,15 +241,17 @@ def cmd_experiment(args) -> int:
         else:
             print(f"{args.command}: {cdir.name if bench else ', '.join(policies)} "
                   f"done over {len(seeds)} seeds")
-        for old in cdir.glob("*"):  # the previous run's files, not this config
-            if old.is_dir():
-                shutil.rmtree(old)
-            elif old != out / "config_used.yaml":
-                old.unlink()
+        _clear(cdir, keep)  # the previous run's files
         for name, text in files.items():
             (cdir / name).parent.mkdir(parents=True, exist_ok=True)
             write_text_atomic(cdir / name, text)
     return 3 if failures else 0
+
+
+def _clear(path: Path, keep: set) -> None:
+    """Remove every entry of ``path`` but those in ``keep``."""
+    for old in set(path.glob("*")) - keep:
+        (shutil.rmtree if old.is_dir() else Path.unlink)(old)
 
 
 def _describe(exc: Exception) -> str:

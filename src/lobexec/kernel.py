@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import io
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -70,18 +69,16 @@ class SessionLog:
     ``Fill``; only the counts ``n_snapshots`` and ``n_fills``.
 
     ``depth`` is the number of levels per side in the snapshot rows and their
-    header; a logged ``MarketSession`` passes its ``config.depth``. ``sinks``
-    is the (snapshots, fills, fundamental) triple of objects with a text
-    ``write`` (``simulate`` passes open files); without it the log writes to
-    three ``io.StringIO`` buffers, whose text the ``*_csv`` methods return.
+    header; a session logs at its ``config.depth``. ``sinks`` is the
+    (snapshots, fills, fundamental) triple of objects with a text ``write``:
+    ``simulate`` passes open files, a test may pass ``io.StringIO``s.
     """
 
-    def __init__(self, depth: int, sinks=None):
+    def __init__(self, depth: int, sinks):
         self.depth = depth
         self._snapshot_template = csv_template(4 + 4 * depth)
         self._pad = (("", ""),) * depth
-        self._snapshot_sink, self._fill_sink, self._fundamental_sink = (
-            sinks or (io.StringIO(), io.StringIO(), io.StringIO()))
+        self._snapshot_sink, self._fill_sink, self._fundamental_sink = sinks
         self.n_snapshots = 0
         self.n_fills = 0
         header = ["ts", "fundamental", "best_bid", "best_ask"]
@@ -112,7 +109,7 @@ class SessionLog:
         self._fill_sink.write(csv_lines(_FILLS_TEMPLATE, rows))
         self.n_fills += len(fills)
 
-    # The text of a log made without sinks; a file sink has no getvalue.
+    # The text of ``io.StringIO`` sinks; a file sink has no getvalue.
     def snapshots_csv(self) -> str:
         return self._snapshot_sink.getvalue()
 
@@ -126,19 +123,17 @@ class SessionLog:
 class MarketSession:
     """One seeded market run. Single-threaded; one instance per episode.
 
-    With ``log=True`` the session keeps a ``SessionLog`` of ``config.depth``
-    levels as ``self.log``, and hands it the book and the fundamental at
-    every snapshot tick and the fills of every book call; ``kernel_run`` asks
-    for one. ``log`` may instead be the (snapshots, fills, fundamental) text
-    sinks that the log writes to; ``True`` keeps its text in memory. A
-    session without a log (the execution MDP's) keeps only what agents and
-    the MDP read, and behaves the same: each tick still draws the
-    fundamental, since skipping it would shift its random stream, and still
-    feeds the momentum agents' mid ring.
+    A logged session is handed its ``SessionLog`` as ``log``, kept as
+    ``self.log``, and hands it the book and the fundamental at every
+    snapshot tick and the fills of every book call; ``kernel_run`` builds
+    one at ``config.depth``. A session without a log (the execution MDP's)
+    keeps only what agents and the MDP read, and behaves the same: each
+    tick still draws the fundamental, since skipping it would shift its
+    random stream, and still feeds the momentum agents' mid ring.
     """
 
     def __init__(self, config: MarketConfig, seed: int, hooks: dict | None = None,
-                 log=False):
+                 log: SessionLog | None = None):
         check_bounds(config)
         self.config = config
         self.hooks = hooks or {}
@@ -151,8 +146,7 @@ class MarketSession:
         self._oracle = Oracle(self._fundamental, seed)
 
         self.book = OrderBook()
-        self.log = (None if log is False
-                    else SessionLog(config.depth, None if log is True else log))
+        self.log = log
         self._next_order_id = 1
         self._event_seq = 0
         self._queue: list[tuple[int, int, object]] = []
@@ -319,11 +313,10 @@ class MarketSession:
         self.now = max(self.now, t)
 
 
-def kernel_run(config: MarketConfig, seed: int, sinks=None) -> SessionLog:
-    """Run a full background-only session and return its log. The log writes
+def kernel_run(config: MarketConfig, seed: int, sinks) -> SessionLog:
+    """Run a full background-only session and return its log, which writes
     its CSV text to ``sinks``, a (snapshots, fills, fundamental) triple of
-    text sinks, as the session runs; without them it keeps the text in
-    memory for its ``*_csv`` methods."""
-    session = MarketSession(config, seed, log=True if sinks is None else sinks)
+    text sinks, as the session runs."""
+    session = MarketSession(config, seed, log=SessionLog(config.depth, sinks))
     session.run_until(session.session_end)
     return session.log

@@ -95,21 +95,21 @@ class OrderBook:
     ``imbalances`` reads the top-k imbalance features in one pass;
     ``total_depth`` and ``volume_imbalance`` are the exact definitions.
 
-    ``requote`` is how an agent posts quotes: the ``cancel`` of each of its
-    ids, then the (side, price, qty) quotes a builder makes from the touch
-    the cancels leave, with exactly the ids, seq numbers, fills and queue
-    positions of one ``submit_limit`` per quote. A value agent cancels
-    nothing and posts at most one quote; a market maker cancels its ladder
-    and posts a new one. Inside that call, a cancelled order that is still
-    the last order of its level stays there as a stale entry: it has left
-    the order map and its level's total, so no count or fill sees it. A quote at the same side and price re-stamps it in place
-    (id, agent, qty, ts, seq) rather than dropping and reopening the level;
-    since the stale entry is last in its queue, that is exactly a fresh
-    order appended there. An order with another order queued behind it is
-    never re-stamped. All stale entries are purged before a quote that
-    could cross, and at the end of the call, also when a quote is invalid;
-    so fills, queues and seq numbers are those of the cancels followed by
-    one ``submit_limit`` per quote.
+    ``requote`` is the one way orders rest and leave: the cancel of each of
+    some ids in turn (a level left empty leaves its ladder), then the (side,
+    price, qty) quotes a builder makes from the touch the cancels leave,
+    each matched and its residual rested in turn. ``cancel`` is a requote
+    of one id and no quotes, ``submit_limit`` one of no ids and one quote;
+    a value agent cancels nothing and posts at most one quote; a market
+    maker cancels its ladder and posts a new one. Inside the call, a
+    cancelled order still last in its level stays there as a stale entry:
+    it has left the order map and its level's total, so no count or fill
+    sees it. A quote at the same side and price re-stamps it in place (id,
+    agent, qty, ts, seq); since the stale entry is last in its queue, that
+    is exactly a fresh order appended there. An order with another order
+    queued behind it is never re-stamped. Stale entries are purged before a
+    quote that could cross and at the end of the call, also when a quote
+    is invalid.
 
     Single-threaded mutable structure.
     """
@@ -264,14 +264,14 @@ class OrderBook:
         return fills, qty, notional, levels
 
     def submit_limit(self, order: Order) -> tuple[list[Fill], int]:
-        """Match a limit order against the book; rest any residual.
-
-        The book rests its own copy of ``order``, then writes the copy's
-        ``seq`` and resting ``qty`` back into ``order``. Returns (fills,
-        resting_qty). The book is never crossed afterward.
-        """
-        fills = self._submit(((order.side, order.price, order.qty),),
-                             order.agent_id, order.id, order.ts)
+        """A ``requote`` of no ids and the one quote ``(side, price, qty)``
+        as ``order``'s agent, id and ts: match it, rest any residual. The
+        book rests its own order, then writes its ``seq`` and resting ``qty``
+        back into ``order``. Returns (fills, resting_qty). The book is never
+        crossed afterward."""
+        quote = ((order.side, order.price, order.qty),)
+        fills, _ = self.requote((), order.agent_id, lambda bid, ask: quote,
+                                order.id, order.ts)
         rested = self._orders.get(order.id)
         order.qty = rested.qty if rested is not None else 0
         order.seq = self._seq
@@ -279,13 +279,13 @@ class OrderBook:
 
     def requote(self, order_ids, agent_id: int, quotes_at, first_id: int,
                 ts: int) -> tuple[list[Fill], range]:
-        """``cancel`` each of ``order_ids``, then rest the ``(side, price,
-        qty)`` quotes of ``quotes_at(bid, ask)``, with (bid, ask) the touch the
-        cancels leave (None for an empty side), as ``agent_id``'s at ``ts``
-        with ids from ``first_id`` (see the class doc). Returns (the fills of
-        all quotes in order, the range of their ids). An invalid quote raises
-        with the book as the cancels and the ``submit_limit`` calls before it
-        would leave it."""
+        """Cancel each of ``order_ids`` in turn (``_cancel``; unknown ids are
+        skipped), then match and rest the ``(side, price, qty)`` quotes of
+        ``quotes_at(bid, ask)`` in turn, with (bid, ask) the touch the cancels
+        leave (None for an empty side), as ``agent_id``'s at ``ts`` with ids
+        from ``first_id`` (see the class doc). Returns (the fills of all
+        quotes in order, the range of their ids). An invalid quote raises with
+        the book as the cancels and the quotes before it leave it."""
         bid_stale: dict[int, Order] = {}
         ask_stale: dict[int, Order] = {}
         self._cancel(order_ids, bid_stale, ask_stale)
@@ -320,12 +320,10 @@ class OrderBook:
                     prices.remove(price)
             stale.clear()
 
-    def _submit(self, quotes, aid: int, oid: int, ts: int,
-                bid_stale: Optional[dict] = None,
-                ask_stale: Optional[dict] = None) -> list[Fill]:
+    def _submit(self, quotes, aid: int, oid: int, ts: int, bid_stale: dict,
+                ask_stale: dict) -> list[Fill]:
         """The limit-order loop over quotes numbered from ``oid``; their fills.
-        A quote at a price in its side's stale dict (``requote``) re-stamps
-        that entry."""
+        A quote at a price in its side's stale dict re-stamps that entry."""
         resting_map, bid_side = self._orders, _BID
         bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
                                               self._asks, self._ask_prices)
@@ -387,37 +385,28 @@ class OrderBook:
         return _new(MarketOrderResult, (tuple(fills), notional, levels - 1, unfilled))
 
     def cancel(self, order_id: int) -> bool:
-        """Remove a resting order; False if unknown or already gone."""
-        return self._cancel((order_id,), None, None) == 1
+        """A one-id ``requote`` of no quotes; False if the id is not resting."""
+        resting = order_id in self._orders
+        self.requote((order_id,), 0, lambda bid, ask: (), 0, 0)
+        return resting
 
-    def _cancel(self, order_ids, bid_stale: Optional[dict],
-                ask_stale: Optional[dict]) -> int:
-        """Cancel orders one after another, as many ``cancel`` calls; the
-        number removed. Unknown or already-gone ids are skipped. With stale
-        dicts (``requote``), an order that is the last in its level stays
-        there, stale, filed under its price in its side's dict."""
-        orders, bid_side = self._orders, _BID
-        bids, bid_prices, asks, ask_prices = (self._bids, self._bid_prices,
-                                              self._asks, self._ask_prices)
-        removed = 0
+    def _cancel(self, order_ids, bid_stale: dict, ask_stale: dict) -> None:
+        """Cancel orders in turn, skipping unknown or gone ids. An order that
+        is the last in its level stays there, stale, filed under its price in
+        its side's dict (``_purge`` drops it); any other leaves its queue.
+        Either leaves its level's total."""
+        orders, bids, asks, bid_side = self._orders, self._bids, self._asks, _BID
         for order_id in order_ids:
             order = orders.pop(order_id, None)
             if order is None:
                 continue
-            removed += 1
-            if order.side is bid_side:
-                ladder, prices, stale = bids, bid_prices, bid_stale
-            else:
-                ladder, prices, stale = asks, ask_prices, ask_stale
             price = order.price
-            level = ladder[price]
-            if stale is not None and level[-1] is order:
-                level.total_qty -= order.qty
+            if order.side is bid_side:
+                level, stale = bids[price], bid_stale
+            else:
+                level, stale = asks[price], ask_stale
+            level.total_qty -= order.qty
+            if level[-1] is order:
                 stale[price] = order
-            elif len(level) > 1:
+            else:
                 level.remove(order)
-                level.total_qty -= order.qty
-            else:  # its only order: the level leaves the ladder
-                del ladder[price]
-                prices.remove(price)
-        return removed

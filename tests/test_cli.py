@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
@@ -374,26 +375,29 @@ class TestSimulate:
     def test_files_hold_the_hash_line_and_the_log_text(self, lite_cfg, tmp_path,
                                                        capsys):
         """The rows the session streams into each file are exactly the text
-        of an in-memory log of the same run, under the one hash line; with
-        --duration 0 the files hold the headers of an empty log."""
+        of a log of the same run into ``io.StringIO`` sinks, under the one
+        hash line; with --duration 0 the files hold the headers of an empty
+        log."""
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(lite_cfg), "--duration", "30",
                      "--n-seeds", "2", "--out", str(out)]) == 0
         config = load_config(lite_cfg, {"market.session_seconds": 30.0})
         comment = hash_comment(config) + "\n"
+        names = ("snapshots", "fills", "fundamental")
         for seed in (0, 1):
-            log = kernel_run(config.market, seed)
-            for name in ("snapshots", "fills", "fundamental"):
+            sinks = [io.StringIO() for _ in names]
+            kernel_run(config.market, seed, sinks)
+            for name, sink in zip(names, sinks):
                 text = (out / "simulate" / f"{name}_{seed}.csv").read_text()
-                assert text == comment + getattr(log, f"{name}_csv")()
+                assert text == comment + sink.getvalue()
         empty = tmp_path / "empty"
         assert main(["simulate", "--config", str(lite_cfg), "--duration", "0",
                      "--out", str(empty)]) == 0
-        log = SessionLog(config.market.depth)
-        for name in ("snapshots", "fills", "fundamental"):
+        sinks = [io.StringIO() for _ in names]
+        SessionLog(config.market.depth, sinks)
+        for name, sink in zip(names, sinks):
             text = (empty / "simulate" / f"{name}_0.csv").read_text()
-            assert text == hash_comment(load_config(lite_cfg)) + "\n" \
-                + getattr(log, f"{name}_csv")()
+            assert text == hash_comment(load_config(lite_cfg)) + "\n" + sink.getvalue()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failed_session_keeps_previous_files(self, lite_cfg, tmp_path, capsys,
@@ -831,6 +835,23 @@ class TestBenchmark:
         run(tmp_path / "rerun", fail_first)
         rerun = run(tmp_path / "rerun", not fail_first)
         assert rerun == run(tmp_path / "fresh", not fail_first)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rerun_with_another_grid_leaves_only_its_cells(self, tmp_path, capsys,
+                                                           workers):
+        """A rerun into the same --out with another grid leaves the tree a
+        fresh run of that grid leaves: no cell of the earlier grid stays."""
+        def run(out, grid):
+            assert main(["benchmark", "--config", str(grid_cfg(tmp_path, grid)),
+                         "--episodes", "2", "--parallel", workers,
+                         "--out", str(out)]) == 0
+            return read_tree(out)
+
+        run(tmp_path / "rerun", "[[20, 1]]")
+        rerun = run(tmp_path / "rerun", "[[10, 1]]")
+        assert rerun == run(tmp_path / "fresh", "[[10, 1]]")
+        assert sorted(p.name for p in (tmp_path / "rerun" / "benchmark").iterdir()) == [
+            "cell_10N_1M", "config_used.yaml"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_one_cell_policy_files_equal_evaluate(self, lite_cfg, tmp_path, capsys,

@@ -20,17 +20,18 @@ ALLOWED = {
 # (file, qualified name) of functions that no code in src/ references, each
 # kept on purpose with its reason.
 UNREFERENCED = {
-    # perfbench/tracing.py wraps these three through OrderBook.__dict__; the
-    # production paths enter the book through requote, submit_market and
-    # imbalances
+    # kept only because perfbench/tracing.py wraps these three through
+    # OrderBook.__dict__: submit_limit and cancel are one-item requote calls,
+    # and the production paths enter the book through requote, submit_market
+    # and imbalances
     ("lob.py", "OrderBook.submit_limit"),
     ("lob.py", "OrderBook.cancel"),
     ("lob.py", "OrderBook.volume_imbalance"),
     # argparse calls it on a bad command line
     ("cli.py", "_Parser.error"),
-    # the text of a log kept in memory, for code that builds a log itself;
-    # simulate streams its rows into files instead, and perfbench/tracing.py
-    # wraps these three by name
+    # kept only because perfbench/tracing.py wraps these three by name: they
+    # read the caller's own io.StringIO sinks, which the caller can read
+    # itself, and simulate streams its rows into files
     ("kernel.py", "SessionLog.snapshots_csv"),
     ("kernel.py", "SessionLog.fills_csv"),
     ("kernel.py", "SessionLog.fundamental_csv"),

@@ -44,6 +44,18 @@ def csv_rows(text):
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
+def text_sinks():
+    """(snapshots, fills, fundamental) ``io.StringIO`` sinks for a log."""
+    return io.StringIO(), io.StringIO(), io.StringIO()
+
+
+def logged_run(config, seed):
+    """``kernel_run`` into ``text_sinks``: its log and their three texts."""
+    sinks = text_sinks()
+    log = kernel_run(config, seed, sinks)
+    return log, tuple(sink.getvalue() for sink in sinks)
+
+
 def test_default_population_order_and_ids():
     agents = MarketSession(MarketConfig(), seed=0).agents
     assert [a.agent_id for a in agents] == list(range(1, 1116))
@@ -77,13 +89,13 @@ def test_first_wakeup_formulas(seed):
 
 
 def test_empty_population_book_stays_empty():
-    log = kernel_run(small_config(n_noise=0, n_value=0, n_momentum=0,
-                                  n_market_maker=0), seed=0)
-    rows = csv_rows(log.snapshots_csv())
+    log, (snapshots, fills, _) = logged_run(
+        small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0), seed=0)
+    rows = csv_rows(snapshots)
     assert len(rows) == log.n_snapshots == 21  # one per second incl. t=0
     assert all(value == "" for row in rows for key, value in row.items()
                if key not in ("ts", "fundamental"))
-    assert log.fills_csv() == "ts,side,price,qty,taker_agent,maker_agent\n"
+    assert fills == "ts,side,price,qty,taker_agent,maker_agent\n"
     assert log.n_fills == 0
 
 
@@ -107,15 +119,14 @@ def test_market_maker_cancel_replace_keeps_quote_count():
 
 def test_same_seed_identical_logs():
     cfg = small_config()
-    log1, log2 = kernel_run(cfg, 42), kernel_run(cfg, 42)
-    assert log1.snapshots_csv() == log2.snapshots_csv()
-    assert log1.fills_csv() == log2.fills_csv()
-    assert log1.fundamental_csv() == log2.fundamental_csv()
+    (_, texts1), (_, texts2) = logged_run(cfg, 42), logged_run(cfg, 42)
+    assert texts1 == texts2  # snapshots, fills and fundamental
 
 
 def test_different_seeds_differ():
     cfg = small_config()
-    assert kernel_run(cfg, 1).fills_csv() != kernel_run(cfg, 2).fills_csv()
+    (_, (_, fills1, _)), (_, (_, fills2, _)) = logged_run(cfg, 1), logged_run(cfg, 2)
+    assert fills1 != fills2
 
 
 # sha256 of each CSV for the criterion-9 market (lite population, maker
@@ -140,9 +151,9 @@ GOLDEN_SHA256_WIDE_SEED = {
 def golden_run(seed):
     cfg = MarketConfig(n_noise=20, n_value=5, n_momentum=1, session_seconds=300.0,
                        market_maker=MarketMakerParams(pov=0.02, min_size=50))
-    log = kernel_run(cfg, seed=seed)
-    digests = {name: hashlib.sha256(getattr(log, name)().encode()).hexdigest()
-               for name in GOLDEN_SHA256}
+    log, texts = logged_run(cfg, seed)
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in zip(GOLDEN_SHA256, texts)}
     return log, digests
 
 
@@ -195,7 +206,7 @@ def test_log_memory_does_not_grow_with_session_length(tmp_path):
     peaks above a short one by under a tenth of the extra bytes it writes,
     once the session's (ts, cumulative qty) fill history, which
     ``transacted_volume`` reads, is counted out."""
-    kernel_run(small_config(session_seconds=60.0), 0)  # one-time allocations
+    logged_run(small_config(session_seconds=60.0), 0)  # one-time allocations
     peaks, written, history = [], [], []
     for seconds in (60.0, 240.0):
         # 20 ticks a second, so that the rows outweigh the files' buffers
@@ -225,20 +236,27 @@ def test_log_memory_does_not_grow_with_session_length(tmp_path):
 def test_snapshots_csv_pads_short_and_one_sided_books():
     book = OrderBook()
     book.submit_limit(Order(1, 7, Side.BID, 3, 99))
-    log = SessionLog(2)
-    log.add_tick(5, book, 100.25)
-    assert log.snapshots_csv().splitlines() == [
+    snapshots, _, fundamental = sinks = text_sinks()
+    SessionLog(2, sinks).add_tick(5, book, 100.25)
+    assert snapshots.getvalue().splitlines() == [
         "ts,fundamental,best_bid,best_ask,bid_px_1,bid_qty_1,ask_px_1,ask_qty_1,"
         "bid_px_2,bid_qty_2,ask_px_2,ask_qty_2",
         "5,100.25,99,,99,3,,,,,,"]
-    assert log.fundamental_csv() == "ts,fundamental\n5,100.25\n"
+    assert fundamental.getvalue() == "ts,fundamental\n5,100.25\n"
+
+
+def test_a_log_needs_its_sinks():
+    with pytest.raises(TypeError):
+        SessionLog(2)
+    with pytest.raises(TypeError):
+        kernel_run(small_config(), 0)
 
 
 def test_event_order_audit_hook():
     keys = []
     session = MarketSession(small_config(), 3,
                             {"on_event": lambda ts, seq: keys.append((ts, seq))},
-                            log=True)
+                            log=SessionLog(small_config().depth, text_sinks()))
     session.run_until(session.session_end)
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -288,14 +306,16 @@ def test_run_until_in_pieces_matches_one_call(piece_ns):
     runs = []
     for pieces in (False, True):
         keys = []
+        snapshots, fills, _ = sinks = text_sinks()
         session = MarketSession(cfg, seed=5, hooks={
-            "on_event": lambda ts, seq: keys.append((ts, seq))}, log=True)
+            "on_event": lambda ts, seq: keys.append((ts, seq))},
+            log=SessionLog(cfg.depth, sinks))
         if pieces:
             for t in range(piece_ns, session.session_end + piece_ns, piece_ns):
                 session.run_until(t)
         else:
             session.run_until(session.session_end)
-        runs.append((keys, session.log.fills_csv(), session.log.snapshots_csv()))
+        runs.append((keys, fills.getvalue(), snapshots.getvalue()))
     whole, piecewise = runs
     keys, fills, _ = whole
     assert len(keys) > 200 and fills.count("\n") > 20
@@ -333,8 +353,8 @@ def test_seed_paths_share_scale():
     cfg = small_config(session_seconds=60.0)
     variances = []
     for seed in range(5):
-        log = kernel_run(cfg, seed)
-        asks = [int(row["best_ask"]) for row in csv_rows(log.snapshots_csv())
+        _, (snapshots, _, _) = logged_run(cfg, seed)
+        asks = [int(row["best_ask"]) for row in csv_rows(snapshots)
                 if row["best_ask"]]
         variances.append(np.var(asks) + 1e-9)
     assert max(variances) / min(variances) < 10 ** 2  # within two orders, small sample
@@ -580,21 +600,22 @@ def test_mid_ring_holds_what_momentum_agents_read():
     agent whose short window is the longer one still averages the trailing
     mids of the whole history, as it did over a longer ring."""
     params = MomentumAgentParams(short_window=30, long_window=10, mean_wake_s=2.0)
-    session = MarketSession(small_config(n_momentum=3, momentum=params,
-                                         session_seconds=60.0), seed=3, log=True)
+    cfg = small_config(n_momentum=3, momentum=params, session_seconds=60.0)
+    snapshots, fills, _ = sinks = text_sinks()
+    session = MarketSession(cfg, seed=3, log=SessionLog(cfg.depth, sinks))
     momentum_ids = {a.agent_id for a in session.agents if isinstance(a, MomentumAgent)}
     for t in range(1, 61):
         session.run_until(t * NS_PER_SEC)
         # float(OrderBook.mid_price()), since int true division is correctly rounded
         mids = [(int(row["best_bid"]) + int(row["best_ask"])) / 2
-                for row in csv_rows(session.log.snapshots_csv())
+                for row in csv_rows(snapshots.getvalue())
                 if row["best_bid"] and row["best_ask"]]
         ring = session.mid_history()
         assert ring[-30:] == mids[-30:]  # what the agents average over
         assert len(ring) == min(len(mids), 30)
     assert len(mids) > 30
     assert any(int(row["taker_agent"]) in momentum_ids
-               for row in csv_rows(session.log.fills_csv()))
+               for row in csv_rows(fills.getvalue()))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -605,7 +626,9 @@ def test_session_batched_quotes_match_single_calls(seed):
     import random
     rng = random.Random(seed)
     cfg = small_config(n_noise=0, n_value=0, n_momentum=0, n_market_maker=0)
-    batched, single = (MarketSession(cfg, seed=0, log=True) for _ in range(2))
+    (_, batched_fills, _), (_, single_fills, _) = sinks = text_sinks(), text_sinks()
+    batched, single = (MarketSession(cfg, seed=0, log=SessionLog(cfg.depth, s))
+                       for s in sinks)
     live = range(0)
     n_orders = 0  # market orders and quotes: each takes one id
     for ts in range(1, 40):
@@ -638,7 +661,7 @@ def test_session_batched_quotes_match_single_calls(seed):
         assert queues(batched.book) == queues(single.book)
         assert live.start == n_orders + 1
         n_orders += len(live)
-    assert batched.log.fills_csv() == single.log.fills_csv() and batched.log.n_fills
+    assert batched_fills.getvalue() == single_fills.getvalue() and batched.log.n_fills
     # ids are consecutive over every order the session took, from 1
     quote = ((Side.BID, 1, 1),)
     assert batched.requote(4, (), lambda bid, ask: quote, 99) == \
@@ -673,7 +696,7 @@ def test_session_without_a_log_behaves_the_same(seed):
     it draws the fundamental at each tick and keeps the mid ring all the
     same."""
     sessions, keys = [], []
-    for log in (True, False):
+    for log in (SessionLog(DESK.depth, text_sinks()), None):
         keys.append([])
         sessions.append(MarketSession(DESK, seed, {"on_event": (
             lambda ts, seq, out=keys[-1]: out.append((ts, seq)))}, log=log))
@@ -699,8 +722,9 @@ def test_execution_episode_without_a_log_is_the_same(seed):
     from lobexec.execenv import ExecConfig, ExecutionEnv
     cfg = ExecConfig(parent_size=2000, time_window_s=60, warmup_s=20)
     episodes = []
-    for log in (True, False):
-        env = ExecutionEnv(cfg, lambda s: MarketSession(DESK, s, log=log))
+    for logged in (True, False):
+        env = ExecutionEnv(cfg, lambda s: MarketSession(
+            DESK, s, log=SessionLog(DESK.depth, text_sinks()) if logged else None))
         obs = [env.reset(seed)]
         steps = []
         rng = np.random.default_rng(seed)
@@ -835,7 +859,7 @@ def test_fork_copies_every_field_but_the_shared_ones(config, warm_s):
 
 
 def test_fork_refuses_a_session_with_a_log():
-    session = MarketSession(LITE, 0, log=True)
+    session = MarketSession(LITE, 0, log=SessionLog(LITE.depth, text_sinks()))
     with pytest.raises(ValueError, match="SessionLog"):
         session.fork()
 
