@@ -2,18 +2,30 @@
 
 The Q-network is a 36-50-20-5 fully connected net with rectifier hidden
 activations, trained on the squared TD error of the taken action; its
-numpy kernels are the module-level ``mlp_forward`` and ``mlp_backward``.
+numpy kernels are the module-level ``mlp_forward`` and ``mlp_backward``,
+which write into arrays that the caller passes, or into new ones.
 Targets use the online network by default; an optional periodically
 synced target network can be enabled via ``target_sync``.
 
 All parameters live in one contiguous float64 vector, ``QNetwork.theta``,
 laid out as ``w1, b1, w2, b2, w3, b3`` (row-major weights of shape
 (fan_in, fan_out), then biases). ``QNetwork.views`` names the parts of any
-vector in that layout: ``params`` those of ``theta``, and ``loss_and_grads``
-those of the gradient vector that ``mlp_backward`` fills. Adam updates
+vector in that layout: ``params`` those of ``theta``, and a ``Workspace``
+those of its gradient vector, which ``mlp_backward`` fills. Adam updates
 ``theta`` in place with moments ``m`` and ``v`` in the same layout, as a few
 in-place ufuncs over the whole vector that round in the same order as the
 per-array formula ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``.
+
+``train`` builds one ``Workspace`` per call, sized by ``batch_size`` and
+the layer sizes, and every gradient step (``learn_step``) writes the
+sampled batch, both forward passes, the targets, the error, the backward
+and the gradient into its arrays: a step makes no array but the
+sample's indices.
+``td_targets``, ``loss_and_grads`` and ``gradient_step`` run the same
+workspace code on a workspace of their own when handed plain arrays, and
+return new arrays then. A step whose lr is 0 draws its sample, since the
+policy RNG reads on after it, and skips the rest, which could not move
+``theta``.
 """
 
 from __future__ import annotations
@@ -36,26 +48,41 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
-def mlp_forward(x, w1, b1, w2, b2, w3, b3):
-    """Affine-relu-affine-relu-affine. Returns (q, h1, h2) for backprop."""
-    z1 = x @ w1 + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ w2 + b2
-    h2 = np.maximum(z2, 0.0)
-    q = h2 @ w3 + b3
+def mlp_forward(x, w1, b1, w2, b2, w3, b3, out=None):
+    """Affine-relu-affine-relu-affine. Returns (q, h1, h2) for backprop,
+    written into ``out = (h1, h2, q)``, or into new arrays when None."""
+    n = len(x)
+    h1, h2, q = out or (np.empty((n, w1.shape[1])), np.empty((n, w2.shape[1])),
+                        np.empty((n, w3.shape[1])))
+    np.matmul(x, w1, out=h1)
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, w2, out=h2)
+    h2 += b2
+    np.maximum(h2, 0.0, out=h2)
+    np.matmul(h2, w3, out=q)
+    q += b3
     return q, h1, h2
 
 
-def mlp_backward(x, h1, h2, dq, w2, w3, gw1, gb1, gw2, gb2, gw3, gb3):
-    """Gradients of a scalar loss given dL/dq, written into ``gw1`` ... ``gb3``."""
+def mlp_backward(x, h1, h2, dq, w2, w3, gw1, gb1, gw2, gb2, gw3, gb3, work=None):
+    """Gradients of a scalar loss given dL/dq, written into ``gw1`` ... ``gb3``.
+    The hidden layers' gradients and relu masks go into ``work = (dh2, dh1,
+    mask2, mask1)``, or into new arrays when None."""
+    if work is None:
+        work = (np.empty(h2.shape), np.empty(h1.shape),
+                np.empty(h2.shape, dtype=bool), np.empty(h1.shape, dtype=bool))
+    dh2, dh1, mask2, mask1 = work
     np.matmul(h2.T, dq, out=gw3)
-    dq.sum(axis=0, out=gb3)
-    dh2 = (dq @ w3.T) * (h2 > 0.0)
+    np.add.reduce(dq, axis=0, out=gb3)
+    np.matmul(dq, w3.T, out=dh2)
+    dh2 *= np.greater(h2, 0.0, out=mask2)
     np.matmul(h1.T, dh2, out=gw2)
-    dh2.sum(axis=0, out=gb2)
-    dh1 = (dh2 @ w2.T) * (h1 > 0.0)
+    np.add.reduce(dh2, axis=0, out=gb2)
+    np.matmul(dh2, w2.T, out=dh1)
+    dh1 *= np.greater(h1, 0.0, out=mask1)
     np.matmul(x.T, dh1, out=gw1)
-    dh1.sum(axis=0, out=gb1)
+    np.add.reduce(dh1, axis=0, out=gb1)
 
 
 class QNetwork:
@@ -139,8 +166,17 @@ class QNetwork:
     @classmethod
     def load(cls, path: str | Path) -> tuple["QNetwork", dict]:
         payload = json.loads(Path(path).read_text())
+        if type(payload) is not dict:
+            raise ValueError(f"checkpoint must be an object, not {type(payload).__name__}")
         if payload.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version: {payload.get('version')}")
+        for key in ("sizes", "params"):
+            if key not in payload:
+                raise ValueError(f"checkpoint has no {key!r}")
+        for key in ("params", "meta"):
+            if type(payload.get(key, {})) is not dict:
+                raise ValueError(f"checkpoint {key!r} must be an object, "
+                                 f"not {type(payload[key]).__name__}")
         sizes = payload["sizes"]
         if type(sizes) is not list or list(map(type, sizes)) != [int] * 4 or min(sizes) < 1:
             raise ValueError(f"checkpoint sizes {sizes!r} are not four positive ints")
@@ -214,18 +250,95 @@ class ReplayMemory:
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform sample without replacement within the minibatch."""
+    def sample(self, batch_size: int, rng: np.random.Generator, out=None):
+        """Uniform sample without replacement within the minibatch, as the
+        arrays (s, a, r, s_next, done), written into ``out`` when given."""
         idx = rng.choice(self.size, size=min(batch_size, self.size), replace=False)
-        return (self.s[idx], self.a[idx], self.r[idx],
-                self.s_next[idx], self.done[idx])
+        columns = (self.s, self.a, self.r, self.s_next, self.done)
+        if out is None:
+            out = tuple(np.empty((len(idx), *c.shape[1:]), dtype=c.dtype) for c in columns)
+        for column, dest in zip(columns, out):
+            column.take(idx, axis=0, out=dest, mode="clip")  # "raise" copies dest
+        return out
+
+
+class Workspace:
+    """Every array that a gradient step on ``n`` transitions writes, for a
+    net of the layer sizes of ``net``: the batch, one set of forward
+    activations that the target forward and then the online forward fill,
+    the TD targets, the error and its dL/dq, the backward's hidden-layer
+    terms and one gradient vector laid out like ``theta``, with its named
+    views. ``train`` builds one per call and reuses it on every step. The
+    taken actions index q as flat offsets, so they must lie in [0, k):
+    ``holding`` checks those it is handed."""
+
+    def __init__(self, net: QNetwork, n: int):
+        d, h1, h2, k = net.sizes
+        self.n = n
+        self.batch = (np.empty((n, d)), np.empty(n, dtype=np.int64), np.empty(n),
+                      np.empty((n, d)), np.empty(n, dtype=bool))
+        self.s, self.a, self.r, self.s_next, self.done = self.batch
+        self.finite = np.empty((n, d), dtype=bool)
+        self.forward = (np.empty((n, h1)), np.empty((n, h2)), np.empty((n, k)))
+        self.q_next, self.not_done, self.y = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+        self.row_starts = np.arange(n) * k  # flat index of each row of q
+        self.taken = np.empty(n, dtype=np.int64)  # flat index of q[i, a[i]]
+        self.err, self.err2 = np.empty(n), np.empty(n)
+        self.dq = np.empty((n, k))
+        self.backward = (np.empty((n, h2)), np.empty((n, h1)),
+                         np.empty((n, h2), dtype=bool), np.empty((n, h1), dtype=bool))
+        self.g = np.empty(net.theta.size)
+        self.grads = tuple(net.views(self.g).values())
+
+    @classmethod
+    def holding(cls, net: QNetwork, batch) -> "Workspace":
+        """A new workspace holding a copy of ``batch``, (s, a, r, s_next, done)
+        or a prefix of it."""
+        ws = cls(net, len(batch[0]))
+        for dest, value in zip(ws.batch, batch):
+            dest[...] = value
+        if len(batch) > 1 and not ((ws.a >= 0) & (ws.a < net.n_actions)).all():
+            raise IndexError(f"actions must lie in [0, {net.n_actions})")
+        return ws
+
+    def targets(self, target_net: QNetwork, gamma: float) -> np.ndarray:
+        """``y`` = r + gamma * max_a Q(s', a) on ``target_net``; y = r when done."""
+        if not np.isfinite(self.s_next, out=self.finite).all():
+            raise ValueError("non-finite observation")
+        q, _, _ = mlp_forward(self.s_next, *target_net.params.values(), out=self.forward)
+        q_next = np.maximum.reduce(q, axis=1, out=self.q_next)
+        q_next *= gamma
+        q_next *= np.logical_not(self.done, out=self.not_done)
+        return np.add(self.r, q_next, out=self.y)
+
+    def loss_and_grads(self, net: QNetwork, y) -> float:
+        """Mean squared TD error of ``net`` on the taken actions, with its
+        gradient in ``g``. A non-finite loss raises ``TrainingDivergedError``
+        before the backward pass."""
+        p = net.params
+        q, h1, h2 = mlp_forward(self.s, *p.values(), out=self.forward)
+        taken = np.add(self.row_starts, self.a, out=self.taken)
+        err = q.take(taken, out=self.err, mode="clip")
+        err -= y
+        loss = float(np.add.reduce(np.multiply(err, err, out=self.err2)) / self.n)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss: {loss}")
+        err *= 2.0
+        err /= self.n
+        self.dq.fill(0.0)
+        self.dq.put(taken, err)
+        mlp_backward(self.s, h1, h2, self.dq, p["w2"], p["w3"], *self.grads,
+                     work=self.backward)
+        return loss
 
 
 def td_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
-    """y = r + gamma * max_a Q(s', a) on the target net; y = r when done."""
-    _, _, r, s_next, done = batch
-    q_next = target_net.forward(s_next).max(axis=1)
-    return r + gamma * q_next * (~done)
+    """y = r + gamma * max_a Q(s', a) on the target net; y = r when done.
+    ``batch`` is a ``Workspace``, whose ``y`` this returns, or the arrays
+    (s, a, r, s_next, done), for which it returns a new array."""
+    if not isinstance(batch, Workspace):
+        batch = Workspace.holding(target_net, batch)
+    return batch.targets(target_net, gamma)
 
 
 class Optimizer:
@@ -270,31 +383,38 @@ class Optimizer:
 def loss_and_grads(net: QNetwork, s, a, y) -> tuple[float, np.ndarray]:
     """Mean squared TD error on the taken actions, plus a fresh gradient like ``theta``.
     A non-finite loss raises ``TrainingDivergedError`` before the backward pass."""
-    s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
-    a = np.asarray(a, dtype=np.int64)
-    y = np.asarray(y, dtype=np.float64)
-    p = net.params
-    q, h1, h2 = mlp_forward(s, *p.values())
-    n = s.shape[0]
-    q_taken = q[np.arange(n), a]
-    err = q_taken - y
-    loss = float(np.add.reduce(err * err) / n)
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(f"non-finite loss: {loss}")
-    dq = np.zeros_like(q)
-    dq[np.arange(n), a] = 2.0 * err / n
-    g = np.empty_like(net.theta)
-    mlp_backward(s, h1, h2, dq, p["w2"], p["w3"], *net.views(g).values())
-    return loss, g
+    ws = Workspace.holding(net, (s, a))
+    return ws.loss_and_grads(net, np.asarray(y, dtype=np.float64)), ws.g
 
 
 def gradient_step(net: QNetwork, batch, y: np.ndarray, lr: float,
                   optimizer: Optimizer) -> float:
     """One descent step on the squared TD error at ``lr`` >= 0 (``Schedules``
-    bounds it); returns the pre-update loss."""
-    s, a, _, _, _ = batch
-    loss, g = loss_and_grads(net, s, a, y)
-    optimizer.update(net, g, lr)
+    bounds it); returns the pre-update loss. ``batch`` is a ``Workspace``, or
+    the arrays (s, a, ...)."""
+    if not isinstance(batch, Workspace):
+        batch = Workspace.holding(net, batch[:2])
+    loss = batch.loss_and_grads(net, y)
+    optimizer.update(net, batch.g, lr)
+    return loss
+
+
+def learn_step(net: QNetwork, target: QNetwork, optimizer: Optimizer,
+               replay: ReplayMemory, ws: Workspace, schedules: Schedules,
+               grad_step: int, rng: np.random.Generator) -> float | None:
+    """Gradient step ``grad_step`` (counted from 0) of ``train``: a batch from
+    ``replay`` into ``ws``, its TD targets on ``target`` and one descent step
+    of ``net``; then, every ``target_sync`` steps, ``target`` takes the
+    weights of ``net``. Returns the loss, or None when the step's lr is 0:
+    the sample is still drawn, as the next epsilon-greedy draw reads ``rng``
+    after it, but the rest could not move ``theta`` and is skipped."""
+    replay.sample(schedules.batch_size, rng, out=ws.batch)
+    lr = schedules.lr(grad_step)
+    loss = None
+    if lr != 0.0:
+        loss = gradient_step(net, ws, td_targets(ws, target, schedules.gamma), lr, optimizer)
+    if schedules.target_sync > 0 and (grad_step + 1) % schedules.target_sync == 0:
+        np.copyto(target.theta, net.theta)
     return loss
 
 
@@ -347,6 +467,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     target = net if schedules.target_sync == 0 else net.copy()
     optimizer = Optimizer(net)
     replay = ReplayMemory(schedules.replay_capacity, obs_dim)
+    ws = Workspace(net, schedules.batch_size)
     curve = []
     rewards_window: deque[float] = deque(maxlen=ROLLING)
 
@@ -364,12 +485,8 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
             total += out.reward
             done = out.done
             if replay.size >= max(schedules.learn_start, schedules.batch_size):
-                batch = replay.sample(schedules.batch_size, rng)
-                y = td_targets(batch, target, schedules.gamma)
-                gradient_step(net, batch, y, schedules.lr(grad_steps), optimizer)
+                learn_step(net, target, optimizer, replay, ws, schedules, grad_steps, rng)
                 grad_steps += 1
-                if schedules.target_sync > 0 and grad_steps % schedules.target_sync == 0:
-                    target = net.copy()
         net.check_finite()
         rewards_window.append(total)
         curve.append((ep, total, sum(rewards_window) / len(rewards_window)))

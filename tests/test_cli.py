@@ -281,6 +281,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / argv[0]).exists()
 
+    # a payload that is no object, or that lacks or mistypes a key, is
+    # named in the error, not left to an AttributeError or a KeyError
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: [], "checkpoint must be an object, not list"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "params"},
+         "checkpoint has no 'params'"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "sizes"},
+         "checkpoint has no 'sizes'"),
+        (lambda payload: {**payload, "params": list(payload["params"].values())},
+         "checkpoint 'params' must be an object, not list"),
+    ], ids=["list_payload", "no_params", "no_sizes", "list_params"])
+    def test_malformed_checkpoint_names_the_key(self, tmp_path, capsys, edit, message):
+        ckpt = tmp_path / "net.json"
+        QNetwork((36, 50, 20, 5), np.random.default_rng(0)).save(ckpt)
+        ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+        out = tmp_path / "o"
+        assert main(["evaluate", "--policy", "rl", "--checkpoint", str(ckpt),
+                     "--config", str(grid_cfg(tmp_path, "[[20, 1]]", policies="[rl, twap]")),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (out / "evaluate").exists()
+
     # only worker counts that start no process
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("argv", [["evaluate", "--policy", "twap"], ["benchmark"]],
@@ -677,6 +699,21 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: ValueError: checkpoint was trained with seed 0, "
             "config has seed 7\n")
+        assert read_tree(tdir) == before
+
+    def test_resume_rejects_a_meta_that_is_no_object(self, lite_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(lite_cfg), "--episodes", "1",
+                     "--out", str(out)]) == 0
+        tdir = out / "train"
+        ckpt = tdir / "checkpoint.json"
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "meta": [1]}))
+        before = read_tree(tdir)
+        capsys.readouterr()
+        assert main(["train", "--config", str(lite_cfg), "--resume",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: ValueError: checkpoint 'meta' must be an object, not list\n")
         assert read_tree(tdir) == before
 
     def test_reproducible(self, lite_cfg, tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +17,10 @@ from lobexec.dqn import (
     ReplayMemory,
     Schedules,
     TrainingDivergedError,
+    Workspace,
     act,
     gradient_step,
+    learn_step,
     learning_curve_csv,
     loss_and_grads,
     mlp_forward,
@@ -166,6 +169,14 @@ class TestGradients:
         assert losses[-1] < 1e-4
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("action", [-1, 3])
+    def test_action_outside_the_net_is_rejected(self, action):
+        net = QNetwork((6, 5, 4, 3), np.random.default_rng(0))
+        s, a, y = rand_batch(np.random.default_rng(1), dim=6, n_actions=3)
+        a[2] = action
+        with pytest.raises(IndexError):
+            loss_and_grads(net, s, a, y)
+
     def test_nonfinite_loss_aborts(self):
         net = QNetwork((6, 5, 4, 3), np.random.default_rng(0))
         s = np.ones((1, 6))
@@ -303,6 +314,33 @@ class TestTrain:
             train(toy_env_factory(), self.fast_schedules(), episodes=1, seed=0,
                   net=net)
 
+    # sha256 of theta's bytes and of the learning curve CSV, and the env and
+    # gradient step counts, from 40 episodes whose lr reaches 0 at gradient
+    # step 300, as the trainer wrote them when it ran every step in full
+    PAST_LR_ZERO = {
+        0: ("539e130316fa9736462f913ac49fad62bdfcb7fff8934e766df22473ed64a140",
+            "64bf041e8e813bbfe1b7f83b859230ee20552bdedece227426ed7515824d8cd5", 1048, 1033),
+        4: ("ea796d354265bf778c41a2f98ddeb11c46e43d03433d4d74aab34622e381bf2e",
+            "64bf041e8e813bbfe1b7f83b859230ee20552bdedece227426ed7515824d8cd5", 1048, 1033)}
+
+    @pytest.mark.parametrize("target_sync", list(PAST_LR_ZERO))
+    def test_steps_at_lr_zero_skip_their_work_and_keep_the_bits(self, monkeypatch,
+                                                                target_sync):
+        targets = []
+
+        def counting(batch, target_net, gamma):
+            targets.append(gamma)
+            return td_targets(batch, target_net, gamma)
+
+        monkeypatch.setattr(dqn, "td_targets", counting)
+        sched = Schedules(lr_steps=300, eps_steps=200, learn_start=16,
+                          replay_capacity=1000, batch_size=16, target_sync=target_sync)
+        result = train(toy_env_factory(), sched, episodes=40, seed=1)
+        assert (hashlib.sha256(result.net.theta.tobytes()).hexdigest(),
+                hashlib.sha256(learning_curve_csv(result.curve).encode()).hexdigest(),
+                result.env_steps, result.grad_steps) == self.PAST_LR_ZERO[target_sync]
+        assert len(targets) == 300  # one per step at lr > 0, none after
+
 
 class TestTargetSync:
     def recorded_calls(self, monkeypatch, target_sync):
@@ -425,6 +463,113 @@ class TestFlatGradients:
         assert np.array_equal(g, np.concatenate([r.ravel() for r in ref]))
         # each call writes a new vector, so a caller may hold on to g
         assert not np.shares_memory(g, loss_and_grads(net, s, a, y)[1])
+
+
+def reference_forward(x, w1, b1, w2, b2, w3, b3):
+    """The ``mlp_forward`` that returned new arrays, kept verbatim as an oracle."""
+    z1 = x @ w1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2 + b2
+    h2 = np.maximum(z2, 0.0)
+    q = h2 @ w3 + b3
+    return q, h1, h2
+
+
+def reference_learn_step(net, target, optimizer, replay, schedules, grad_step, rng):
+    """A gradient step of ``train`` before its workspace, kept verbatim as an
+    oracle: ``ReplayMemory.sample``, ``td_targets`` and ``loss_and_grads`` as
+    they were, each returning new arrays, then ``Optimizer.update``. The step
+    that writes into one workspace must give the same bits."""
+    # ReplayMemory.sample
+    idx = rng.choice(replay.size, size=min(schedules.batch_size, replay.size),
+                     replace=False)
+    s, a, r, s_next, done = (replay.s[idx], replay.a[idx], replay.r[idx],
+                             replay.s_next[idx], replay.done[idx])
+    # td_targets
+    q_next = reference_forward(s_next, *target.params.values())[0].max(axis=1)
+    y = r + schedules.gamma * q_next * (~done)
+    # loss_and_grads
+    p = net.params
+    q, h1, h2 = reference_forward(s, *p.values())
+    n = s.shape[0]
+    q_taken = q[np.arange(n), a]
+    err = q_taken - y
+    loss = float(np.add.reduce(err * err) / n)
+    dq = np.zeros_like(q)
+    dq[np.arange(n), a] = 2.0 * err / n
+    g = np.concatenate([part.ravel() for part in
+                        reference_backward(s, h1, h2, dq, p["w2"], p["w3"])])
+    optimizer.update(net, g, schedules.lr(grad_step))
+    return loss
+
+
+def filled_replay(rng, capacity=200, dim=36, n_actions=5):
+    replay = ReplayMemory(capacity, dim)
+    for _ in range(capacity):
+        replay.push(rng.normal(size=dim), rng.integers(n_actions), rng.normal(scale=5.0),
+                    rng.normal(size=dim), rng.random() < 0.2)
+    return replay
+
+
+def learner(sizes, schedules, seed):
+    """(net, target, optimizer) as ``train`` builds them, over a seeded net
+    whose biases leave some relu units dead and some alive."""
+    rng = np.random.default_rng(seed)
+    net = QNetwork(sizes, rng)
+    for k in ("b1", "b2", "b3"):
+        net.params[k][:] = rng.normal(scale=0.3, size=net.params[k].shape)
+    target = net if schedules.target_sync == 0 else net.copy()
+    return net, target, Optimizer(net)
+
+
+class TestWorkspaceStep:
+    @pytest.mark.parametrize("target_sync", [0, 3])
+    @pytest.mark.parametrize("n", [1, 7, 16, 64, 65])
+    def test_bit_equal_to_allocating_step(self, n, target_sync):
+        sched = Schedules(lr_start=1e-2, batch_size=n, target_sync=target_sync)
+        replay = filled_replay(np.random.default_rng(40 + n))
+        net, target, opt = learner((36, 50, 20, 5), sched, 1)
+        ref_net, ref_target, ref_opt = learner((36, 50, 20, 5), sched, 1)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        ws = Workspace(net, n)
+        for step in range(300):
+            loss = learn_step(net, target, opt, replay, ws, sched, step, rng)
+            ref_loss = reference_learn_step(ref_net, ref_target, ref_opt, replay,
+                                            sched, step, ref_rng)
+            if target_sync and (step + 1) % target_sync == 0:
+                ref_target = ref_net.copy()
+            assert loss == ref_loss, step
+            assert np.array_equal(net.theta, ref_net.theta), step
+            assert np.array_equal(target.theta, ref_target.theta), step
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, step
+        assert not np.array_equal(net.theta, learner((36, 50, 20, 5), sched, 1)[0].theta)
+
+    def test_step_allocates_no_arrays(self):
+        # 20 steps at batch 64 that made their arrays anew peaked at about
+        # 198 KB above the start. A workspace step makes only the sample's
+        # indices, but numpy buffers a broadcast add, a product with a bool
+        # mask and (before numpy 2.3) a reduction's output. A small ufunc
+        # buffer size caps those buffers, so that any array the size of a
+        # hidden layer or of the gradient made per step shows.
+        sched = Schedules(batch_size=64, replay_capacity=1000, target_sync=3)
+        replay = filled_replay(np.random.default_rng(5), capacity=1000)
+        net, target, opt = learner((36, 50, 20, 5), sched, 6)
+        rng = np.random.default_rng(7)
+        ws = Workspace(net, 64)
+        bufsize = np.setbufsize(128)
+        tracemalloc.start()
+        try:
+            for step in range(5):
+                learn_step(net, target, opt, replay, ws, sched, step, rng)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for step in range(5, 25):
+                learn_step(net, target, opt, replay, ws, sched, step, rng)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < 8 * 1024
 
 
 PARAM_ORDER = ["w1", "b1", "w2", "b2", "w3", "b3"]
