@@ -184,6 +184,8 @@ def cmd_train(args) -> int:
         old_rows = curve_path.read_text().split("\n", 2)[2]  # after hash, header
         body = f"{header}\n{old_rows}{rows}"
     write_text_atomic(curve_path, hash_comment(config) + "\n", body)
+    if result.lr_zero_episode is not None:
+        print(f"train: lr reached 0 at episode {result.lr_zero_episode}")
     print(f"train: {config.dqn.episodes} episodes, checkpoint -> {checkpoint}")
     return 0
 

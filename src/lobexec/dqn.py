@@ -26,6 +26,20 @@ workspace code on a workspace of their own when handed plain arrays, and
 return new arrays then. A step whose lr is 0 draws its sample, since the
 policy RNG reads on after it, and skips the rest, which could not move
 ``theta``.
+
+When the targets come from the online net (``target_sync`` 0), a step's
+two forwards run on the same weights, so the workspace holds ``s`` and
+``s_next`` as the halves of one (2, n, d) array and forwards both in one
+``mlp_forward`` call. The stack is 3-D because ``np.matmul`` gives each
+(n, d) half the GEMM (or, at n = 1, the GEMV) that the half gets on its
+own, so every bit is that of two forwards; a (2n, d) stack takes another
+GEMM, whose sums round differently for some n (1, 3, 7, 33 and 65 on
+OpenBLAS 0.3.31). The online half serves the next ``loss_and_grads``
+only. With a separate target net each half is forwarded on its own net.
+
+A greedy action (``act`` at epsilon 0, ``strategies.GreedyQPolicy``) is
+``QNetwork.greedy``: ``forward``'s checks and (1, d) products on one-row
+arrays that each net keeps, so it makes no array.
 """
 
 from __future__ import annotations
@@ -50,10 +64,12 @@ class TrainingDivergedError(RuntimeError):
 
 def mlp_forward(x, w1, b1, w2, b2, w3, b3, out=None):
     """Affine-relu-affine-relu-affine. Returns (q, h1, h2) for backprop,
-    written into ``out = (h1, h2, q)``, or into new arrays when None."""
-    n = len(x)
-    h1, h2, q = out or (np.empty((n, w1.shape[1])), np.empty((n, w2.shape[1])),
-                        np.empty((n, w3.shape[1])))
+    written into ``out = (h1, h2, q)``, or into new arrays when None. ``x``
+    may stack batches, (m, n, d): each (n, d) batch then goes through the
+    same products as on its own."""
+    rows = x.shape[:-1]
+    h1, h2, q = out or (np.empty((*rows, w1.shape[1])), np.empty((*rows, w2.shape[1])),
+                        np.empty((*rows, w3.shape[1])))
     np.matmul(x, w1, out=h1)
     h1 += b1
     np.maximum(h1, 0.0, out=h1)
@@ -113,6 +129,15 @@ class QNetwork:
                 self._layout.append((name, slice(start, end), shape))
         self.theta = np.zeros(end) if theta is None else theta
         self.params = self.views(self.theta)
+        d, h1, h2, k = self.sizes
+        x = np.empty((1, d))
+        # greedy's arrays: one observation as a row and as a vector, its
+        # finite mask, the params with (1, h) biases (an add of equal
+        # shapes is faster than a broadcast one) and the activations
+        self._row = (x, x.reshape(d), np.empty(d, dtype=bool),
+                     tuple(v.reshape(1, -1) if v.ndim == 1 else v
+                           for v in self.params.values()),
+                     (np.empty((1, h1)), np.empty((1, h2)), np.empty((1, k))))
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``vector``, laid out like ``theta``."""
@@ -141,6 +166,21 @@ class QNetwork:
             raise ValueError(f"expected input dim {self.sizes[0]}, got {x.shape[1]}")
         q, _, _ = mlp_forward(np.ascontiguousarray(x), *self.params.values())
         return q[0] if single else q
+
+    def greedy(self, s) -> int:
+        """argmax_a Q(s, a) for one observation ``s``, ties to the lowest
+        index: ``forward``'s checks and its (1, d) products, written into
+        the net's one-row arrays, so that no array is made. Any other shape
+        goes through ``forward`` and its errors."""
+        x, row, finite, params, out = self._row
+        if np.shape(s) != row.shape:
+            return int(np.argmax(self.forward(s)))
+        row[...] = s
+        # count_nonzero, unlike all(), runs no reduction that allocates
+        if np.count_nonzero(np.isfinite(row, out=finite)) != row.size:
+            raise ValueError("non-finite observation")
+        q, _, _ = mlp_forward(x, *params, out=out)
+        return int(q.argmax())
 
     def copy(self) -> "QNetwork":
         return self._from_theta(self.sizes, self.theta.copy())
@@ -263,23 +303,33 @@ class ReplayMemory:
 
 
 class Workspace:
-    """Every array that a gradient step on ``n`` transitions writes, for a
-    net of the layer sizes of ``net``: the batch, one set of forward
-    activations that the target forward and then the online forward fill,
-    the TD targets, the error and its dL/dq, the backward's hidden-layer
-    terms and one gradient vector laid out like ``theta``, with its named
-    views. ``train`` builds one per call and reuses it on every step. The
-    taken actions index q as flat offsets, so they must lie in [0, k):
-    ``holding`` checks those it is handed."""
+    """Every array that a gradient step on ``n`` transitions of the online
+    net ``net`` writes: the batch, whose ``s`` and ``s_next`` are the two
+    halves of one (2, n, d) array ``xs``, the forward activations of both
+    halves, the TD targets, the error and its dL/dq, the backward's
+    hidden-layer terms and one gradient vector laid out like ``theta``,
+    with its named views. ``train`` builds one per call and reuses it on
+    every step. The taken actions index q as flat offsets, so they must lie
+    in [0, k): ``holding`` checks those it is handed.
+
+    When the targets come from ``net`` itself, ``targets`` forwards both
+    halves in one call, and the ``loss_and_grads`` that follows, the next
+    one only, takes the online half from it: ``theta`` must not change in
+    between, as it does not within a step."""
 
     def __init__(self, net: QNetwork, n: int):
         d, h1, h2, k = net.sizes
         self.n = n
-        self.batch = (np.empty((n, d)), np.empty(n, dtype=np.int64), np.empty(n),
-                      np.empty((n, d)), np.empty(n, dtype=bool))
+        self.net = net
+        self.xs = np.empty((2, n, d))
+        self.batch = (self.xs[0], np.empty(n, dtype=np.int64), np.empty(n),
+                      self.xs[1], np.empty(n, dtype=bool))
         self.s, self.a, self.r, self.s_next, self.done = self.batch
         self.finite = np.empty((n, d), dtype=bool)
-        self.forward = (np.empty((n, h1)), np.empty((n, h2)), np.empty((n, k)))
+        self.forward = (np.empty((2, n, h1)), np.empty((2, n, h2)), np.empty((2, n, k)))
+        # (h1, h2, q) of s, then of s_next
+        self.halves = tuple(tuple(a[i] for a in self.forward) for i in (0, 1))
+        self._online_ready = False  # the s half holds net's forward of s
         self.q_next, self.not_done, self.y = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
         self.row_starts = np.arange(n) * k  # flat index of each row of q
         self.taken = np.empty(n, dtype=np.int64)  # flat index of q[i, a[i]]
@@ -305,8 +355,12 @@ class Workspace:
         """``y`` = r + gamma * max_a Q(s', a) on ``target_net``; y = r when done."""
         if not np.isfinite(self.s_next, out=self.finite).all():
             raise ValueError("non-finite observation")
-        q, _, _ = mlp_forward(self.s_next, *target_net.params.values(), out=self.forward)
-        q_next = np.maximum.reduce(q, axis=1, out=self.q_next)
+        self._online_ready = target_net is self.net
+        if self._online_ready:
+            mlp_forward(self.xs, *target_net.params.values(), out=self.forward)
+        else:
+            mlp_forward(self.s_next, *target_net.params.values(), out=self.halves[1])
+        q_next = np.maximum.reduce(self.halves[1][2], axis=1, out=self.q_next)
         q_next *= gamma
         q_next *= np.logical_not(self.done, out=self.not_done)
         return np.add(self.r, q_next, out=self.y)
@@ -316,7 +370,10 @@ class Workspace:
         gradient in ``g``. A non-finite loss raises ``TrainingDivergedError``
         before the backward pass."""
         p = net.params
-        q, h1, h2 = mlp_forward(self.s, *p.values(), out=self.forward)
+        h1, h2, q = self.halves[0]
+        if not (self._online_ready and net is self.net):
+            mlp_forward(self.s, *p.values(), out=self.halves[0])
+        self._online_ready = False
         taken = np.add(self.row_starts, self.a, out=self.taken)
         err = q.take(taken, out=self.err, mode="clip")
         err -= y
@@ -424,7 +481,7 @@ def act(net: QNetwork, s: np.ndarray, epsilon: float,
     it); greedy ties break to the lowest index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(net.n_actions))
-    return int(np.argmax(net.forward(s)))
+    return net.greedy(s)
 
 
 CHECKPOINT_EVERY = 100  # episodes between checkpoint saves; the last one is saved too
@@ -437,6 +494,7 @@ class TrainResult:
     curve: list  # (episode, total_reward, rolling_mean)
     env_steps: int = 0
     grad_steps: int = 0
+    lr_zero_episode: int | None = None  # the episode of the first step at lr 0, if in this call
 
 
 def check_sizes(net: QNetwork, expected: tuple) -> None:
@@ -470,6 +528,8 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
     ws = Workspace(net, schedules.batch_size)
     curve = []
     rewards_window: deque[float] = deque(maxlen=ROLLING)
+    lr_zero_episode = None
+    lr_was_zero = grad_steps > 0 and schedules.lr(grad_steps - 1) == 0.0
 
     for ep in range(start_episode, start_episode + episodes):
         env = env_factory()
@@ -485,8 +545,11 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
             total += out.reward
             done = out.done
             if replay.size >= max(schedules.learn_start, schedules.batch_size):
-                learn_step(net, target, optimizer, replay, ws, schedules, grad_steps, rng)
+                loss = learn_step(net, target, optimizer, replay, ws, schedules,
+                                  grad_steps, rng)
                 grad_steps += 1
+                if loss is None and not lr_was_zero:
+                    lr_was_zero, lr_zero_episode = True, ep
         net.check_finite()
         rewards_window.append(total)
         curve.append((ep, total, sum(rewards_window) / len(rewards_window)))
@@ -497,7 +560,7 @@ def train(env_factory, schedules: Schedules, episodes: int, seed: int,
                                             "env_steps": env_steps,
                                             "grad_steps": grad_steps})
     return TrainResult(net=net, curve=curve, env_steps=env_steps,
-                       grad_steps=grad_steps)
+                       grad_steps=grad_steps, lr_zero_episode=lr_zero_episode)
 
 
 def learning_curve_csv(curve) -> str:

@@ -106,7 +106,7 @@ class ExecutionEnv:
         mid = self._market.book.mid_price()
         if mid is None:
             raise RuntimeError("book one-sided at episode start; no arrival price")
-        self.arrival_price = mid  # P0, an exact Fraction
+        self.arrival_price = mid
         self.t = 0
         self.executed = 0
         self.completion_step: Optional[int] = None
@@ -118,6 +118,17 @@ class ExecutionEnv:
         for _ in range(HISTORY):
             self._frames.append(frame)
         return self.observe()
+
+    @property
+    def arrival_price(self):
+        """P0, an exact Fraction (or int)."""
+        return self._p0
+
+    @arrival_price.setter
+    def arrival_price(self, p0) -> None:
+        self._p0 = p0
+        self._p0_float = float(p0)
+        self._p0_ratio = (p0.numerator, p0.denominator)
 
     # -- observation -------------------------------------------------------
 
@@ -131,7 +142,7 @@ class ExecutionEnv:
         holdings = min(1.0, max(0.0, 1.0 - self.executed / self.config.parent_size))
         time_rem = 1.0 - self.t / self.config.n_steps
         imb = book.imbalances(self.side, 5)
-        p0 = float(self.arrival_price)
+        p0 = self._p0_float
         return np.array(
             [holdings, time_rem, *imb,
              (self._last_bid - p0) / p0, (self._last_ask - p0) / p0],
@@ -183,10 +194,13 @@ class ExecutionEnv:
                 self._cost += notional
                 self.executed += filled
                 self._depth_total += d_t
-                diff = filled * self.arrival_price - notional
+                # float(filled * P0 - notional) in exact ints: int / int
+                # rounds correctly, as float(Fraction) does
+                num, den = self._p0_ratio
+                diff = filled * num - notional * den
                 if self.side is Side.ASK:
                     diff = -diff
-                shortfall_term = float(diff)
+                shortfall_term = diff / den
 
         depth_term = -cfg.alpha * d_t
         over_term = 0.0

@@ -109,7 +109,7 @@ class GreedyQPolicy(Policy):
         self.net = net
 
     def act(self, t, obs) -> int:
-        return int(np.argmax(self.net.forward(obs)))
+        return self.net.greedy(obs)
 
 
 def make_policy(name: str, config: ExecConfig,

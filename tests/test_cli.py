@@ -631,6 +631,19 @@ class TestTrain:
         second = (b / "train" / "learning_curve.csv").read_text().splitlines()[0]
         assert first != second
 
+    def test_prints_the_episode_where_lr_reaches_zero(self, lite_cfg, tmp_path, capsys):
+        # lr_steps 500: the first step at lr 0 falls in episode 12 (counted
+        # from 0, as in learning_curve.csv); the line goes to stdout only
+        def train(episodes, out, *flags):
+            assert main(["train", "--config", str(lite_cfg), "--episodes", str(episodes),
+                         "--out", str(tmp_path / out), *flags]) == 0
+            return capsys.readouterr().out
+
+        assert "lr reached" not in train(12, "short")
+        assert "train: lr reached 0 at episode 12\n" in train(13, "run")
+        assert "lr reached" not in train(1, "run", "--resume")  # already at lr 0
+        assert not any(b"lr reached" in data for data in read_tree(tmp_path / "run").values())
+
     def test_resume_appends_curve(self, lite_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", str(lite_cfg), "--episodes", "2",

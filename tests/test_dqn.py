@@ -28,6 +28,7 @@ from lobexec.dqn import (
     train,
 )
 from lobexec.execenv import ExecConfig, ExecutionEnv
+from lobexec.strategies import GreedyQPolicy
 from lobexec.synthetic import ConstantMarket
 
 
@@ -208,6 +209,85 @@ class TestAct:
         assert act(net, np.zeros(36), 0.0, np.random.default_rng(0)) == 0
 
 
+def transient_peak(f, calls=50):
+    """The most bytes that ``calls`` calls of ``f`` held at once above what
+    was held before them, after one call that warms any cache."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            f()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestGreedy:
+    """``act`` at epsilon 0 and ``GreedyQPolicy.act`` both run
+    ``QNetwork.greedy``, on the net's one-row arrays, and must pick what
+    ``argmax(forward(s))`` picks."""
+
+    def greedy_picks(self, net, s):
+        return (act(net, s, 0.0, np.random.default_rng(0)),
+                GreedyQPolicy(net).act(0, s))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_argmax_of_forward(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = (36, *map(int, rng.integers(1, 60, size=2)), int(rng.integers(1, 8)))
+        net = QNetwork(sizes, rng)
+        for k in ("b1", "b2", "b3"):
+            net.params[k][:] = rng.normal(scale=0.5, size=net.params[k].shape)
+        policy = GreedyQPolicy(net)
+        for t in range(100):
+            s = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=36)
+            expected = int(np.argmax(net.forward(s)))
+            assert act(net, s, 0.0, rng) == expected
+            assert policy.act(t, s) == expected
+        s = rng.normal(size=36)
+        for as_given in (s.tolist(), s.astype(np.float32), s[::-1].copy()[::-1]):
+            assert self.greedy_picks(net, as_given) == (
+                (int(np.argmax(net.forward(as_given))),) * 2)
+
+    def test_zero_net_gives_action_zero(self):
+        assert self.greedy_picks(zero_net(), np.ones(36)) == (0, 0)
+
+    @pytest.mark.parametrize("s", [np.r_[np.nan, np.ones(35)], np.r_[np.ones(35), -np.inf],
+                                   np.ones(35), np.ones(37), np.r_[np.nan, np.ones(36)]],
+                             ids=["nan", "inf", "short", "long", "long_nan"])
+    def test_bad_observation_raises_forwards_error(self, s):
+        net = QNetwork((36, 50, 20, 5), np.random.default_rng(0))
+        with pytest.raises(ValueError) as expected:
+            net.forward(s)
+        for pick in (lambda: act(net, s, 0.0, np.random.default_rng(0)),
+                     lambda: GreedyQPolicy(net).act(0, s)):
+            with pytest.raises(ValueError) as raised:
+                pick()
+            assert str(raised.value) == str(expected.value)
+        good = np.random.default_rng(1).normal(size=36)  # the row arrays hold no residue
+        assert self.greedy_picks(net, good) == (int(np.argmax(net.forward(good))),) * 2
+
+    def test_greedy_action_makes_no_array(self):
+        # numpy's (1, d) product holds a few hundred bytes of its own while
+        # it runs, and greedy's peak is that product's peak. An array made
+        # per call, of an observation's 36 floats or more, and still alive
+        # when a product runs would add at least its 288 data bytes.
+        net = QNetwork((36, 50, 20, 5), np.random.default_rng(0))
+        s = np.random.default_rng(1).normal(size=36)
+        x, h1 = np.ones((1, 36)), np.empty((1, 50))
+        product = transient_peak(lambda: np.matmul(x, net.params["w1"], out=h1))
+        bound = product + 36 * 8
+        rng = np.random.default_rng(0)
+        assert transient_peak(lambda: act(net, s, 0.0, rng)) < bound
+        policy = GreedyQPolicy(net)
+        assert transient_peak(lambda: policy.act(0, s)) < bound
+        # the check would see the allocating one-row forward
+        assert transient_peak(lambda: int(np.argmax(net.forward(s)))) >= bound
+
+
 class TestSchedules:
     @staticmethod
     def reference(start, end, steps, i):
@@ -340,6 +420,33 @@ class TestTrain:
                 hashlib.sha256(learning_curve_csv(result.curve).encode()).hexdigest(),
                 result.env_steps, result.grad_steps) == self.PAST_LR_ZERO[target_sync]
         assert len(targets) == 300  # one per step at lr > 0, none after
+
+    def test_reports_the_episode_of_the_first_step_at_lr_zero(self, monkeypatch):
+        made, episodes = [], []  # envs made; the episode of each gradient step
+        factory = toy_env_factory()
+
+        def counting_factory():
+            made.append(None)
+            return factory()
+
+        def recording(*args):
+            episodes.append(len(made) - 1)
+            return learn_step(*args)
+
+        monkeypatch.setattr(dqn, "learn_step", recording)
+        sched = Schedules(lr_steps=300, eps_steps=200, learn_start=16,
+                          replay_capacity=1000, batch_size=16)
+        result = train(counting_factory, sched, episodes=40, seed=1)
+        assert result.grad_steps > 300
+        assert result.lr_zero_episode == episodes[300] > 0
+        # a resumed call reports the step only if it takes it
+        resumed = {"net": result.net, "start_episode": 40,
+                   "env_steps": result.env_steps}
+        for grad_steps, expected in ((result.grad_steps, None), (295, 40)):
+            assert train(counting_factory, sched, episodes=1, seed=1,
+                         grad_steps=grad_steps, **resumed).lr_zero_episode == expected
+        sched.lr_end = 1e-5
+        assert train(counting_factory, sched, episodes=40, seed=1).lr_zero_episode is None
 
 
 class TestTargetSync:
@@ -523,8 +630,10 @@ def learner(sizes, schedules, seed):
 
 
 class TestWorkspaceStep:
+    # At target_sync 0 the step forwards s and s_next as one (2, n, d)
+    # stack; a (2n, d) stack fails here at n = 1, 3, 7, 33 and 65.
     @pytest.mark.parametrize("target_sync", [0, 3])
-    @pytest.mark.parametrize("n", [1, 7, 16, 64, 65])
+    @pytest.mark.parametrize("n", [1, 3, 7, 16, 33, 64, 65])
     def test_bit_equal_to_allocating_step(self, n, target_sync):
         sched = Schedules(lr_start=1e-2, batch_size=n, target_sync=target_sync)
         replay = filled_replay(np.random.default_rng(40 + n))
@@ -544,14 +653,15 @@ class TestWorkspaceStep:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, step
         assert not np.array_equal(net.theta, learner((36, 50, 20, 5), sched, 1)[0].theta)
 
-    def test_step_allocates_no_arrays(self):
+    @pytest.mark.parametrize("target_sync", [0, 3])
+    def test_step_allocates_no_arrays(self, target_sync):
         # 20 steps at batch 64 that made their arrays anew peaked at about
         # 198 KB above the start. A workspace step makes only the sample's
         # indices, but numpy buffers a broadcast add, a product with a bool
         # mask and (before numpy 2.3) a reduction's output. A small ufunc
         # buffer size caps those buffers, so that any array the size of a
         # hidden layer or of the gradient made per step shows.
-        sched = Schedules(batch_size=64, replay_capacity=1000, target_sync=3)
+        sched = Schedules(batch_size=64, replay_capacity=1000, target_sync=target_sync)
         replay = filled_replay(np.random.default_rng(5), capacity=1000)
         net, target, opt = learner((36, 50, 20, 5), sched, 6)
         rng = np.random.default_rng(7)
@@ -570,6 +680,35 @@ class TestWorkspaceStep:
             tracemalloc.stop()
             np.setbufsize(bufsize)
         assert peak < 8 * 1024
+
+    @pytest.mark.parametrize("n", [1, 16, 33])
+    def test_theta_change_never_reaches_a_reused_online_half(self, n):
+        # targets on the online net forwards s with s_next, and the next
+        # loss_and_grads takes that half; any later one forwards s anew
+        sched = Schedules(batch_size=n)
+        replay = filled_replay(np.random.default_rng(8))
+        net, _, _ = learner((36, 50, 20, 5), sched, 9)
+        rng = np.random.default_rng(10)
+        ws = Workspace(net, n)
+
+        def assert_fresh(on, y):
+            """ws's loss and gradient are those of new arrays on ``on``'s
+            theta as it is now"""
+            loss = ws.loss_and_grads(on, y)
+            expected, g = loss_and_grads(on, ws.s.copy(), ws.a.copy(), y)
+            assert loss == expected and np.array_equal(ws.g, g)
+
+        for step in range(3):
+            replay.sample(n, rng, out=ws.batch)
+            y = ws.targets(net, sched.gamma)
+            assert np.array_equal(y, td_targets(tuple(c.copy() for c in ws.batch),
+                                                net, sched.gamma))
+            assert_fresh(net, y)
+            net.theta += np.random.default_rng(step).normal(scale=0.1, size=net.theta.size)
+            assert_fresh(net, y)  # no targets since theta changed
+        # the half is for the online net only: another net forwards its own
+        y = ws.targets(net, sched.gamma)
+        assert_fresh(QNetwork((36, 50, 20, 5), np.random.default_rng(11)), y)
 
 
 PARAM_ORDER = ["w1", "b1", "w2", "b2", "w3", "b3"]

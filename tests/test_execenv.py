@@ -234,6 +234,39 @@ class TestShortfall:
         assert env.executed > 0
         assert total / 2000 == pytest.approx(env.episode_shortfall(), abs=1e-9)
 
+    @pytest.mark.parametrize("direction", ["buy", "sell"])
+    @pytest.mark.parametrize("p0", [None, Fraction(30001, 3)], ids=["half_tick_mid", "thirds"])
+    def test_step_term_is_the_rounded_exact_shortfall(self, direction, p0):
+        # ConstantMarket(9999, 10002) has its mid, P0, at a half tick;
+        # an assigned P0 of 30001/3 gives shortfalls that no float holds
+        results = []
+
+        def market(seed):
+            m = ConstantMarket(9999, 10002, seed=seed)
+            submit = m.submit_market
+
+            def recording(*args):
+                results.append(submit(*args))
+                return results[-1]
+
+            m.submit_market = recording
+            return m
+
+        env = ExecutionEnv(ExecConfig(parent_size=2000, time_window_s=180, warmup_s=1,
+                                      q_min=7, direction=direction), market)
+        env.reset(0)
+        assert env.arrival_price == Fraction(20001, 2)
+        if p0 is not None:
+            env.arrival_price = p0
+        sign = 1 if direction == "buy" else -1
+        for action in (1, 2, 3, 4, 4, 3, 2, 1):
+            term = env.step(action).info["shortfall_term"]
+            result = results[-1]
+            assert result.filled == 7 * action
+            exact = sign * (result.filled * env.arrival_price - result.notional)
+            assert type(term) is float and term == float(exact)
+        assert env.step(0).info["shortfall_term"] == 0.0
+
     def test_sell_sign_symmetry(self):
         buy = constant_env(bid=9999, ask=10001)
         buy.reset(0)
